@@ -162,7 +162,9 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:g}"
+        # the short form when it reads back as the same float, else the exact one
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ._serialize import dump_artifact, load_artifact
+from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from .lexfeat import (
     ReadabilityScores,
     SentimentLexicon,
@@ -467,32 +467,52 @@ def save_pipeline(pm: PipelineModel) -> bytes:
     return dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
 
 
+def _payload_field(payload: dict, name: str, parse):
+    """parse(payload[name]); a missing or malformed field raises
+    ArtifactFormatError naming it."""
+    if name not in payload:
+        raise ArtifactFormatError(f"pipeline payload missing field {name!r}")
+    try:
+        return parse(payload[name])
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise ArtifactFormatError(f"pipeline payload field {name!r} is malformed: {err}") from None
+
+
 def load_pipeline(data: bytes) -> PipelineModel:
     payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
-    std = payload["standardizer"]
     fitted = FittedFeatures(
-        settings=FeatureSettings(**payload["settings"]),
-        word_vocab=_vocab_from_payload(payload["word_vocab"]),
-        pos_vocab=_vocab_from_payload(payload["pos_vocab"]),
-        standardizer=None
-        if std is None
-        else Standardizer(means=tuple(std["means"]), scales=tuple(std["scales"])),
-        selected_columns=None
-        if payload["selected_columns"] is None
-        else tuple(payload["selected_columns"]),
-        registry=tuple((b, n) for b, n in payload["registry"]),
+        settings=_payload_field(payload, "settings", lambda d: FeatureSettings(**d)),
+        word_vocab=_payload_field(payload, "word_vocab", _vocab_from_payload),
+        pos_vocab=_payload_field(payload, "pos_vocab", _vocab_from_payload),
+        standardizer=_payload_field(
+            payload,
+            "standardizer",
+            lambda std: None
+            if std is None
+            else Standardizer(means=tuple(std["means"]), scales=tuple(std["scales"])),
+        ),
+        selected_columns=_payload_field(
+            payload, "selected_columns", lambda cols: None if cols is None else tuple(cols)
+        ),
+        registry=_payload_field(
+            payload, "registry", lambda reg: tuple((b, n) for b, n in reg)
+        ),
     )
-    model, _ = model_from_payload(payload["model"])
-    cfg = payload["config"]
     return PipelineModel(
-        tagger=load_tag_model(payload["tagger"].encode("utf-8")),
-        lexicon=SentimentLexicon(valences=dict(payload["lexicon"])),
+        tagger=_payload_field(payload, "tagger", lambda t: load_tag_model(t.encode("utf-8"))),
+        lexicon=_payload_field(
+            payload, "lexicon", lambda lex: SentimentLexicon(valences=dict(lex))
+        ),
         fitted=fitted,
-        model=model,
-        config=ModelConfig(
-            kind=cfg["kind"],
-            penalty=cfg["penalty"],
-            C=float(cfg["C"]),
-            class_weight=cfg["class_weight"],
+        model=_payload_field(payload, "model", lambda m: model_from_payload(m)[0]),
+        config=_payload_field(
+            payload,
+            "config",
+            lambda cfg: ModelConfig(
+                kind=cfg["kind"],
+                penalty=cfg["penalty"],
+                C=float(cfg["C"]),
+                class_weight=cfg["class_weight"],
+            ),
         ),
     )

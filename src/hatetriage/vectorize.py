@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,10 +257,21 @@ def assemble_features(
 
 def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> list[int]:
     """Columns kept by an OvR L1 logistic fit: any class coefficient with
-    magnitude above 1e-6 retains the column."""
+    magnitude above 1e-6 retains the column. Warns when a class fit did not
+    converge, since its columns are then those of an unfinished solve."""
     from .linmodel import fit_logreg  # local import, linmodel depends on this module
 
     model = fit_logreg(X, y, penalty="l1", C=C, class_weight="uniform", tol=tol)
+    unconverged = [
+        cls for cls, meta in zip(model.classes, model.train_meta) if not meta.converged
+    ]
+    if unconverged:
+        warnings.warn(
+            f"L1 selection at C={C}, tol={tol} did not converge for classes "
+            f"{unconverged}; the selected columns come from an unconverged fit",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     keep = sorted(
         int(j)
         for j in np.nonzero(np.abs(model.weights).max(axis=0) > COEF_KEEP_THRESHOLD)[0]

@@ -1,6 +1,10 @@
 """Config parsing, serialization, and validation."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hatetriage.config import PipelineConfig, load_config, parse_config, serialize_config
 
@@ -165,6 +169,28 @@ class TestSerialize:
     def test_round_trip_of_defaults(self):
         cfg = PipelineConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(
+        select_tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        max_df_ratio=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        grid_cs=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_round_trip_identity_for_any_positive_float(self, select_tol, max_df_ratio, grid_cs):
+        cfg = dataclasses.replace(
+            PipelineConfig(),
+            select_tol=select_tol,
+            max_df_ratio=max_df_ratio,
+            grid_cs=tuple(grid_cs),
+        )
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_float_that_g_would_round_is_written_exactly(self):
+        cfg = dataclasses.replace(PipelineConfig(), select_tol=1.23456789e-05)
+        assert "select_tol = 1.23456789e-05" in serialize_config(cfg)
 
     def test_value_formatting(self):
         text = serialize_config(PipelineConfig())

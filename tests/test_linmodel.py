@@ -36,6 +36,27 @@ def noisy_set(seed=5):
     return X, y
 
 
+def tfidf_set(seed=11, n=300, d=400):
+    """Sparse TF-IDF-like rows: Zipfian word draws, most rows with one marker
+    word of their class, idf weighting, unit L2 row norms."""
+    rng = np.random.default_rng(seed)
+    y = rng.choice(3, size=n, p=[0.1, 0.7, 0.2])
+    zipf = 1.0 / np.arange(1, d + 1) ** 1.05
+    rows, cols = [], []
+    for i in range(n):
+        words = list(rng.choice(d, size=int(rng.integers(4, 15)), p=zipf / zipf.sum()))
+        if rng.random() < 0.8:
+            words.append(d - 1 - 10 * y[i] - int(rng.integers(0, 10)))
+        rows += [i] * len(words)
+        cols += words
+    counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, d))
+    counts.sum_duplicates()
+    df = np.bincount(counts.indices, minlength=d)
+    X = counts.multiply(np.log((1 + n) / (1 + df)) + 1).tocsr()
+    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    return (sparse.diags(1.0 / norms) @ X).tocsr(), y
+
+
 def objective_l2_logistic(X, y, C, w, b, omega=None):
     n = X.shape[0]
     z = np.where(y == y.max(), 1.0, -1.0)
@@ -124,6 +145,37 @@ class TestFitLogreg:
             model = fit_logreg(X, y, penalty="l1", C=C, tol=1e-6, max_iter=5000)
             nnz[C] = int((np.abs(model.weights) > 1e-6).sum())
         assert nnz[1e-3] <= nnz[1e3]
+
+    @pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0])
+    def test_l1_converges_to_kkt_point_on_sparse_tfidf(self, C):
+        """Every class fit converges under the default max_iter and meets the
+        L1 optimality conditions. A converged fit is one from which a prox
+        step moves no parameter by more than tol; the step length is at least
+        1 here (unit-norm rows keep the loss gradient 0.5-Lipschitz), so each
+        condition holds within tol."""
+        X, y = tfidf_set()
+        model = fit_logreg(X, y, penalty="l1", C=C)
+        n = X.shape[0]
+        lam = 1.0 / (C * n)
+        tol = 1e-4
+        for k, meta in enumerate(model.train_meta):
+            assert meta.converged, (C, k, meta.iterations)
+            z = np.where(y == model.classes[k], 1.0, -1.0)
+            w, b = model.weights[k], model.bias[k]
+            coef = -z / (1.0 + np.exp(z * (X @ w + b))) / n
+            grad = X.T @ coef
+            zero = w == 0.0
+            assert abs(coef.sum()) <= tol
+            assert (np.abs(grad[zero]) <= lam + tol).all()
+            assert (np.abs(grad[~zero] + lam * np.sign(w[~zero])) <= tol).all()
+
+    def test_l1_determinism_bit_identical(self):
+        X, y = tfidf_set()
+        a = fit_logreg(X, y, penalty="l1", C=1.0)
+        b = fit_logreg(X, y, penalty="l1", C=1.0)
+        assert (a.weights == b.weights).all()
+        assert (a.bias == b.bias).all()
+        assert [m.history for m in a.train_meta] == [m.history for m in b.train_meta]
 
     def test_determinism_bit_identical(self):
         X, y = noisy_set()

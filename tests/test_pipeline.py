@@ -4,7 +4,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from hatetriage._serialize import ArtifactFormatError
+from hatetriage._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from hatetriage.lexfeat import (
     ReadabilityScores,
     SentimentLexicon,
@@ -12,6 +12,8 @@ from hatetriage.lexfeat import (
     SurfaceFeatures,
 )
 from hatetriage.pipeline import (
+    PIPELINE_FORMAT_VERSION,
+    PIPELINE_MAGIC,
     FeatureSettings,
     Ingredients,
     ModelConfig,
@@ -216,6 +218,20 @@ class TestFitFeatures:
         assert (dense == dense.astype(int)).all()
 
 
+PAYLOAD_FIELDS = (
+    "config",
+    "lexicon",
+    "model",
+    "pos_vocab",
+    "registry",
+    "selected_columns",
+    "settings",
+    "standardizer",
+    "tagger",
+    "word_vocab",
+)
+
+
 class TestPipelineArtifact:
     def build(self, tagger, kind="logreg"):
         rng = np.random.default_rng(1)
@@ -272,6 +288,33 @@ class TestPipelineArtifact:
         pm, _, _ = self.build(tagger)
         with pytest.raises(ArtifactFormatError):
             load_pipeline(save_pipeline(pm)[:-7])
+
+    @pytest.mark.parametrize("field", PAYLOAD_FIELDS)
+    def test_missing_payload_field_rejected(self, tagger, field):
+        pm, _, _ = self.build(tagger)
+        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        assert field in payload
+        del payload[field]
+        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
+        with pytest.raises(ArtifactFormatError, match=f"missing field '{field}'"):
+            load_pipeline(blob)
+
+    def test_payload_covers_every_field_tested(self, tagger):
+        pm, _, _ = self.build(tagger)
+        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        assert sorted(payload) == list(PAYLOAD_FIELDS)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("settings", 3), ("standardizer", {"means": []}), ("tagger", None), ("config", [])],
+    )
+    def test_mistyped_payload_field_rejected(self, tagger, field, value):
+        pm, _, _ = self.build(tagger)
+        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        payload[field] = value
+        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
+        with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
+            load_pipeline(blob)
 
     def test_empty_input_empty_output(self, tagger):
         pm, _, _ = self.build(tagger)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,23 @@ class TestSelectL1:
         X, y = self.toy()
         keep = select_l1(X, y, C=1.0, tol=1e-5)
         assert keep == sorted(set(keep))
+
+    def test_unconverged_fit_warns(self, monkeypatch):
+        from hatetriage import linmodel
+
+        fit_logreg = linmodel.fit_logreg
+        monkeypatch.setattr(
+            linmodel, "fit_logreg", lambda *a, **kw: fit_logreg(*a, **kw, max_iter=1)
+        )
+        X, y = self.toy()
+        with pytest.warns(RuntimeWarning, match=r"C=1\.0, tol=1e-05 .* classes \[0, 1\]"):
+            select_l1(X, y, C=1.0, tol=1e-5)
+
+    def test_converged_fit_is_silent(self):
+        X, y = self.toy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            select_l1(X, y, C=1.0, tol=1e-5)
 
 
 class TestStandardizer:

@@ -33,7 +33,6 @@ from .evalharness import (
 from .lexfeat import SentimentLexicon
 from .linmodel import predict as model_predict
 from .pipeline import (
-    Ingredients,
     PipelineModel,
     extract_ingredients,
     fit_config_model,
@@ -50,6 +49,10 @@ from .postag import parse_conll, save_model as save_tag_model, train_tagger
 # prints the in-sample deltas against them
 REFERENCE_WEIGHTED = {"precision": 0.91, "recall": 0.90, "f1": 0.90}
 REFERENCE_HATE = {"precision": 0.44, "recall": 0.61}
+
+# predict runs the pipeline once per this many input lines: large enough that
+# the per-call cost of feature assembly is shared, small enough to bound memory
+PREDICT_BATCH = 256
 
 
 class UsageError(Exception):
@@ -226,13 +229,7 @@ def cmd_evaluate(args) -> int:
     y_tr = [y[i] for i in tr_idx]
     y_ho = [y[i] for i in ho_idx]
 
-    sub = Ingredients(
-        word_docs=tuple(ingredients.word_docs[i] for i in tr_idx),
-        pos_docs=tuple(ingredients.pos_docs[i] for i in tr_idx),
-        sentiment=tuple(ingredients.sentiment[i] for i in tr_idx),
-        readability=tuple(ingredients.readability[i] for i in tr_idx),
-        surface=tuple(ingredients.surface[i] for i in tr_idx),
-    )
+    sub = ingredients.subset(tr_idx)
     t0 = time.perf_counter()
     grid_result = _stage(
         "grid",
@@ -283,12 +280,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _write_predictions(sink, pm: PipelineModel, texts: list[str]) -> None:
+    """One output line per text, in order: label, then a score per class."""
+    if not texts:
+        return
+    labels, scores = _stage("predict", pipeline_predict, pm, texts)
+    class_pos = {int(c): i for i, c in enumerate(pm.model.classes)}
+    for label, row in zip(labels, scores):
+        cells = [Label(int(label)).display]
+        for cls in LABELS:
+            pos = class_pos.get(int(cls))
+            cells.append(f"{row[pos]:.6f}" if pos is not None else "nan")
+        sink.write("\t".join(cells) + "\n")
+
+
 def cmd_predict(args) -> int:
     model_path = Path(args.model)
     if not model_path.is_file():
         raise UsageError(f"model path does not exist: {model_path}")
     pm = _stage("load", load_pipeline, model_path.read_bytes())
-    class_pos = {int(c): i for i, c in enumerate(pm.model.classes)}
 
     if args.input:
         in_path = Path(args.input)
@@ -298,18 +308,19 @@ def cmd_predict(args) -> int:
     else:
         stream = sys.stdin.buffer
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    batch: list[str] = []
     try:
         for lineno, raw in enumerate(stream, start=1):
             try:
-                text = raw.decode("utf-8").rstrip("\r\n")
+                batch.append(raw.decode("utf-8").rstrip("\r\n"))
             except UnicodeDecodeError as exc:
+                # the lines before the bad one are still answered
+                _write_predictions(sink, pm, batch)
                 raise StageError(f"stage predict: line {lineno} is not UTF-8: {exc}") from exc
-            labels, scores = _stage("predict", pipeline_predict, pm, [text])
-            cells = [Label(int(labels[0])).display]
-            for cls in LABELS:
-                pos = class_pos.get(int(cls))
-                cells.append(f"{scores[0, pos]:.6f}" if pos is not None else "nan")
-            sink.write("\t".join(cells) + "\n")
+            if len(batch) == PREDICT_BATCH:
+                _write_predictions(sink, pm, batch)
+                batch = []
+        _write_predictions(sink, pm, batch)
     finally:
         if args.input:
             stream.close()

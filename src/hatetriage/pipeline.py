@@ -37,7 +37,7 @@ from .linmodel import (
 from .postag import TagModel, tag
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
-from .textproc import preprocess, tokenize, unstemmed_words
+from .textproc import tokenize, word_streams
 from .vectorize import (
     FeatureMatrix,
     Standardizer,
@@ -151,20 +151,37 @@ class Ingredients:
     def __len__(self) -> int:
         return len(self.word_docs)
 
+    def subset(self, indices) -> Ingredients:
+        """The ingredients of the given rows, in the given order."""
+        indices = list(indices)
+        return Ingredients(
+            word_docs=tuple(self.word_docs[i] for i in indices),
+            pos_docs=tuple(self.pos_docs[i] for i in indices),
+            sentiment=tuple(self.sentiment[i] for i in indices),
+            readability=tuple(self.readability[i] for i in indices),
+            surface=tuple(self.surface[i] for i in indices),
+        )
+
 
 def extract_ingredients(
     texts, tagger: TagModel, lexicon: SentimentLexicon
 ) -> Ingredients:
-    """Tokenize, stem, tag, and score every text once, up front."""
+    """Tokenize, stem, tag, and score every text once, up front.
+
+    Each text is tokenized once and every block reads that one token list.
+    Stems are memoized for this call only: tweet vocabularies are Zipfian, so
+    a few distinct words cover most tokens.
+    """
     word_docs = []
     pos_docs = []
     sent = []
     read = []
     surf = []
+    stems: dict[str, str] = {}
     for text in texts:
         tokens = tokenize(text)
-        word_docs.append(tuple(preprocess(text)))
-        words = unstemmed_words(text)
+        stemmed, words = word_streams(tokens, stems)
+        word_docs.append(tuple(stemmed))
         pos_docs.append(tuple(tag(tagger, words)) if words else ())
         sent.append(sentiment_scores(tokens, lexicon))
         sf = surface_features(text, tokens)

@@ -2,6 +2,8 @@
 
 Everything here is a pure function over strings; this module is the lexical
 substrate for the n-gram, sentiment, readability, and surface features.
+tokenize() runs once per tweet; word_streams() turns its tokens into both
+the stemmed n-gram stream and the unstemmed tagger stream in one pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class Token:
     kind: TokenKind
 
 
-# Placeholder pseudo-words inserted by preprocess(). They are deliberately
+# Placeholder pseudo-words inserted by word_streams(). They are deliberately
 # alphabetic so the stemmer and the vectorizer treat them like ordinary words.
 URL_PLACEHOLDER = "URLHERE"
 MENTION_PLACEHOLDER = "MENTIONHERE"
@@ -42,8 +44,8 @@ _WORD_CHARS = re.compile(r"[0-9A-Za-z_']")
 
 def _classify_chunk(chunk: str) -> list[Token]:
     """Split one whitespace-delimited chunk into tokens, dropping no characters."""
-    if _URL_RE.match(chunk):
-        m = _URL_RE.match(chunk)
+    m = _URL_RE.match(chunk)
+    if m:
         out = [Token(m.group(0), TokenKind.URL)]
         rest = chunk[m.end():]
         if rest:
@@ -290,50 +292,53 @@ def porter_stem(word: str) -> str:
     return _STEMMER.stem(word)
 
 
-def preprocess(text: str) -> list[str]:
-    """Lowercase, tokenize, substitute URL/mention placeholders, drop the
-    retweet marker and punctuation, and stem the remaining words.
+def word_streams(
+    tokens: list[Token], stems: dict[str, str] | None = None
+) -> tuple[list[str], list[str]]:
+    """The stemmed and the unstemmed word streams of one tokenized tweet.
 
-    Hashtags lose their "#" and are stemmed like words; placeholders pass
-    through unstemmed so they stay recognizable in the n-gram stream.
+    Both streams are lowercased and drop the retweet marker, punctuation and
+    other non-word tokens; URLs and mentions become placeholders, which pass
+    through unstemmed so they stay recognizable in the n-gram stream, and
+    hashtags lose their "#". The unstemmed stream feeds the POS tagger, whose
+    suffix features stems would corrupt.
+
+    `stems` memoizes the stemmer per distinct word; pass one dict across a
+    batch of tweets to stem each word once.
     """
-    out: list[str] = []
-    for tok in tokenize(text):
+    if stems is None:
+        stems = {}
+    stemmed: list[str] = []
+    words: list[str] = []
+    for tok in tokens:
         if tok.kind in (TokenKind.RETWEET, TokenKind.PUNCT, TokenKind.OTHER):
             continue
         if tok.kind is TokenKind.URL:
-            out.append(URL_PLACEHOLDER)
+            stemmed.append(URL_PLACEHOLDER)
+            words.append(URL_PLACEHOLDER)
         elif tok.kind is TokenKind.MENTION:
-            out.append(MENTION_PLACEHOLDER)
+            stemmed.append(MENTION_PLACEHOLDER)
+            words.append(MENTION_PLACEHOLDER)
         else:
             surface = tok.surface.lower()
             if tok.kind is TokenKind.HASHTAG:
                 surface = surface.lstrip("#")
                 if not surface:
                     continue
-            out.append(_STEMMER.stem(surface) if surface else surface)
-    return out
+            stem = stems.get(surface)
+            if stem is None:
+                stem = stems[surface] = _STEMMER.stem(surface)
+            stemmed.append(stem)
+            words.append(surface)
+    return stemmed, words
+
+
+def preprocess(text: str) -> list[str]:
+    """The stemmed word stream of `text`; see word_streams()."""
+    return word_streams(tokenize(text))[0]
 
 
 def unstemmed_words(text: str) -> list[str]:
-    """The lowercased twin of preprocess() without stemming.
-
-    This is the token stream handed to the POS tagger: stems would corrupt
-    its suffix features, so tagging runs on intact word forms.
-    """
-    out: list[str] = []
-    for tok in tokenize(text):
-        if tok.kind in (TokenKind.RETWEET, TokenKind.PUNCT, TokenKind.OTHER):
-            continue
-        if tok.kind is TokenKind.URL:
-            out.append(URL_PLACEHOLDER)
-        elif tok.kind is TokenKind.MENTION:
-            out.append(MENTION_PLACEHOLDER)
-        else:
-            surface = tok.surface.lower()
-            if tok.kind is TokenKind.HASHTAG:
-                surface = surface.lstrip("#")
-                if not surface:
-                    continue
-            out.append(surface)
-    return out
+    """The unstemmed word stream of `text`, as handed to the POS tagger;
+    see word_streams()."""
+    return word_streams(tokenize(text))[1]

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from hatetriage.cli import main
+from hatetriage.cli import PREDICT_BATCH, main
+from hatetriage.corpus import LABELS, Label
+from hatetriage.pipeline import load_pipeline, pipeline_predict
 from hatetriage.postag import load_model as load_tag_model
 
 CORPUS = str(importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv"))
@@ -34,6 +36,18 @@ def write_config(root, **overrides):
     path = root / "run.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def one_call_line(pm, text):
+    """The output line of one single-tweet pipeline_predict call, formatted
+    as predict has always written it."""
+    labels, scores = pipeline_predict(pm, [text])
+    class_pos = {int(c): i for i, c in enumerate(pm.model.classes)}
+    cells = [Label(int(labels[0])).display]
+    for cls in LABELS:
+        pos = class_pos.get(int(cls))
+        cells.append(f"{scores[0, pos]:.6f}" if pos is not None else "nan")
+    return "\t".join(cells) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +163,33 @@ class TestPredict:
     def test_undecodable_line_is_an_error(self, workspace, tmp_path, capsys):
         src = tmp_path / "in.txt"
         src.write_bytes(b"fine line\n\xff\xfe broken\n")
-        rc = main(["predict", "--model", str(workspace["out"] / "model.bin"),
-                   "--input", str(src), "--output", str(tmp_path / "pred.tsv")])
+        dst = tmp_path / "pred.tsv"
+        model = workspace["out"] / "model.bin"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+        # the batch pending at the bad line is answered before the error, so
+        # the output is what a one-line-at-a-time predict writes
+        pm = load_pipeline(model.read_bytes())
+        assert dst.read_bytes() == one_call_line(pm, "fine line").encode("utf-8")
+
+    def test_batches_match_one_call_per_line(self, workspace, corpus_rows, tmp_path):
+        # two full batches, a partial last one, and an empty line among them
+        n = 2 * PREDICT_BATCH + 1
+        tweets = [r["tweet"] for r in corpus_rows]
+        texts = [tweets[i % len(tweets)] for i in range(n)]
+        texts[PREDICT_BATCH - 1] = ""
+        src = tmp_path / "in.txt"
+        src.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        dst = tmp_path / "pred.tsv"
+        model = workspace["out"] / "model.bin"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
+        assert rc == 0
+        pm = load_pipeline(model.read_bytes())
+        expected = "".join(one_call_line(pm, t) for t in texts)
+        assert dst.read_bytes() == expected.encode("utf-8")
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.resources
 
@@ -28,7 +29,8 @@ from hatetriage.pipeline import (
     pipeline_predict,
     save_pipeline,
 )
-from hatetriage.postag import load_model
+from hatetriage.postag import load_model, tag
+from textproc_reference import reference_preprocess, reference_unstemmed_words
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,8 @@ def tagger():
     data = importlib.resources.files("hatetriage.data").joinpath("pos_model.txt")
     return load_model(data.read_bytes())
 
+
+CORPUS = importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv")
 
 LEX = SentimentLexicon(valences={"good": 2.0, "love": 3.0, "bad": -2.5, "hate": -2.7})
 
@@ -157,6 +161,29 @@ class TestIngredients:
         ing = extract_ingredients([""], tagger, LEX)
         assert ing.word_docs[0] == ()
         assert ing.pos_docs[0] == ()
+
+    def test_single_pass_matches_three_pass_composition(self, tagger):
+        # the old extraction tokenized each text in itself, preprocess and
+        # unstemmed_words; the single pass must give the same streams
+        with open(CORPUS, encoding="utf-8") as f:
+            texts = [row["tweet"] for row in csv.DictReader(f)]
+        ing = extract_ingredients(texts, tagger, LEX)
+        word_docs = tuple(tuple(reference_preprocess(t)) for t in texts)
+        pos_docs = []
+        for text in texts:
+            words = reference_unstemmed_words(text)
+            pos_docs.append(tuple(tag(tagger, words)) if words else ())
+        assert ing.word_docs == word_docs
+        assert ing.pos_docs == tuple(pos_docs)
+
+    def test_subset_picks_rows_in_order(self, tagger):
+        ing = extract_ingredients(["good day", "bad day", "@x http://y.z", ""], tagger, LEX)
+        sub = ing.subset(iter([2, 0]))
+        assert len(sub) == 2
+        for field in dataclasses.fields(Ingredients):
+            full = getattr(ing, field.name)
+            assert getattr(sub, field.name) == (full[2], full[0])
+        assert len(ing.subset([])) == 0
 
 
 class TestFitFeatures:

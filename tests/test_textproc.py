@@ -14,7 +14,9 @@ from hatetriage.textproc import (
     preprocess,
     tokenize,
     unstemmed_words,
+    word_streams,
 )
+from textproc_reference import reference_preprocess, reference_unstemmed_words
 
 lower_words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20)
 
@@ -159,3 +161,17 @@ class TestPreprocess:
 
     def test_unstemmed_keeps_placeholders(self):
         assert unstemmed_words("@a says hi") == [MENTION_PLACEHOLDER, "says", "hi"]
+
+
+class TestWordStreams:
+    @given(st.text(max_size=200))
+    def test_streams_match_reference_bodies(self, text):
+        expected = (reference_preprocess(text), reference_unstemmed_words(text))
+        assert word_streams(tokenize(text)) == expected
+        assert (preprocess(text), unstemmed_words(text)) == expected
+
+    @given(st.lists(st.text(max_size=60), max_size=8))
+    def test_shared_stem_memo_changes_nothing(self, texts):
+        stems: dict[str, str] = {}
+        for text in texts:
+            assert word_streams(tokenize(text), stems) == word_streams(tokenize(text))

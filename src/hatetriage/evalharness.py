@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LABELS, Label
-from .linmodel import LinearModel, predict, predict_scores
+from .linmodel import LinearModel, labels_from_scores, predict, predict_scores
 from .pipeline import (
     FeatureSettings,
     FittedFeatures,
@@ -229,7 +229,9 @@ def prepare_folds(
     return prepared
 
 
-def _evaluate_fold(pf: PreparedFold, config: ModelConfig, y) -> MetricsReport:
+def _evaluate_fold(
+    pf: PreparedFold, config: ModelConfig, y
+) -> tuple[MetricsReport, LinearModel]:
     if config.kind == "nb":
         if pf.counts_error is not None:
             raise ValueError(pf.counts_error)
@@ -239,7 +241,7 @@ def _evaluate_fold(pf: PreparedFold, config: ModelConfig, y) -> MetricsReport:
     y_train = [int(y[j]) for j in pf.train_idx]
     y_test = [int(y[j]) for j in pf.test_idx]
     model = fit_config_model(config, X_train, y_train)
-    return metrics(y_test, predict(model, X_test))
+    return metrics(y_test, predict(model, X_test)), model
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,7 @@ def cross_validate(
     reports = []
     for pf in prepared:
         try:
-            reports.append(_evaluate_fold(pf, settings.model, y))
+            reports.append(_evaluate_fold(pf, settings.model, y)[0])
         except ValueError as exc:
             raise RuntimeError(f"model fit failed on fold {pf.index}: {exc}") from exc
     return _aggregate(reports, folds)
@@ -292,11 +294,18 @@ def cross_validate(
 
 @dataclass(frozen=True)
 class GridCell:
+    """One configuration's cross-validated score. converged holds only if
+    every class fit of every fold converged; max_iterations is the largest
+    per-class iteration count over the fold fits. A failed cell has None
+    in every score field and its cause in error."""
+
     config: ModelConfig
     mean_weighted_f1: float | None
     std_weighted_f1: float | None
     fold_f1: tuple[float, ...]
     error: str | None
+    converged: bool | None = None
+    max_iterations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -345,13 +354,16 @@ def grid_search(
     cells = []
     for config in configs:
         fold_f1 = []
+        fold_meta = []
         error = None
         for pf in prepared:
             try:
-                fold_f1.append(_evaluate_fold(pf, config, y).weighted_f1)
+                report, model = _evaluate_fold(pf, config, y)
             except ValueError as exc:
                 error = f"fold {pf.index}: {exc}"
                 break
+            fold_f1.append(report.weighted_f1)
+            fold_meta.extend(model.train_meta)
         if error is None:
             arr = np.asarray(fold_f1)
             cells.append(
@@ -361,6 +373,8 @@ def grid_search(
                     std_weighted_f1=float(arr.std()),
                     fold_f1=tuple(float(v) for v in fold_f1),
                     error=None,
+                    converged=all(m.converged for m in fold_meta),
+                    max_iterations=max(m.iterations for m in fold_meta),
                 )
             )
         else:
@@ -448,7 +462,7 @@ def error_report(
     if model.selected_columns is not None and features.n_cols != model.n_features:
         features = features.project(list(model.selected_columns))
     scores = predict_scores(model, features)
-    preds = predict(model, features)
+    preds = labels_from_scores(model, scores)
     class_pos = {int(c): i for i, c in enumerate(model.classes)}
     X = features.matrix
     buckets = []
@@ -576,7 +590,8 @@ def grid_report_text(result: GridSearchResult) -> str:
         if cell.error is None:
             lines.append(
                 f"{marker} {cell.config.describe():<50} "
-                f"mean_f1={cell.mean_weighted_f1:.6f} std={cell.std_weighted_f1:.6f}"
+                f"mean_f1={cell.mean_weighted_f1:.6f} std={cell.std_weighted_f1:.6f} "
+                f"converged={int(cell.converged)} max_iterations={cell.max_iterations}"
             )
         else:
             lines.append(f"{marker} {cell.config.describe():<50} error: {cell.error}")
@@ -585,7 +600,12 @@ def grid_report_text(result: GridSearchResult) -> str:
 
 
 def grid_report_csv(result: GridSearchResult) -> str:
-    rows = ["model,penalty,C,class_weight,mean_weighted_f1,std_weighted_f1,best,error"]
+    """One row per cell; error is the last field and is empty on a scored
+    row, so a scored row ends with a comma."""
+    rows = [
+        "model,penalty,C,class_weight,mean_weighted_f1,std_weighted_f1,best,"
+        "converged,max_iterations,error"
+    ]
     for cell in result.cells:
         c = cell.config
         best = "1" if c == result.best else "0"
@@ -593,10 +613,11 @@ def grid_report_csv(result: GridSearchResult) -> str:
             rows.append(
                 f"{c.kind},{c.penalty},{c.C:g},{c.class_weight},"
                 f"{cell.mean_weighted_f1:.6f},{cell.std_weighted_f1:.6f},{best},"
+                f"{int(cell.converged)},{cell.max_iterations},"
             )
         else:
             err = cell.error.replace(",", ";")
-            rows.append(f"{c.kind},{c.penalty},{c.C:g},{c.class_weight},,,{best},{err}")
+            rows.append(f"{c.kind},{c.penalty},{c.C:g},{c.class_weight},,,{best},,,{err}")
     return "\n".join(rows) + "\n"
 
 

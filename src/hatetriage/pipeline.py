@@ -29,9 +29,9 @@ from .linmodel import (
     fit_linear_svm,
     fit_logreg,
     fit_multinomial_nb,
+    labels_from_scores,
     model_from_payload,
     model_payload,
-    predict,
     predict_scores,
 )
 from .postag import TagModel, tag
@@ -411,7 +411,8 @@ def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.int64), np.zeros((0, len(pm.model.classes)))
     ingredients = extract_ingredients(texts, pm.tagger, pm.lexicon)
     fm = model_input_matrix(pm.config.kind, pm.fitted, ingredients)
-    return predict(pm.model, fm), predict_scores(pm.model, fm)
+    scores = predict_scores(pm.model, fm)
+    return labels_from_scores(pm.model, scores), scores
 
 
 def _vocab_payload(v: Vocabulary) -> dict:

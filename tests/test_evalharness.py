@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatetriage import evalharness
 from hatetriage.corpus import Label, LabeledTweet
 from hatetriage.evalharness import (
     BucketEntry,
@@ -403,6 +404,31 @@ class TestGridSearch:
         with pytest.raises(RuntimeError, match="every grid configuration failed"):
             grid_search([ModelConfig("nb", "none", 1.0)], ing, y, k=2, seed=0, features=fs)
 
+    def test_cells_report_convergence(self):
+        docs, y = separable_corpus(n_per=10)
+        grid = [ModelConfig("logreg", "l1", 1.0), ModelConfig("nb", "none", 1.0)]
+        res = grid_search(grid, neutral_ingredients(docs), y, k=2, seed=0, features=SMALL)
+        l1, nb = res.cells
+        assert l1.converged and l1.max_iterations > 1
+        assert nb.converged and nb.max_iterations == 1
+        row = grid_report_csv(res).splitlines()[1].split(",")
+        assert row[7:] == ["1", str(l1.max_iterations), ""]
+        assert f"converged=1 max_iterations={l1.max_iterations}" in grid_report_text(res)
+
+    def test_capped_fits_reported_unconverged(self, monkeypatch):
+        def capped(config, X, y):
+            return fit_config_model(config, X, y, max_iter=1)
+
+        monkeypatch.setattr(evalharness, "fit_config_model", capped)
+        docs, y = separable_corpus(n_per=10)
+        grid = [ModelConfig("logreg", "l1", 1.0), ModelConfig("svm", "l2", 1.0)]
+        res = grid_search(grid, neutral_ingredients(docs), y, k=2, seed=0, features=SMALL)
+        for cell in res.cells:
+            assert cell.converged is False and cell.max_iterations == 1
+        for row in grid_report_csv(res).splitlines()[1:]:
+            assert row.split(",")[7:] == ["0", "1", ""]
+        assert grid_report_text(res).count("converged=0 max_iterations=1") == 2
+
     def test_partial_failure_recorded_not_fatal(self):
         ing, y, fs = self._scalar_only_setup()
         grid = [ModelConfig("logreg", "l2", 1.0), ModelConfig("nb", "none", 1.0)]
@@ -410,6 +436,8 @@ class TestGridSearch:
         assert res.best.kind == "logreg"
         nb_cell = res.cells[1]
         assert nb_cell.error is not None and "n-gram" in nb_cell.error
+        assert nb_cell.converged is None and nb_cell.max_iterations is None
+        assert grid_report_csv(res).splitlines()[2].split(",")[7:9] == ["", ""]
 
 
 def build_fitted(docs, y, settings=SMALL):
@@ -548,7 +576,10 @@ class TestReportFormats:
         text = grid_report_text(res)
         assert text.splitlines()[1].startswith("*")
         csv = grid_report_csv(res).strip().split("\n")
-        assert csv[0].endswith("best,error")
+        assert csv[0] == (
+            "model,penalty,C,class_weight,mean_weighted_f1,std_weighted_f1,best,"
+            "converged,max_iterations,error"
+        )
         assert csv[1].split(",")[6] == "1"
         assert csv[2].split(",")[6] == "0"
 

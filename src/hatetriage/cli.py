@@ -99,9 +99,18 @@ def _load_tagger(config: PipelineConfig):
     return load_tag_model(data.read_bytes())
 
 
+def _parse_corpus_bytes(data: bytes):
+    try:
+        return parse_corpus(data)
+    except UnicodeDecodeError as exc:
+        # the decoder names a byte offset into the bytes it decoded
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line} is not UTF-8: {exc}") from exc
+
+
 def _load_corpus(config: PipelineConfig):
     path = _require_file(config.corpus, "corpus")
-    return _stage("ingest", parse_corpus, path.read_bytes())
+    return _stage("ingest", _parse_corpus_bytes, path.read_bytes())
 
 
 def _labeled(records):

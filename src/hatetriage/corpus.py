@@ -99,10 +99,11 @@ def parse_corpus(source: bytes | io.BufferedIOBase) -> list[LabeledTweet]:
     Labels are recomputed from the count columns; an inconsistent row (counts
     not summing to the coder total) raises CorpusFormatError with its row
     number. Undecodable bytes are a hard error so token counts stay
-    reproducible.
+    reproducible. A leading UTF-8 byte-order mark, as spreadsheet programs
+    write one, is dropped.
     """
     raw = source if isinstance(source, bytes) else source.read()
-    text = raw.decode("utf-8")  # strict: bad bytes must not be smoothed over
+    text = raw.decode("utf-8-sig")  # strict: bad bytes must not be smoothed over
     if not text.strip():
         return []
     reader = csv.reader(io.StringIO(text))

@@ -40,7 +40,9 @@ from .postag import save_model as save_tag_model
 from .textproc import tokenize, word_streams
 from .vectorize import (
     FeatureMatrix,
+    NgramTable,
     Standardizer,
+    TableRows,
     Vocabulary,
     assemble_features,
     fit_vocab,
@@ -131,7 +133,9 @@ class Ingredients:
     """Per-document raw material for every feature block.
 
     Extraction is row-independent, so any subset of rows can later be used
-    to fit or transform without touching the other rows.
+    to fit or transform without touching the other rows. The n-gram count
+    tables that fit_features builds are kept here, one per n-gram block and
+    order range, and live exactly as long as these ingredients.
     """
 
     word_docs: tuple[tuple[str, ...], ...]
@@ -147,9 +151,30 @@ class Ingredients:
             for part in (self.pos_docs, self.sentiment, self.readability, self.surface)
         ):
             raise ValueError("ingredient blocks disagree on document count")
+        # count tables by (block, n_lo, n_hi); a cache, not a field
+        object.__setattr__(self, "_tables", {})
 
     def __len__(self) -> int:
         return len(self.word_docs)
+
+    def ngram_table(self, block: str, n_lo: int, n_hi: int) -> NgramTable:
+        """The count table of one n-gram block ("word-ngram" or "pos-ngram")
+        over every document, built on first request."""
+        key = (block, n_lo, n_hi)
+        if key not in self._tables:
+            docs = self.word_docs if block == "word-ngram" else self.pos_docs
+            self._tables[key] = NgramTable.build(docs, n_lo, n_hi)
+        return self._tables[key]
+
+    def ngram_docs(self, block: str, vocab: Vocabulary, indices) -> TableRows | list:
+        """The given rows' documents of one n-gram block, to transform with
+        `vocab`: rows of the block's count table when it is already counted,
+        else token tuples."""
+        table = self._tables.get((block, vocab.n_lo, vocab.n_hi))
+        if table is not None:
+            return table.rows(indices)
+        docs = self.word_docs if block == "word-ngram" else self.pos_docs
+        return [docs[i] for i in indices]
 
     def subset(self, indices) -> Ingredients:
         """The ingredients of the given rows, in the given order."""
@@ -218,24 +243,31 @@ class FittedFeatures:
         return len(self.word_vocab) + len(self.pos_vocab)
 
 
-def _rows(ingredients: Ingredients, indices) -> tuple[list, list, list, list, list]:
-    wdocs = [list(ingredients.word_docs[i]) for i in indices]
-    pdocs = [list(ingredients.pos_docs[i]) for i in indices]
+def _scalar_rows(ingredients: Ingredients, indices) -> tuple[list, list, list]:
     sent = [ingredients.sentiment[i].as_tuple() for i in indices]
     read = [ingredients.readability[i].as_tuple() for i in indices]
     surf = [ingredients.surface[i].as_tuple() for i in indices]
-    return wdocs, pdocs, sent, read, surf
+    return sent, read, surf
 
 
 def fit_features(
     ingredients: Ingredients, y, settings: FeatureSettings, indices=None
 ) -> FittedFeatures:
     """Fit vocabularies, standardization, and L1 selection on the given
-    rows only; rows outside `indices` never influence the result."""
+    rows only; rows outside `indices` never influence the result.
+
+    The n-grams of every document are counted once per ingredients, so a
+    refit on other rows (the next fold) slices the same tables."""
     if indices is None:
         indices = range(len(ingredients))
     indices = list(indices)
-    wdocs, pdocs, sent, read, surf = _rows(ingredients, indices)
+    wdocs = ingredients.ngram_table(
+        "word-ngram", settings.word_ngram_lo, settings.word_ngram_hi
+    ).rows(indices)
+    pdocs = ingredients.ngram_table(
+        "pos-ngram", settings.pos_ngram_lo, settings.pos_ngram_hi
+    ).rows(indices)
+    sent, read, surf = _scalar_rows(ingredients, indices)
     word_vocab = fit_vocab(
         wdocs,
         settings.word_ngram_lo,
@@ -281,7 +313,10 @@ def feature_matrix(
     the selected columns when selection is active."""
     if indices is None:
         indices = range(len(ingredients))
-    wdocs, pdocs, sent, read, surf = _rows(ingredients, list(indices))
+    indices = list(indices)
+    wdocs = ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices)
+    pdocs = ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices)
+    sent, read, surf = _scalar_rows(ingredients, indices)
     assembled, _ = assemble_features(
         transform_tfidf(fitted.word_vocab, wdocs, block="word-ngram"),
         transform_tfidf(fitted.pos_vocab, pdocs, block="pos-ngram"),
@@ -307,7 +342,9 @@ def count_matrix(
     """
     if indices is None:
         indices = range(len(ingredients))
-    wdocs, pdocs, _, _, _ = _rows(ingredients, list(indices))
+    indices = list(indices)
+    wdocs = ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices)
+    pdocs = ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices)
     word_block = transform_counts(fitted.word_vocab, wdocs, block="word-ngram")
     pos_block = transform_counts(fitted.pos_vocab, pdocs, block="pos-ngram")
     combined = FeatureMatrix(

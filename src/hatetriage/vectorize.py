@@ -7,6 +7,15 @@ blocks are standardized to train-set mean 0 / variance 1 with the transform
 stored for predict time; a zero-variance column is centered to all zeros
 without dividing.
 
+A corpus that is fitted on is counted once: `NgramTable.build` enumerates
+every document's n-grams into a documents x distinct-n-grams count table.
+A vocabulary fitted on some of its rows takes its document frequencies from
+the table, and the count and TF-IDF blocks of any of its rows are slices of
+the table with the columns mapped to the vocabulary's order, so folds that
+refit on different rows never enumerate the n-grams again. Documents that
+are not in the table a vocabulary was fitted from (new tweets at predict
+time) are enumerated and looked up in the vocabulary directly.
+
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
 """
@@ -17,6 +26,9 @@ import csv
 import io
 import math
 import warnings
+import weakref
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +63,21 @@ class Vocabulary:
     n_hi: int
     min_df: int
     max_df_ratio: float
+    # set by a fit on table rows: the table, held weakly so that a vocabulary
+    # never keeps it alive, and the table column of each vocabulary column
+    source: tuple[weakref.ref, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.index)
+
+    def table_columns(self, table: "NgramTable") -> np.ndarray | None:
+        """The table column of each vocabulary column when this vocabulary
+        was fitted from `table`, else None."""
+        if self.source is None or self.source[0]() is not table:
+            return None
+        return self.source[1]
 
     def idf(self, ngram: str) -> float:
         return math.log((1 + self.n_docs) / (1 + self.df[ngram])) + 1.0
@@ -100,48 +124,162 @@ class FeatureMatrix:
         )
 
 
-def _ngrams(doc: list[str], n_lo: int, n_hi: int):
+def _ngrams(doc: Sequence[str], n_lo: int, n_hi: int):
+    """Every n-gram of orders n_lo..n_hi, by order, then by start position."""
     for n in range(n_lo, n_hi + 1):
         for i in range(len(doc) - n + 1):
             yield " ".join(doc[i : i + n])
 
 
+def _ngram_at(doc: Sequence[str], n_lo: int, n_hi: int, step: int) -> str:
+    """The n-gram that `_ngrams` yields at position `step`."""
+    for n in range(n_lo, n_hi + 1):
+        width = max(0, len(doc) - n + 1)
+        if step < width:
+            return " ".join(doc[step : step + n])
+        step -= width
+    raise IndexError("step beyond the document's n-grams")
+
+
+def _narrowest(values: array) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned type that holds them."""
+    out = np.frombuffer(values, dtype=np.intc)
+    return out.astype(np.min_scalar_type(out.max(initial=0)))
+
+
+@dataclass(frozen=True, eq=False)
+class NgramTable:
+    """Counts of the n-grams of orders n_lo..n_hi in every document of a
+    corpus: a documents x distinct-n-grams CSR matrix with sorted indices.
+
+    Columns are numbered in order of first appearance. Only integer arrays
+    are kept: a column's n-gram is rebuilt from `docs` at its first
+    occurrence (the row, and the step of that row's `_ngrams` walk), and only
+    for the columns a vocabulary keeps.
+    """
+
+    docs: Sequence[Sequence[str]]
+    n_lo: int
+    n_hi: int
+    counts: sparse.csr_matrix
+    first_row: np.ndarray
+    first_step: np.ndarray
+
+    @classmethod
+    def build(cls, docs: Sequence[Sequence[str]], n_lo: int, n_hi: int) -> "NgramTable":
+        if not 1 <= n_lo <= n_hi:
+            raise ValueError("require 1 <= n_lo <= n_hi")
+        ids: dict[str, int] = {}
+        first_row, first_step = array("i"), array("i")
+        data, indices, indptr = array("i"), array("i"), array("q", [0])
+        for row, doc in enumerate(docs):
+            row_counts: dict[int, int] = {}
+            for step, ngram in enumerate(_ngrams(doc, n_lo, n_hi)):
+                col = ids.get(ngram)
+                if col is None:
+                    col = ids[ngram] = len(ids)
+                    first_row.append(row)
+                    first_step.append(step)
+                row_counts[col] = row_counts.get(col, 0) + 1
+            indices.extend(row_counts)
+            data.extend(row_counts.values())
+            indptr.append(len(indices))
+        n_cols = len(ids)
+        del ids  # free the strings before the arrays are converted: a lower peak
+        counts = sparse.csr_matrix(
+            (_narrowest(data), np.frombuffer(indices, dtype=np.intc),
+             np.frombuffer(indptr, dtype=np.int64)),
+            shape=(len(docs), n_cols),
+        )
+        counts.sort_indices()
+        return cls(
+            docs=docs,
+            n_lo=n_lo,
+            n_hi=n_hi,
+            counts=counts,
+            first_row=_narrowest(first_row),
+            first_step=_narrowest(first_step),
+        )
+
+    def ngram(self, col: int) -> str:
+        doc = self.docs[int(self.first_row[col])]
+        return _ngram_at(doc, self.n_lo, self.n_hi, int(self.first_step[col]))
+
+    def rows(self, indices) -> "TableRows":
+        return TableRows(self, np.asarray(list(indices), dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class TableRows:
+    """Documents that are already counted: rows of a table, in the given
+    order. fit_vocab and the transforms accept these in place of token lists."""
+
+    table: NgramTable
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def counts(self) -> sparse.csr_matrix:
+        return self.table.counts[self.rows]
+
+    def documents(self) -> list[Sequence[str]]:
+        return [self.table.docs[i] for i in self.rows]
+
+
 def fit_vocab(
-    docs: list[list[str]], n_lo: int, n_hi: int, min_df: int, max_df_ratio: float
+    docs: Sequence[Sequence[str]] | TableRows,
+    n_lo: int,
+    n_hi: int,
+    min_df: int,
+    max_df_ratio: float,
 ) -> Vocabulary:
     """Collect ngrams of orders n_lo..n_hi, filter by document frequency,
-    and assign dense indices in lexicographic order."""
+    and assign dense indices in lexicographic order.
+
+    Token lists are counted into a throwaway table first; table rows are
+    read as they are, so a vocabulary fitted on them transforms rows of the
+    same table by slicing it."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError("require 1 <= n_lo <= n_hi")
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
     if not 0.0 < max_df_ratio <= 1.0:
         raise ValueError("max_df_ratio must lie in (0, 1]")
-    if not docs:
+    if not len(docs):
         raise ValueError("fit_vocab requires a non-empty corpus")
-    df: dict[str, int] = {}
-    for doc in docs:
-        for ngram in set(_ngrams(doc, n_lo, n_hi)):
-            df[ngram] = df.get(ngram, 0) + 1
-    max_df = max_df_ratio * len(docs)
-    kept = sorted(t for t, d in df.items() if min_df <= d <= max_df)
-    if not kept:
+    if not isinstance(docs, TableRows):
+        docs = NgramTable.build(docs, n_lo, n_hi).rows(range(len(docs)))
+    table = docs.table
+    if (table.n_lo, table.n_hi) != (n_lo, n_hi):
+        raise ValueError(
+            f"table counts orders {table.n_lo}..{table.n_hi}, not {n_lo}..{n_hi}"
+        )
+    # a row holds each of its n-grams once, so column occupancy is the df
+    df = np.bincount(docs.counts().indices, minlength=table.counts.shape[1])
+    cols = np.flatnonzero((df >= min_df) & (df <= max_df_ratio * len(docs)))
+    names = [table.ngram(c) for c in cols.tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    if not order:
         raise ValueError(
             "document-frequency bounds left an empty vocabulary; lower min_df "
             "or raise max_df_ratio"
         )
+    cols = cols[order]
+    kept = [names[i] for i in order]
     return Vocabulary(
         index={t: i for i, t in enumerate(kept)},
-        df={t: df[t] for t in kept},
+        df=dict(zip(kept, df[cols].tolist())),
         n_docs=len(docs),
         n_lo=n_lo,
         n_hi=n_hi,
         min_df=min_df,
         max_df_ratio=max_df_ratio,
+        source=(weakref.ref(table), cols),
     )
 
 
-def _count_matrix(vocab: Vocabulary, docs: list[list[str]]) -> sparse.csr_matrix:
+def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> sparse.csr_matrix:
     data, indices, indptr = [], [], [0]
     for doc in docs:
         counts: dict[int, float] = {}
@@ -159,7 +297,38 @@ def _count_matrix(vocab: Vocabulary, docs: list[list[str]]) -> sparse.csr_matrix
     )
 
 
-def transform_counts(vocab: Vocabulary, docs: list[list[str]], block: str = "word-ngram") -> FeatureMatrix:
+def _table_count_matrix(columns: np.ndarray, docs: TableRows) -> sparse.csr_matrix:
+    block = docs.counts()
+    colmap = np.full(block.shape[1], -1, dtype=np.int32)
+    colmap[columns] = np.arange(len(columns), dtype=np.int32)
+    mapped = colmap[block.indices]
+    keep = mapped >= 0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    m = sparse.csr_matrix(
+        (block.data[keep].astype(np.float64), mapped[keep], kept_before[block.indptr].astype(np.int32)),
+        shape=(len(docs), len(columns)),
+    )
+    m.sort_indices()
+    return m
+
+
+def _count_matrix(
+    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows
+) -> sparse.csr_matrix:
+    """Raw counts of the vocabulary's n-grams: a slice of the table when
+    `vocab` was fitted from the table of `docs`, else a direct lookup of
+    every document's n-grams."""
+    if isinstance(docs, TableRows):
+        columns = vocab.table_columns(docs.table)
+        if columns is not None:
+            return _table_count_matrix(columns, docs)
+        docs = docs.documents()
+    return _lookup_count_matrix(vocab, docs)
+
+
+def transform_counts(
+    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows, block: str = "word-ngram"
+) -> FeatureMatrix:
     """Raw term counts; unknown ngrams ignored."""
     return FeatureMatrix(
         matrix=_count_matrix(vocab, docs),
@@ -167,7 +336,9 @@ def transform_counts(vocab: Vocabulary, docs: list[list[str]], block: str = "wor
     )
 
 
-def transform_tfidf(vocab: Vocabulary, docs: list[list[str]], block: str = "word-ngram") -> FeatureMatrix:
+def transform_tfidf(
+    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows, block: str = "word-ngram"
+) -> FeatureMatrix:
     """tf * idf with smoothed idf, then exact row L2 normalization."""
     m = _count_matrix(vocab, docs)
     idf = np.array([vocab.idf(t) for t in vocab.ordered_ngrams()], dtype=np.float64)

@@ -280,6 +280,22 @@ class TestErrorExits:
         assert rc == 2
         assert "corpsu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+    def test_undecodable_corpus_names_line(self, tmp_path, capsys, command):
+        corpus = tmp_path / "tweets.csv"
+        # a byte-order mark, the header, one good row, then a stray byte on line 3
+        corpus.write_bytes(
+            b"\xef\xbb\xbfid,count,hate_speech,offensive_language,neither,class,tweet\n"
+            b"a,3,0,0,3,2,hi\n"
+            b"b,3,0,3,0,1,bad \xff byte\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus = {corpus}\noutput_dir = {tmp_path / 'out'}\n")
+        rc = main([command, "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage ingest: line 3 is not UTF-8" in err
+
     def test_missing_model_path(self, tmp_path, capsys):
         rc = main(["predict", "--model", str(tmp_path / "absent.bin"),
                    "--input", str(tmp_path / "absent.txt")])

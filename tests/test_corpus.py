@@ -130,6 +130,18 @@ class TestParseCorpus:
         with pytest.raises(UnicodeDecodeError):
             parse_corpus(HEADER + b"a,3,0,0,3,2,\xff\xfe\n")
 
+    def test_byte_order_mark_dropped(self):
+        bom = b"\xef\xbb\xbf"
+        recs = parse_corpus(bom + HEADER + b"a,3,0,0,3,2,hi\n")
+        assert [(r.id, r.text, r.label) for r in recs] == [("a", "hi", Label.NEITHER)]
+        unnamed = b",count,hate_speech,offensive_language,neither,class,tweet\n0,3,0,0,3,2,hi\n"
+        recs = parse_corpus(bom + unnamed)
+        assert [(r.id, r.text, r.label) for r in recs] == [("0", "hi", Label.NEITHER)]
+
+    def test_only_a_leading_byte_order_mark_dropped(self):
+        recs = parse_corpus(HEADER + "a,3,0,0,3,2,\ufeffhi\n".encode("utf-8"))
+        assert recs[0].text == "\ufeffhi"
+
     def test_two_coder_row_gets_no_label(self):
         data = HEADER + b"a,2,2,0,0,0,hm\n"
         assert parse_corpus(data)[0].label is None

@@ -5,24 +5,31 @@ The traced benchmark run re-binds each (module, function) pair listed in
 perfbench/tracing.py, and the worker imports textproc.unstemmed_words for
 its input descriptors. The worker's evaluate-grid workload reads grid.csv by
 field position. A refactor that breaks one of them would otherwise surface
-only as a crash of a full benchmark run, or as every grid cell counted
-failed.
+only as a crash of a full benchmark run, as every grid cell counted failed,
+or as a per-layer time that silently reads 0 because the pipeline stopped
+calling the traced function.
 """
 
+import csv
 import importlib
+import importlib.resources
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
+from hatetriage import pipeline
 from hatetriage.evalharness import GridCell, GridSearchResult, grid_report_csv
-from hatetriage.pipeline import ModelConfig
+from hatetriage.lexfeat import SentimentLexicon
+from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
+from hatetriage.postag import load_model
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _traced_pairs():
+def _tracing_module():
     name = "perfbench_tracing"
     spec = importlib.util.spec_from_file_location(name, TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -32,7 +39,11 @@ def _traced_pairs():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return list(module.TRACED)
+    return module
+
+
+def _traced_pairs():
+    return list(_tracing_module().TRACED)
 
 
 @pytest.mark.parametrize(
@@ -71,3 +82,64 @@ def test_grid_csv_layout_the_benchmark_parses():
     assert float(scored_row.split(",")[4]) == 0.75
     assert not failed_row.endswith(",")
     assert len(failed_row.split(",")) == len(fields)
+
+
+def _calls_below(spans, name):
+    """For each span called name, how often each traced function ran
+    below it."""
+    out = []
+    for i, span in enumerate(spans):
+        if span.name != name:
+            continue
+        below = Counter()
+        for other in spans[i + 1 :]:
+            parent = other.parent
+            while parent is not None and parent != i:
+                parent = spans[parent].parent
+            if parent == i:
+                below[other.name] += 1
+        out.append(below)
+    return out
+
+
+def test_pipeline_calls_traced_vectorize_functions():
+    """The benchmark's vectorize.fit_vocab_s and transform_tfidf_*/counts
+    metrics time these functions through the bindings pipeline imports;
+    each pipeline entry point must still reach them there."""
+    data = importlib.resources.files("hatetriage.data")
+    tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
+    lexicon = SentimentLexicon.from_text(
+        data.joinpath("sentiment_lexicon.tsv").read_text(encoding="utf-8")
+    )
+    with data.joinpath("toy_corpus.csv").open(encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    texts = [r["tweet"] for r in rows]
+    y = [int(r["class"]) for r in rows]
+    ingredients = pipeline.extract_ingredients(texts, tagger, lexicon)
+    settings = FeatureSettings(min_df=2, select=False)
+
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        fitted = pipeline.fit_features(ingredients, y, settings, range(200))
+        X = pipeline.feature_matrix(fitted, ingredients, range(200, 300))
+        counts = pipeline.count_matrix(fitted, ingredients, range(200, 300))
+        for kind, penalty, matrix in (("logreg", "l2", X), ("nb", "none", counts)):
+            config = ModelConfig(kind, penalty, 1.0)
+            model = pipeline.fit_config_model(config, matrix, y[200:])
+            pm = PipelineModel(tagger, lexicon, fitted, model, config)
+            pipeline.pipeline_predict(pm, texts[:5])
+    finally:
+        tracer.uninstall()
+
+    # one call per n-gram block (word and POS) on every path
+    spans = tracer.spans
+    fit_vocab, tfidf, counts = (
+        "vectorize.fit_vocab", "vectorize.transform_tfidf", "vectorize.transform_counts"
+    )
+    fits = _calls_below(spans, "pipeline.fit_features")
+    assert [(c[fit_vocab], c[tfidf]) for c in fits] == [(2, 2)]
+    assert [c[tfidf] for c in _calls_below(spans, "pipeline.feature_matrix")] == [2, 2]
+    assert [c[counts] for c in _calls_below(spans, "pipeline.count_matrix")] == [2, 2]
+    predicts = _calls_below(spans, "pipeline.pipeline_predict")
+    assert [(c[tfidf], c[counts]) for c in predicts] == [(2, 0), (0, 2)]

@@ -3,19 +3,26 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from hatetriage.vectorize import (
     FeatureMatrix,
+    NgramTable,
     Standardizer,
+    _count_matrix,
     assemble_features,
     fit_vocab,
     registry_csv,
     select_l1,
     transform_counts,
     transform_tfidf,
+)
+from vectorize_reference import (
+    reference_count_matrix,
+    reference_fit_vocab,
+    reference_tfidf_matrix,
 )
 
 token = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -136,6 +143,109 @@ class TestTransformTfidf:
         v = fit_vocab([["a"]], 1, 1, 1, 1.0)
         fm = transform_tfidf(v, [["a"]], block="pos-ngram")
         assert fm.registry == [("pos-ngram", "a")]
+
+
+def assert_same_csr(got: sparse.csr_matrix, want: sparse.csr_matrix):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# "a b" as one token spells the same n-gram as the bigram of "a" and "b"
+table_token = st.sampled_from(["a", "b", "c", "d", "a b"])
+
+
+@st.composite
+def table_case(draw):
+    docs = draw(st.lists(st.lists(table_token, max_size=7), min_size=1, max_size=12))
+    row = st.integers(0, len(docs) - 1)
+    n_lo = draw(st.integers(1, 3))
+    return {
+        "docs": docs,
+        "fit_rows": draw(st.lists(row, min_size=1, max_size=15)),
+        "transform_rows": draw(st.lists(row, max_size=15)),
+        "n_lo": n_lo,
+        "n_hi": draw(st.integers(n_lo, 3)),
+        "min_df": draw(st.integers(1, 3)),
+        "max_df_ratio": draw(st.sampled_from([0.2, 0.5, 0.75, 1.0]) | st.floats(0.05, 1.0)),
+    }
+
+
+class TestNgramTable:
+    """A vocabulary fitted on table rows, and the blocks sliced from the
+    table, equal the dict-and-lookup reference bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_case())
+    def test_slices_equal_reference(self, case):
+        docs = case["docs"]
+        n_lo, n_hi = case["n_lo"], case["n_hi"]
+        table = NgramTable.build(docs, n_lo, n_hi)
+        fit_docs = [docs[i] for i in case["fit_rows"]]
+        bounds = (case["min_df"], case["max_df_ratio"])
+        try:
+            want = reference_fit_vocab(fit_docs, n_lo, n_hi, *bounds)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty vocabulary"):
+                fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
+            return
+        got = fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
+        assert got.index == want.index
+        assert got.df == want.df
+        assert got.n_docs == want.n_docs
+        assert got.table_columns(table) is not None
+
+        rows = table.rows(case["transform_rows"])
+        lists = [docs[i] for i in case["transform_rows"]]
+        want_counts = reference_count_matrix(want, lists)
+        want_tfidf = reference_tfidf_matrix(want, lists)
+        assert_same_csr(_count_matrix(got, rows), want_counts)
+        registry = [("word-ngram", t) for t in want.ordered_ngrams()]
+        assert_same_csr(
+            transform_counts(got, rows).matrix, FeatureMatrix(want_counts, registry).matrix
+        )
+        assert_same_csr(
+            transform_tfidf(got, rows).matrix, FeatureMatrix(want_tfidf, registry).matrix
+        )
+        # token lists take the direct lookup, to the same result
+        assert_same_csr(_count_matrix(got, lists), want_counts)
+        assert_same_csr(
+            transform_tfidf(got, lists).matrix, FeatureMatrix(want_tfidf, registry).matrix
+        )
+
+    def test_foreign_vocabulary_falls_back_to_lookup(self):
+        docs = [["a", "b"], ["b", "c"], ["a", "a"]]
+        vocab = fit_vocab(docs, 1, 2, 1, 1.0)
+        other = NgramTable.build(docs, 1, 2)
+        assert vocab.table_columns(other) is None
+        assert_same_csr(
+            transform_counts(vocab, other.rows([2, 0])).matrix,
+            transform_counts(vocab, [docs[2], docs[0]]).matrix,
+        )
+
+    def test_vocabulary_does_not_keep_table_alive(self):
+        docs = [["a", "b"], ["b", "c"]]
+        table = NgramTable.build(docs, 1, 1)
+        vocab = fit_vocab(table.rows([0, 1]), 1, 1, 1, 1.0)
+        del table
+        assert vocab.source[0]() is None
+
+    def test_order_range_must_match_table(self):
+        table = NgramTable.build([["a", "b"]], 1, 2)
+        with pytest.raises(ValueError, match="orders 1..2"):
+            fit_vocab(table.rows([0]), 1, 3, 1, 1.0)
+
+    def test_columns_in_first_appearance_order(self):
+        table = NgramTable.build([["b", "a", "b"], [], ["c", "a"]], 1, 2)
+        names = [table.ngram(c) for c in range(table.counts.shape[1])]
+        assert names == ["b", "a", "b a", "a b", "c", "c a"]
+        assert table.counts.toarray().tolist() == [
+            [2, 1, 1, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 1, 1],
+        ]
 
 
 class TestAssembleFeatures:

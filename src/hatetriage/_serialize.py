@@ -52,7 +52,7 @@ def load_artifact(data: bytes, magic: str, version: int) -> dict:
         )
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except ValueError:  # bad UTF-8 or JSON, or an integer too long to convert
         raise ArtifactFormatError("corrupt artifact payload") from None
     if not isinstance(payload, dict):
         raise ArtifactFormatError("artifact payload must be a JSON object")

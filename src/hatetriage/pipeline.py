@@ -34,7 +34,7 @@ from .linmodel import (
     model_payload,
     predict_scores,
 )
-from .postag import TagModel, tag
+from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
 from .textproc import tokenize, word_streams
@@ -195,25 +195,30 @@ def extract_ingredients(
 
     Each text is tokenized once and every block reads that one token list.
     Stems are memoized for this call only: tweet vocabularies are Zipfian, so
-    a few distinct words cover most tokens.
+    a few distinct words cover most tokens. All texts are tagged in one
+    batched call, which reads each text's unstemmed words as the loop below
+    makes them and keeps only their feature ids.
     """
     word_docs = []
-    pos_docs = []
     sent = []
     read = []
     surf = []
     stems: dict[str, str] = {}
-    for text in texts:
-        tokens = tokenize(text)
-        stemmed, words = word_streams(tokens, stems)
-        word_docs.append(tuple(stemmed))
-        pos_docs.append(tuple(tag(tagger, words)) if words else ())
-        sent.append(sentiment_scores(tokens, lexicon))
-        sf = surface_features(text, tokens)
-        surf.append(sf)
-        # tweets with no countable words are scored as one empty word so the
-        # readability formulas stay defined
-        read.append(readability(max(1, sf.num_words), max(1, sf.num_syllables)))
+
+    def unstemmed_words():
+        for text in texts:
+            tokens = tokenize(text)
+            stemmed, words = word_streams(tokens, stems)
+            word_docs.append(tuple(stemmed))
+            sent.append(sentiment_scores(tokens, lexicon))
+            sf = surface_features(text, tokens)
+            surf.append(sf)
+            # tweets with no countable words are scored as one empty word so
+            # the readability formulas stay defined
+            read.append(readability(max(1, sf.num_words), max(1, sf.num_syllables)))
+            yield words
+
+    pos_docs = tag_batch(tagger, unstemmed_words())
     return Ingredients(
         word_docs=tuple(word_docs),
         pos_docs=tuple(pos_docs),

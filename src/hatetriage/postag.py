@@ -6,12 +6,41 @@ least 97% single-tag purity) are frozen into a tag dictionary that
 short-circuits the model. Weights are averaged over the full update history
 with the timestamp trick. The tagger is case-insensitive: it is meant to run
 on the lowercased, unstemmed token stream.
+
+Tagging reads tables compiled once per model, when the TagModel is built:
+a feature->row map; a dense weight matrix with one column per tag in sorted
+order, whose row 0 is all zeros and stands for any absent feature; id
+tables for the four features that read the tagger's own history (prev tag,
+prev2 tag, the pair, prev tag+word), indexed by history id (the tag columns,
+then the two START pads); and a tag->column map for tagdict hits.
+
+`tag_batch` decodes many token lists at once, and `tag` is that call on one
+list. Greedy decoding of one list reads only its own earlier positions, so
+position i of every list longer than i is scored in one numpy step. The
+lists are sorted by length and their feature ids laid out position-major,
+one int32 row per feature role, so each step works on (active lists x tags)
+only. Two invariants keep every tag equal to a dict-of-dicts scorer's:
+
+- each tag's score adds the 14 feature rows one at a time, in the order
+  `_features` lists them, so it is the same float sum (an absent feature
+  adds 0.0, and x + 0.0 == x);
+- the first maximum over the sorted columns wins, so ties, including the
+  all-zero cold start, go to the smallest tag.
+
+Feature ids are memoized per distinct token for one call only, so a stream
+of unseen words cannot grow the model. The trainer keeps its own dict
+scorer, because its weights change on every update.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 
@@ -40,14 +69,36 @@ class TagModel:
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        if not all(isinstance(t, str) for t in self.tagset):
+            raise ValueError("tagset entries must be strings")
+        if not self.tagset:
+            raise ValueError("tagset is empty")
+        if len(set(self.tagset)) != len(self.tagset):
+            raise ValueError("tagset has a duplicate tag")
         known = set(self.tagset)
         for word, tag in self.tagdict.items():
-            if tag not in known:
+            if not isinstance(tag, str) or tag not in known:
                 raise ValueError(f"tagdict tag {tag!r} (word {word!r}) not in tagset")
         for feature, per_tag in self.weights.items():
-            for tag in per_tag:
+            for tag, weight in per_tag.items():
                 if tag not in known:
-                    raise ValueError(f"weight tag {tag!r} (feature {feature!r}) not in tagset")
+                    raise ValueError(f"weights tag {tag!r} (feature {feature!r}) not in tagset")
+                if not _finite_number(weight):
+                    raise ValueError(
+                        f"weights value {weight!r} (feature {feature!r}, tag {tag!r})"
+                        " is not a finite number"
+                    )
+        # the decoding tables; built once per model, not a field
+        object.__setattr__(self, "_compiled", _Compiled(self))
+
+
+def _finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _normalize(word: str) -> str:
@@ -202,28 +253,173 @@ def train_tagger(
     return TagModel(tagset=tagset, tagdict=tagdict, weights=trainer.averaged_weights())
 
 
+_PREV_TAG_WORD = "prev tag+word "
+# columns of a call's token table: suffix, prefix and tagdict column, then
+# the eight context_rows of the token's normalized form
+_WIDTH = 11
+
+
+class _Compiled:
+    """A TagModel's weights as arrays, with id tables for the history
+    features; built once, when the model is."""
+
+    def __init__(self, model: TagModel):
+        self.tags = tuple(sorted(model.tagset))
+        self.column = {t: j for j, t in enumerate(self.tags)}
+        self.rows = {f: r for r, f in enumerate(model.weights, start=1)}
+        self.weights = np.zeros((len(self.rows) + 1, len(self.tags)))
+        for feature, per_tag in model.weights.items():
+            r = self.rows[feature]
+            for t, weight in per_tag.items():
+                self.weights[r, self.column[t]] = weight
+        row = self.rows.get
+        self.bias = self.weights[row("bias", 0)]
+        # history ids: the tags' columns, then the two START pads
+        history = self.tags + START
+        self.prev = np.array([row("prev tag " + h, 0) for h in history], np.intp)
+        self.prev2 = np.array([row("prev2 tag " + h, 0) for h in history], np.intp)
+        self.pair = np.array(
+            [[row("prev tags " + h + " " + h2, 0) for h2 in history] for h in history], np.intp
+        )
+        # prev tag+word: a row per context string that has such a feature,
+        # holding its feature row for each history id; row 0 has none
+        self.tag_word_index: dict[str, int] = {}
+        table = [[0] * len(history)]
+        prefixes = [(h_id, _PREV_TAG_WORD + h + " ") for h_id, h in enumerate(history)]
+        for feature, r in self.rows.items():
+            if not feature.startswith(_PREV_TAG_WORD):
+                continue
+            for h_id, prefix in prefixes:
+                if feature.startswith(prefix):
+                    k = self.tag_word_index.setdefault(feature[len(prefix) :], len(table))
+                    if k == len(table):
+                        table.append([0] * len(history))
+                    table[k][h_id] = r
+        self.prev_tag_word = np.array(table, np.intp)
+        # the pads are rows 0-3 of every call's token table
+        self.pads = array("i")
+        for pad in START + END:
+            self.pads.extend((0, 0, -1) + self.context_rows(pad))
+
+    def context_rows(self, s: str) -> tuple[int, ...]:
+        """Feature rows of context string s in each role it plays."""
+        row = self.rows.get
+        return (
+            row("word " + s, 0),
+            self.tag_word_index.get(s, 0),
+            row("prev word " + s, 0),
+            row("prev suffix " + s[-3:], 0),
+            row("prev2 word " + s, 0),
+            row("next word " + s, 0),
+            row("next suffix " + s[-3:], 0),
+            row("next2 word " + s, 0),
+        )
+
+
+def tag_batch(model: TagModel, docs: Iterable[Sequence[str]]) -> list[tuple[str, ...]]:
+    """One tag tuple per token list, each equal to tagging that list alone.
+
+    `docs` is read once, in order, so it may be a generator: only the
+    feature ids of its tokens are kept."""
+    c = model._compiled
+    row = c.rows.get
+    # one row of feature ids per distinct token, for this call only
+    ids: dict[str, int] = {}
+    table = array("i", c.pads)
+    # every list's token ids between two pads on either side
+    padded = array("i")
+    lengths = []
+    for tokens in docs:
+        lengths.append(len(tokens))
+        padded.extend((0, 1))
+        for token in tokens:
+            k = ids.get(token)
+            if k is None:
+                k = ids[token] = len(table) // _WIDTH
+                low = token.lower()
+                hit = model.tagdict.get(low)
+                table.extend(
+                    (
+                        row("suffix " + low[-3:], 0),
+                        row("prefix " + low[:3], 0),
+                        -1 if hit is None else c.column[hit],
+                    )
+                    + c.context_rows(_normalize(token))
+                )
+            padded.append(k)
+        padded.extend((2, 3))
+    # each del below frees a table as soon as the next stage is built from
+    # it, which keeps the call's peak memory near one copy of the ids
+    del ids
+    n = len(lengths)
+    total = len(padded) - 4 * n
+    if not total:
+        return [()] * n
+
+    table = np.frombuffer(table, np.intc).reshape(-1, _WIDTH).T
+    padded = np.frombuffer(padded, np.intc)
+    lengths = np.array(lengths, np.intp)
+    firsts = np.cumsum(lengths + 4) - lengths - 2  # of each list in padded
+    # position-major layout of the length-sorted lists: step i holds the
+    # active[i] lists longer than i, longest first; at is each one's index
+    # in padded
+    order = np.argsort(-lengths, kind="stable")
+    active = n - np.cumsum(np.bincount(lengths))[:-1]
+    bounds = np.concatenate(([0], np.cumsum(active)))
+    position = np.repeat(np.arange(len(active)), active)
+    at = firsts[order[np.arange(total) - bounds[position]]] + position
+    del order, position
+    # role k is column k of the token table, read at the token itself for
+    # its own features and at its neighbours for theirs
+    roles = np.empty((_WIDTH, total), np.int32)
+    roles[0:5] = table[0:5, padded.take(at)]
+    roles[5:7] = table[5:7, padded.take(at - 1)]
+    roles[7] = table[7, padded.take(at - 2)]
+    roles[8:10] = table[8:10, padded.take(at + 1)]
+    roles[10] = table[10, padded.take(at + 2)]
+    del table, padded
+
+    W = c.weights
+    chosen = np.empty(total, np.int32)
+    prev = np.full(n, len(c.tags), np.intp)  # history id of START[0]
+    prev2 = np.full(n, len(c.tags) + 1, np.intp)  # history id of START[1]
+    bounds = bounds.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        m = b - a
+        p, p2 = prev[:m], prev2[:m]
+        (
+            suffix, prefix, hit, word, tag_word, prev_word, prev_suffix,
+            prev2_word, next_word, next_suffix, next2_word,
+        ) = roles[:, a:b].astype(np.intp)
+        # the 14 rows one at a time, in _features order
+        s = c.bias + W.take(suffix, axis=0)
+        s += W.take(prefix, axis=0)
+        s += W.take(c.prev.take(p), axis=0)
+        s += W.take(c.prev2.take(p2), axis=0)
+        s += W.take(c.pair[p, p2], axis=0)
+        s += W.take(word, axis=0)
+        s += W.take(c.prev_tag_word[tag_word, p], axis=0)
+        s += W.take(prev_word, axis=0)
+        s += W.take(prev_suffix, axis=0)
+        s += W.take(prev2_word, axis=0)
+        s += W.take(next_word, axis=0)
+        s += W.take(next_suffix, axis=0)
+        s += W.take(next2_word, axis=0)
+        step = np.where(hit >= 0, hit, s.argmax(axis=1))
+        chosen[a:b] = step
+        prev2[:m] = p
+        prev[:m] = step
+    del roles
+    by_list = np.zeros(total + 4 * n, np.int32)  # indexed like padded
+    by_list[at] = chosen
+
+    names = list(map(c.tags.__getitem__, by_list.tolist()))
+    return [tuple(names[f : f + k]) for f, k in zip(firsts.tolist(), lengths.tolist())]
+
+
 def tag(model: TagModel, tokens: list[str]) -> list[str]:
     """One tag per token; tagdict hits bypass the weights."""
-    if not tokens:
-        return []
-    context = _padded_context(tokens)
-    output = []
-    prev, prev2 = START
-    for i, token in enumerate(tokens):
-        chosen = model.tagdict.get(token.lower())
-        if chosen is None:
-            feats = _features(i, token.lower(), context, prev, prev2)
-            scores: dict[str, float] = {}
-            for feature in feats:
-                per_tag = model.weights.get(feature)
-                if not per_tag:
-                    continue
-                for t, weight in per_tag.items():
-                    scores[t] = scores.get(t, 0.0) + weight
-            chosen = min(model.tagset, key=lambda t: (-scores.get(t, 0.0), t))
-        output.append(chosen)
-        prev2, prev = prev, chosen
-    return output
+    return list(tag_batch(model, [tokens])[0])
 
 
 def save_model(model: TagModel) -> bytes:
@@ -237,13 +433,24 @@ def save_model(model: TagModel) -> bytes:
 
 def load_model(data: bytes) -> TagModel:
     payload = load_artifact(data, MAGIC, FORMAT_VERSION)
+    for name, kind in (("tagset", list), ("tagdict", dict), ("weights", dict)):
+        if name not in payload:
+            raise ArtifactFormatError(f"tagger payload missing field {name!r}")
+        if not isinstance(payload[name], kind):
+            shape = "an array" if kind is list else "an object"
+            raise ArtifactFormatError(f"tagger payload field {name!r} must be {shape}")
+    weights = payload["weights"]
+    for feature, per_tag in weights.items():
+        if not isinstance(per_tag, dict):
+            raise ArtifactFormatError(
+                f"tagger payload field 'weights' entry {feature!r} must be an object"
+            )
     try:
-        tagset = tuple(payload["tagset"])
-        tagdict = dict(payload["tagdict"])
-        weights = {f: dict(per_tag) for f, per_tag in payload["weights"].items()}
-    except (KeyError, TypeError, AttributeError):
-        raise ArtifactFormatError("tagger payload missing required fields") from None
-    return TagModel(tagset=tagset, tagdict=tagdict, weights=weights)
+        return TagModel(
+            tagset=tuple(payload["tagset"]), tagdict=payload["tagdict"], weights=weights
+        )
+    except ValueError as err:
+        raise ArtifactFormatError(f"tagger payload is malformed: {err}") from None
 
 
 def parse_conll(text: str) -> list[list[tuple[str, str]]]:

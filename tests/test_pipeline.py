@@ -29,7 +29,8 @@ from hatetriage.pipeline import (
     pipeline_predict,
     save_pipeline,
 )
-from hatetriage.postag import load_model, tag
+from hatetriage.postag import load_model
+from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
 
@@ -164,7 +165,8 @@ class TestIngredients:
 
     def test_single_pass_matches_three_pass_composition(self, tagger):
         # the old extraction tokenized each text in itself, preprocess and
-        # unstemmed_words; the single pass must give the same streams
+        # unstemmed_words, and tagged each text alone with the dict scorer;
+        # the single pass and its one batched tagging must give the same
         with open(CORPUS, encoding="utf-8") as f:
             texts = [row["tweet"] for row in csv.DictReader(f)]
         ing = extract_ingredients(texts, tagger, LEX)
@@ -172,7 +174,7 @@ class TestIngredients:
         pos_docs = []
         for text in texts:
             words = reference_unstemmed_words(text)
-            pos_docs.append(tuple(tag(tagger, words)) if words else ())
+            pos_docs.append(tuple(reference_tag(tagger, words)))
         assert ing.word_docs == word_docs
         assert ing.pos_docs == tuple(pos_docs)
 

@@ -1,20 +1,26 @@
+import dataclasses
 import importlib.resources
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatetriage._serialize import ArtifactFormatError
+from hatetriage import postag
+from hatetriage._serialize import ArtifactFormatError, dump_artifact
 from hatetriage.postag import (
+    FORMAT_VERSION,
+    MAGIC,
     PENN_TAGSET,
     TagModel,
     load_model,
     parse_conll,
     save_model,
     tag,
+    tag_batch,
     train_tagger,
 )
+from postag_reference import reference_tag
 
 # deliberately unambiguous: every word carries exactly one tag
 _PATTERNS = [
@@ -41,6 +47,35 @@ def treebank():
 def bundled_model():
     data = importlib.resources.files("hatetriage").joinpath("data/pos_model.txt").read_bytes()
     return load_model(data)
+
+
+# shapes _normalize collapses, pad look-alikes, case, and the empty token
+ODD_TOKENS = [
+    "", "-START-", "-START2-", "-END-", "-END2-", "-start-", "-end2-", "2014",
+    "1999", "12345", "9lives", "3", "pre-fix", "well-known", "-dash", "DOGS",
+    "The", "A", "zzqx", "Über", "a b",
+]
+
+# the treebank plus sentences that put the odd tokens into the weights, so
+# that their word, suffix and prev tag+word features exist
+_ODD_SENTENCES = [
+    [("the", "DT"), ("-START-", "NN"), ("was", "VBD"), ("well-known", "JJ"), (".", ".")],
+    [("in", "IN"), ("2014", "CD"), ("9lives", "NNS"), ("-END-", "NN"), ("ran", "VBD")],
+    [("", "SYM"), ("a b", "NN"), ("The", "DT"), ("-start-", "NN"), ("12345", "CD")],
+]
+
+
+@pytest.fixture(scope="module")
+def odd_model(treebank):
+    return train_tagger(treebank[:200] + _ODD_SENTENCES * 3, epochs=3, seed=5)
+
+
+def _known_words(model):
+    words = set(model.tagdict)
+    for feature in model.weights:
+        if feature.startswith(("word ", "prev word ", "next word ")):
+            words.add(feature.split(" ")[-1])
+    return sorted(words)
 
 
 class TestParseConll:
@@ -193,7 +228,145 @@ class TestTag:
         assert len(tag(model, tokens)) == len(tokens)
 
 
+def _batches(known):
+    token = st.one_of(
+        st.sampled_from(known),
+        st.sampled_from(known).map(str.upper),
+        st.sampled_from(ODD_TOKENS),
+        st.text(max_size=8),
+    )
+    return st.lists(st.lists(token, max_size=15), max_size=10)
+
+
+class TestTagBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_per_tweet(self, bundled_model, odd_model, data):
+        for model in (bundled_model, odd_model):
+            batch = data.draw(_batches(_known_words(model)))
+            assert tag_batch(model, batch) == [tuple(reference_tag(model, t)) for t in batch]
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_batch_order_changes_no_tweet(self, bundled_model, data):
+        batch = data.draw(_batches(_known_words(bundled_model)))
+        order = data.draw(st.permutations(range(len(batch))))
+        tags = tag_batch(bundled_model, batch)
+        assert tag_batch(bundled_model, [batch[i] for i in order]) == [tags[i] for i in order]
+        assert [tuple(tag(bundled_model, t)) for t in batch] == tags
+
+    def test_exact_ties_go_to_the_smallest_tag(self):
+        tagset = ("NN", "DT", "VB")
+        # "dogs" scores NN 0.25 + 0.25, exactly VB's 0.5; "cats" only 0.25
+        tied = TagModel(
+            tagset=tagset,
+            tagdict={},
+            weights={"bias": {"VB": 0.5, "NN": 0.25}, "word dogs": {"NN": 0.25}},
+        )
+        cold = TagModel(tagset=tagset, tagdict={}, weights={})
+        tokens = ["dogs", "dogs", "cats"]
+        assert tag(tied, tokens) == ["NN", "NN", "VB"]
+        assert tag(cold, tokens) == ["DT", "DT", "DT"]
+        for model in (tied, cold):
+            assert tag(model, tokens) == reference_tag(model, tokens)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"bias": {"NN": 1e17, "VB": 0.5}, "suffix abc": {"NN": 1.0}, "prefix abc": {"NN": -1e17}},
+            {
+                "bias": {"VB": 0.5},
+                "prev tag -START-": {"NN": 1e17},
+                "word abc": {"NN": 1.0},
+                "next2 word -END2-": {"NN": -1e17},
+            },
+        ],
+    )
+    def test_scores_add_in_feature_order(self, weights):
+        # in _features order NN scores (1e17 + 1) - 1e17 == 0.0 and loses to
+        # VB; adding the two large weights first would give NN 1.0
+        model = TagModel(tagset=("NN", "VB"), tagdict={}, weights=weights)
+        assert tag(model, ["abc"]) == reference_tag(model, ["abc"]) == ["VB"]
+
+    def test_tables_compiled_once_per_model(self, monkeypatch, bundled_model):
+        built = []
+
+        class Counting(postag._Compiled):
+            def __init__(self, model):
+                built.append(model)
+                super().__init__(model)
+
+        monkeypatch.setattr(postag, "_Compiled", Counting)
+        model = TagModel(bundled_model.tagset, bundled_model.tagdict, bundled_model.weights)
+        tables = model._compiled
+        sizes = {k: len(v) for k, v in vars(tables).items() if isinstance(v, dict)}
+        tag_batch(model, [["dogs", "bark"], ["novel"]])
+        tag_batch(model, [[f"unseen{i}", f"word-{i}"] for i in range(300)])
+        tag(model, ["the", "cat"])
+        assert len(built) == 1
+        assert model._compiled is tables
+        # the per-token memo lives for one call: unseen words leave no trace
+        assert {k: len(v) for k, v in vars(tables).items() if isinstance(v, dict)} == sizes
+
+    def test_tables_are_not_fields(self, bundled_model):
+        names = [f.name for f in dataclasses.fields(TagModel)]
+        assert names == ["tagset", "tagdict", "weights", "version"]
+        restored = load_model(save_model(bundled_model))
+        assert restored == bundled_model
+        assert save_model(restored) == save_model(bundled_model)
+
+    def test_reads_docs_once_in_order(self, bundled_model):
+        docs = [["dogs", "bark"], [], ["the", "cat", "sat"]]
+        assert tag_batch(bundled_model, iter(docs)) == tag_batch(bundled_model, docs)
+        assert tag_batch(bundled_model, docs)[1] == ()
+        assert tag_batch(bundled_model, []) == []
+        assert tag_batch(bundled_model, [[], []]) == [(), ()]
+
+
+_GOOD_PAYLOAD = {"tagset": ["DT", "NN"], "tagdict": {"the": "DT"}, "weights": {"bias": {"NN": 0.5}}}
+
+
+def _payload(**fields):
+    return {**_GOOD_PAYLOAD, **fields}
+
+
+MALFORMED_PAYLOADS = [
+    pytest.param(_payload(weights={"bias": {"NN": "0.5"}}), "weights", id="string-weight"),
+    pytest.param(_payload(weights={"bias": {"NN": float("nan")}}), "weights", id="nan-weight"),
+    pytest.param(_payload(weights={"bias": {"NN": float("inf")}}), "weights", id="inf-weight"),
+    pytest.param(_payload(weights={"bias": {"NN": True}}), "weights", id="bool-weight"),
+    pytest.param(_payload(weights={"bias": {"NN": 10**400}}), "weights", id="huge-int-weight"),
+    pytest.param(_payload(weights={"bias": {"VB": 0.5}}), "weights", id="weight-tag-unknown"),
+    pytest.param(_payload(weights={"bias": [0.5]}), "weights", id="weights-entry-not-object"),
+    pytest.param(_payload(weights=[["bias", {"NN": 0.5}]]), "weights", id="weights-not-object"),
+    pytest.param(_payload(tagset=[], tagdict={}, weights={}), "tagset", id="empty-tagset"),
+    pytest.param(_payload(tagset=["DT", "NN", "NN"]), "tagset", id="duplicate-tagset"),
+    pytest.param(_payload(tagset="DT NN"), "tagset", id="tagset-not-array"),
+    pytest.param(_payload(tagset=["DT", 7]), "tagset", id="tagset-not-strings"),
+    pytest.param(_payload(tagdict=[["the", "DT"]]), "tagdict", id="tagdict-pairs"),
+    pytest.param(_payload(tagdict={"the": "XX"}), "tagdict", id="tagdict-tag-unknown"),
+    pytest.param(_payload(tagdict={"the": ["DT"]}), "tagdict", id="tagdict-tag-not-string"),
+    pytest.param({"tagset": ["DT"], "tagdict": {}}, "weights", id="weights-missing"),
+]
+
+
 class TestSaveLoad:
+    def test_wellformed_payload_loads(self):
+        model = load_model(dump_artifact(MAGIC, FORMAT_VERSION, _GOOD_PAYLOAD))
+        assert tag(model, ["the", "dog"]) == ["DT", "NN"]
+
+    @pytest.mark.parametrize("payload, field", MALFORMED_PAYLOADS)
+    def test_malformed_payload_names_field(self, payload, field):
+        with pytest.raises(ArtifactFormatError, match=field):
+            load_model(dump_artifact(MAGIC, FORMAT_VERSION, payload))
+
+    def test_integer_too_long_to_parse_rejected(self):
+        # json refuses integers of more than 4300 digits with a ValueError
+        body = b'{"tagset":["NN"],"tagdict":{},"weights":{"bias":{"NN":' + b"1" * 5000 + b"}}}"
+        header = f"{MAGIC} {FORMAT_VERSION} {len(body)}\n".encode("ascii")
+        with pytest.raises(ArtifactFormatError, match="corrupt"):
+            load_model(header + body)
+
     def test_roundtrip_identical_predictions(self, treebank, bundled_model):
         restored = load_model(save_model(bundled_model))
         rng = random.Random(5)
@@ -242,3 +415,17 @@ class TestTagModel:
     def test_weight_tag_must_be_in_tagset(self):
         with pytest.raises(ValueError):
             TagModel(tagset=("DT",), tagdict={}, weights={"bias": {"NN": 1.0}})
+
+    @pytest.mark.parametrize(
+        "tagset, weights",
+        [
+            ((), {}),
+            (("DT", "DT"), {}),
+            (("DT",), {"bias": {"DT": float("nan")}}),
+            (("DT",), {"bias": {"DT": "1"}}),
+        ],
+        ids=["empty-tagset", "duplicate-tag", "nan-weight", "string-weight"],
+    )
+    def test_rejects_what_decoding_cannot_score(self, tagset, weights):
+        with pytest.raises(ValueError):
+            TagModel(tagset=tagset, tagdict={}, weights=weights)

@@ -459,8 +459,6 @@ def error_report(
         if t.label is None:
             raise ValueError("error_report requires labeled tweets")
         y_true.append(int(t.label))
-    if model.selected_columns is not None and features.n_cols != model.n_features:
-        features = features.project(list(model.selected_columns))
     scores = predict_scores(model, features)
     preds = labels_from_scores(model, scores)
     class_pos = {int(c): i for i, c in enumerate(model.classes)}
@@ -480,11 +478,12 @@ def error_report(
             member_idx.sort(key=lambda i: (-scores[i, kpos], i))
             entries = []
             for i in member_idx[:top_n]:
-                row = X.getrow(i)
-                contrib = row.data * model.weights[kpos, row.indices]
+                row = slice(X.indptr[i], X.indptr[i + 1])
+                cols = X.indices[row]
+                contrib = X.data[row] * model.weights[kpos, cols]
                 order = np.argsort(-np.abs(contrib))[:5]
                 top_feats = tuple(
-                    (_registry_name(features.registry[int(row.indices[j])]), float(contrib[j]))
+                    (_registry_name(features.registry[int(cols[j])]), float(contrib[j]))
                     for j in order
                 )
                 entries.append(

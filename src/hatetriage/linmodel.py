@@ -39,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
-from .vectorize import FeatureMatrix, Standardizer
+from .vectorize import CSRMatrix, Standardizer, as_csr
 
 MAGIC = "linmodel"
 FORMAT_VERSION = 1
@@ -94,14 +93,6 @@ class LinearModel:
         return all(m.converged for m in self.train_meta) if self.train_meta else True
 
 
-def _as_csr(X) -> sparse.csr_matrix:
-    if isinstance(X, FeatureMatrix):
-        return X.matrix
-    if sparse.issparse(X):
-        return X.tocsr().astype(np.float64)
-    return sparse.csr_matrix(np.asarray(X, dtype=np.float64))
-
-
 def _as_labels(y) -> np.ndarray:
     arr = np.asarray([int(v) for v in y], dtype=np.int64)
     if arr.ndim != 1:
@@ -120,7 +111,7 @@ def _sample_weights(y: np.ndarray, classes: np.ndarray, class_weight: str) -> np
     return np.array([n / (k * counts[int(v)]) for v in y])
 
 
-def _check_fit_inputs(X: sparse.csr_matrix, y: np.ndarray) -> np.ndarray:
+def _check_fit_inputs(X: CSRMatrix, y: np.ndarray) -> np.ndarray:
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError("X must be non-empty")
     if X.shape[0] != y.shape[0]:
@@ -337,11 +328,14 @@ def _fit_ovr(
     tol: float,
     max_iter: int,
 ) -> LinearModel:
+    from scipy import sparse
+
     if C <= 0:
         raise ValueError("C must be positive")
-    Xc = _as_csr(X)
+    X = as_csr(X)
     labels = _as_labels(y)
-    classes = _check_fit_inputs(Xc, labels)
+    classes = _check_fit_inputs(X, labels)
+    Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
     omega = _sample_weights(labels, classes, class_weight)
     n = Xc.shape[0]
     reg = 1.0 / (C * n)
@@ -407,13 +401,16 @@ def fit_linear_svm(
 def fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
     """weights = log smoothed class-conditional probabilities, bias = log
     priors; scores are then unnormalized log-posteriors."""
+    from scipy import sparse
+
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    Xc = _as_csr(X)
+    X = as_csr(X)
     labels = _as_labels(y)
-    classes = _check_fit_inputs(Xc, labels)
-    if Xc.nnz and Xc.data.min() < 0:
+    classes = _check_fit_inputs(X, labels)
+    if X.nnz and X.data.min() < 0:
         raise ValueError("multinomial NB requires non-negative features")
+    Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
     n, d = Xc.shape
     weights = np.zeros((classes.shape[0], d))
     bias = np.zeros(classes.shape[0])
@@ -439,24 +436,20 @@ def fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
     )
 
 
-def _project_for_model(model: LinearModel, X) -> sparse.csr_matrix:
-    Xc = _as_csr(X)
-    if Xc.shape[1] == model.n_features:
-        return Xc
-    if model.selected_columns is not None:
-        cols = list(model.selected_columns)
-        if Xc.shape[1] > max(cols):
-            projected = Xc[:, cols]
-            if projected.shape[1] == model.n_features:
-                return projected.tocsr()
-    raise ValueError(
-        f"feature count {Xc.shape[1]} does not match the model ({model.n_features})"
-    )
-
-
 def decision_margins(model: LinearModel, X) -> np.ndarray:
-    Xc = _project_for_model(model, X)
-    return Xc.dot(model.weights.T) + model.bias
+    """Per-class margins X w_k + b_k, in numpy alone. Each row's products
+    are added in column order starting from zero, as scipy.sparse multiplies
+    a CSR matrix by a dense one, so the margins equal that product's bitwise."""
+    Xc = as_csr(X)
+    if Xc.shape[1] != model.n_features:
+        raise ValueError(
+            f"feature count {Xc.shape[1]} does not match the model ({model.n_features})"
+        )
+    rows = Xc.row_ids()
+    margins = np.empty((Xc.shape[0], len(model.classes)))
+    for k, weights in enumerate(model.weights):
+        margins[:, k] = np.bincount(rows, Xc.data * weights[Xc.indices], minlength=Xc.shape[0])
+    return margins + model.bias
 
 
 def predict_scores(model: LinearModel, X) -> np.ndarray:
@@ -466,14 +459,6 @@ def predict_scores(model: LinearModel, X) -> np.ndarray:
     if model.loss == "logistic":
         return expit(margins)
     return margins
-
-
-def predict_scores_normalized(model: LinearModel, X) -> np.ndarray:
-    """Reporting view: logistic scores divided by their row sum."""
-    if model.loss != "logistic":
-        raise ValueError("normalized scores are defined for logistic models only")
-    scores = predict_scores(model, X)
-    return scores / scores.sum(axis=1, keepdims=True)
 
 
 def labels_from_scores(model: LinearModel, scores: np.ndarray) -> np.ndarray:

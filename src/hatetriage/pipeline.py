@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from .lexfeat import (
@@ -39,6 +38,7 @@ from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
 from .textproc import tokenize, word_streams
 from .vectorize import (
+    CSRMatrix,
     FeatureMatrix,
     NgramTable,
     Standardizer,
@@ -353,7 +353,7 @@ def count_matrix(
     word_block = transform_counts(fitted.word_vocab, wdocs, block="word-ngram")
     pos_block = transform_counts(fitted.pos_vocab, pdocs, block="pos-ngram")
     combined = FeatureMatrix(
-        matrix=sparse.hstack([word_block.matrix, pos_block.matrix], format="csr"),
+        matrix=CSRMatrix.hstack([word_block.matrix, pos_block.matrix]),
         registry=word_block.registry + pos_block.registry,
     )
     if fitted.selected_columns is None:

@@ -22,8 +22,6 @@ the naive Bayes model consumes those.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 import weakref
@@ -32,7 +30,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 COEF_KEEP_THRESHOLD = 1e-6
 
@@ -89,17 +86,150 @@ class Vocabulary:
         return out
 
 
+def _indptr(lengths) -> np.ndarray:
+    """Row pointers for rows of the given lengths: int32, as scipy.sparse
+    chooses, unless the entries outgrow it."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr.astype(np.int32) if indptr[-1] <= np.iinfo(np.int32).max else indptr
+
+
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row form, held in numpy arrays.
+
+    Row i has the column indices indices[indptr[i]:indptr[i + 1]], in
+    ascending order and each at most once, with their values at the same
+    positions of data. Every constructor and operation here returns that
+    form. The solvers wrap these arrays in scipy.sparse without copying;
+    everything else, predict included, uses numpy alone.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @classmethod
+    def from_entries(cls, rows, cols, values, shape) -> "CSRMatrix":
+        """The matrix with the given (row, column, value) entries, in any
+        order; entries at the same position are summed."""
+        n_rows, n_cols = int(shape[0]), int(shape[1])
+        key = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key)
+        key, values = key[order], np.asarray(values)[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            first = np.flatnonzero(np.concatenate(([True], ~repeated)))
+            key, values = key[first], np.add.reduceat(values, first)
+        return cls(
+            values,
+            (key % max(n_cols, 1)).astype(np.int32),
+            _indptr(np.bincount(key // max(n_cols, 1), minlength=n_rows)),
+            (n_rows, n_cols),
+        )
+
+    @classmethod
+    def from_dense(cls, dense) -> "CSRMatrix":
+        """The nonzero entries of a 2-D array; exact zeros are dropped."""
+        dense = np.atleast_2d(dense)
+        rows, cols = np.nonzero(dense)
+        return cls(
+            dense[rows, cols],
+            cols.astype(np.int32),
+            _indptr(np.bincount(rows, minlength=dense.shape[0])),
+            dense.shape,
+        )
+
+    @staticmethod
+    def hstack(blocks: Sequence["CSRMatrix"]) -> "CSRMatrix":
+        """The blocks side by side; every block must have the same rows."""
+        n_rows = blocks[0].shape[0]
+        if any(b.shape[0] != n_rows for b in blocks):
+            raise ValueError("hstack blocks disagree on row count")
+        lengths = [np.diff(b.indptr) for b in blocks]
+        indptr = _indptr(sum(lengths, np.zeros(n_rows, dtype=np.int64)))
+        data = np.empty(indptr[-1], dtype=np.result_type(*(b.data for b in blocks)))
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # where the next block's entries of each row go
+        row_end = indptr[:-1].astype(np.int64)
+        col0 = 0
+        for block, length in zip(blocks, lengths):
+            dest = np.repeat(row_end - block.indptr[:-1], length) + np.arange(block.nnz)
+            data[dest] = block.data
+            indices[dest] = block.indices + col0
+            row_end += length
+            col0 += block.shape[1]
+        return CSRMatrix(data, indices, indptr, (n_rows, col0))
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def rows(self, idx) -> "CSRMatrix":
+        """The given rows, in the given order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        starts = self.indptr[idx].astype(np.int64)
+        lengths = self.indptr[idx + 1] - starts
+        indptr = _indptr(lengths)
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[take], self.indices[take], indptr, (len(idx), self.shape[1]))
+
+    def columns(self, cols) -> "CSRMatrix":
+        """The given columns, in the given order; each may appear once."""
+        cols = np.asarray(cols, dtype=np.int64)
+        colmap = np.full(self.shape[1], -1, dtype=np.int32)
+        colmap[cols] = np.arange(len(cols), dtype=np.int32)
+        mapped = colmap[self.indices]
+        keep = mapped >= 0
+        shape = (self.shape[0], len(cols))
+        if (np.diff(cols) > 0).all():
+            # an ascending selection keeps every row's indices ascending
+            kept_before = np.concatenate(([0], np.cumsum(keep)))
+            return CSRMatrix(
+                self.data[keep], mapped[keep], _indptr(np.diff(kept_before[self.indptr])), shape
+            )
+        return CSRMatrix.from_entries(self.row_ids()[keep], mapped[keep], self.data[keep], shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+
+def as_csr(X) -> CSRMatrix:
+    """X as a CSRMatrix of float64: a FeatureMatrix's matrix or a CSRMatrix
+    as it is, an object with a tocsr() method (a scipy.sparse matrix) from
+    its arrays, anything else as a dense array."""
+    if isinstance(X, FeatureMatrix):
+        return X.matrix
+    if isinstance(X, CSRMatrix):
+        m = X
+    elif hasattr(X, "tocsr"):
+        m = X.tocsr()
+        m = CSRMatrix.from_entries(
+            np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data, m.shape
+        )
+    else:
+        return CSRMatrix.from_dense(np.asarray(X, dtype=np.float64))
+    if m.data.dtype != np.float64:
+        m = CSRMatrix(m.data.astype(np.float64), m.indices, m.indptr, m.shape)
+    return m
+
+
 @dataclass
 class FeatureMatrix:
-    matrix: sparse.csr_matrix
+    matrix: CSRMatrix
     registry: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not sparse.issparse(self.matrix):
-            self.matrix = sparse.csr_matrix(np.asarray(self.matrix, dtype=np.float64))
-        self.matrix = self.matrix.tocsr().astype(np.float64)
-        self.matrix.sum_duplicates()
-        self.matrix.sort_indices()
+        self.matrix = as_csr(self.matrix)
         if len(self.registry) != self.matrix.shape[1]:
             raise ValueError(
                 f"registry length {len(self.registry)} != n_cols {self.matrix.shape[1]}"
@@ -118,8 +248,10 @@ class FeatureMatrix:
         cols = list(columns)
         if any(c < 0 or c >= self.n_cols for c in cols):
             raise ValueError("projection column out of range")
+        if len(set(cols)) != len(cols):
+            raise ValueError("projection columns repeat")
         return FeatureMatrix(
-            matrix=self.matrix[:, cols].tocsr(),
+            matrix=self.matrix.columns(cols),
             registry=[self.registry[c] for c in cols],
         )
 
@@ -161,7 +293,7 @@ class NgramTable:
     docs: Sequence[Sequence[str]]
     n_lo: int
     n_hi: int
-    counts: sparse.csr_matrix
+    counts: CSRMatrix
     first_row: np.ndarray
     first_step: np.ndarray
 
@@ -171,7 +303,7 @@ class NgramTable:
             raise ValueError("require 1 <= n_lo <= n_hi")
         ids: dict[str, int] = {}
         first_row, first_step = array("i"), array("i")
-        data, indices, indptr = array("i"), array("i"), array("q", [0])
+        data, indices, rows = array("i"), array("i"), array("i")
         for row, doc in enumerate(docs):
             row_counts: dict[int, int] = {}
             for step, ngram in enumerate(_ngrams(doc, n_lo, n_hi)):
@@ -183,15 +315,15 @@ class NgramTable:
                 row_counts[col] = row_counts.get(col, 0) + 1
             indices.extend(row_counts)
             data.extend(row_counts.values())
-            indptr.append(len(indices))
+            rows.extend([row] * len(row_counts))
         n_cols = len(ids)
         del ids  # free the strings before the arrays are converted: a lower peak
-        counts = sparse.csr_matrix(
-            (_narrowest(data), np.frombuffer(indices, dtype=np.intc),
-             np.frombuffer(indptr, dtype=np.int64)),
-            shape=(len(docs), n_cols),
+        counts = CSRMatrix.from_entries(
+            np.frombuffer(rows, dtype=np.intc),
+            np.frombuffer(indices, dtype=np.intc),
+            _narrowest(data),
+            (len(docs), n_cols),
         )
-        counts.sort_indices()
         return cls(
             docs=docs,
             n_lo=n_lo,
@@ -220,8 +352,8 @@ class TableRows:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def counts(self) -> sparse.csr_matrix:
-        return self.table.counts[self.rows]
+    def counts(self) -> CSRMatrix:
+        return self.table.counts.rows(self.rows)
 
     def documents(self) -> list[Sequence[str]]:
         return [self.table.docs[i] for i in self.rows]
@@ -279,8 +411,8 @@ def fit_vocab(
     )
 
 
-def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> sparse.csr_matrix:
-    data, indices, indptr = [], [], [0]
+def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> CSRMatrix:
+    data, indices, lengths = [], [], []
     for doc in docs:
         counts: dict[int, float] = {}
         for ngram in _ngrams(doc, vocab.n_lo, vocab.n_hi):
@@ -290,38 +422,25 @@ def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> sp
         for col in sorted(counts):
             indices.append(col)
             data.append(counts[col])
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(docs), len(vocab)),
+        lengths.append(len(counts))
+    return CSRMatrix(
+        np.array(data, dtype=np.float64),
+        np.array(indices, dtype=np.int32),
+        _indptr(lengths),
+        (len(docs), len(vocab)),
     )
-
-
-def _table_count_matrix(columns: np.ndarray, docs: TableRows) -> sparse.csr_matrix:
-    block = docs.counts()
-    colmap = np.full(block.shape[1], -1, dtype=np.int32)
-    colmap[columns] = np.arange(len(columns), dtype=np.int32)
-    mapped = colmap[block.indices]
-    keep = mapped >= 0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    m = sparse.csr_matrix(
-        (block.data[keep].astype(np.float64), mapped[keep], kept_before[block.indptr].astype(np.int32)),
-        shape=(len(docs), len(columns)),
-    )
-    m.sort_indices()
-    return m
 
 
 def _count_matrix(
     vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows
-) -> sparse.csr_matrix:
+) -> CSRMatrix:
     """Raw counts of the vocabulary's n-grams: a slice of the table when
     `vocab` was fitted from the table of `docs`, else a direct lookup of
     every document's n-grams."""
     if isinstance(docs, TableRows):
         columns = vocab.table_columns(docs.table)
         if columns is not None:
-            return _table_count_matrix(columns, docs)
+            return as_csr(docs.counts().columns(columns))
         docs = docs.documents()
     return _lookup_count_matrix(vocab, docs)
 
@@ -342,11 +461,14 @@ def transform_tfidf(
     """tf * idf with smoothed idf, then exact row L2 normalization."""
     m = _count_matrix(vocab, docs)
     idf = np.array([vocab.idf(t) for t in vocab.ordered_ngrams()], dtype=np.float64)
-    if len(vocab):
-        m = m.multiply(sparse.csr_matrix(idf)).tocsr()
-    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    weighted = m.data * idf[m.indices]
+    # each row's squares are summed in column order by one reduceat, as
+    # scipy.sparse sums a CSR row, so the norms equal the scipy form's bitwise
+    filled = np.flatnonzero(np.diff(m.indptr))
+    norms = np.zeros(m.shape[0])
+    norms[filled] = np.sqrt(np.add.reduceat(weighted * weighted, m.indptr[filled]))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    m = sparse.diags(scale).dot(m).tocsr()
+    m = CSRMatrix(weighted * scale[m.row_ids()], m.indices, m.indptr, m.shape)
     return FeatureMatrix(matrix=m, registry=[(block, t) for t in vocab.ordered_ngrams()])
 
 
@@ -420,8 +542,8 @@ def assemble_features(
         + [("readability", n) for n in READABILITY_NAMES]
         + [("surface", n) for n in SURFACE_NAMES]
     )
-    matrix = sparse.hstack(
-        [word_block.matrix, pos_block.matrix, sparse.csr_matrix(scalars)], format="csr"
+    matrix = CSRMatrix.hstack(
+        [word_block.matrix, pos_block.matrix, CSRMatrix.from_dense(scalars)]
     )
     return FeatureMatrix(matrix=matrix, registry=registry), standardizer
 
@@ -453,12 +575,3 @@ def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> list[int]:
         )
     return keep
 
-
-def registry_csv(fm: FeatureMatrix) -> str:
-    """Feature registry as CSV (index, block, name)."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["index", "block", "name"])
-    for i, (block, name) in enumerate(fm.registry):
-        w.writerow([i, block, name])
-    return out.getvalue()

@@ -520,27 +520,6 @@ class TestErrorReport:
         with pytest.raises(KeyError):
             rep.bucket(0, 7)
 
-    def test_projection_applied_for_selected_model(self):
-        settings = FeatureSettings(
-            word_ngram_hi=1,
-            pos_ngram_hi=1,
-            min_df=2,
-            max_df_ratio=1.0,
-            select=True,
-            select_c=10.0,
-        )
-        ing, fitted, fm_selected = build_fitted(self.docs, self.y, settings)
-        model = fit_config_model(ModelConfig("logreg", "l2", 1.0), fm_selected, self.y)
-        import dataclasses
-
-        model = dataclasses.replace(model, selected_columns=fitted.selected_columns)
-        # hand the full-width matrix: error_report must project it itself
-        full = feature_matrix(
-            dataclasses.replace(fitted, selected_columns=None), ing
-        )
-        rep = error_report(model, full, self.tweets, top_n=2)
-        assert rep.bucket(H, H)
-
 
 class TestReportFormats:
     def test_metrics_text_header_notes_weighting(self):

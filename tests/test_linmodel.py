@@ -14,7 +14,6 @@ from hatetriage.linmodel import (
     load_model,
     predict,
     predict_scores,
-    predict_scores_normalized,
     save_model,
 )
 from hatetriage.vectorize import COEF_KEEP_THRESHOLD, Standardizer
@@ -405,31 +404,10 @@ class TestPredict:
         X_ext = np.hstack([X, np.zeros((40, 1))])
         assert (predict(extended, X_ext) == predict(model, X)).all()
 
-    def test_normalized_view_rows_sum_to_one(self):
-        X, y = separable_set(seed=4)
-        model = fit_logreg(X, y)
-        norm = predict_scores_normalized(model, X)
-        assert np.abs(norm.sum(axis=1) - 1.0).max() < 1e-9
-
-    def test_normalized_view_logistic_only(self):
-        X, y = separable_set(seed=4)
-        model = fit_linear_svm(X, y)
-        with pytest.raises(ValueError):
-            predict_scores_normalized(model, X)
-
     def test_dimension_mismatch_rejected(self):
         model = hand_model()
         with pytest.raises(ValueError):
             predict_scores(model, np.zeros((1, 5)))
-
-    def test_stored_projection_applied(self):
-        X, y = separable_set(seed=6)
-        base = fit_logreg(X, y)
-        import dataclasses
-
-        projected = dataclasses.replace(base, selected_columns=(0, 1))
-        X_wide = np.hstack([X, np.ones((40, 3))])
-        assert (predict(projected, X_wide) == predict(base, X)).all()
 
     def test_nb_scores_are_log_posteriors(self):
         X = np.array([[3.0, 1.0], [1.0, 3.0]])

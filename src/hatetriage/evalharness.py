@@ -190,18 +190,21 @@ def prepare_folds(
     folds,
     features: FeatureSettings,
     need_counts: bool = False,
+    rows=None,
 ) -> list[PreparedFold]:
     """Fit vocabularies, standardization, and selection on each fold's
-    training rows only; the held-out rows are transformed, never fitted."""
-    n = len(ingredients)
+    training rows only; the held-out rows are transformed, never fitted.
+
+    The folds hold positions in `rows`, the ingredient rows that take part
+    (all of them by default); `y` labels every ingredient row."""
+    rows = list(range(len(ingredients))) if rows is None else [int(r) for r in rows]
     prepared = []
     for i, fold in enumerate(folds):
-        test_idx = sorted(int(v) for v in fold)
-        in_test = set(test_idx)
-        train_idx = [j for j in range(n) if j not in in_test]
+        in_test = {int(v) for v in fold}
+        test_idx = [rows[j] for j in sorted(in_test)]
+        train_idx = [r for j, r in enumerate(rows) if j not in in_test]
         try:
             fitted = fit_features(ingredients, y, features, train_idx)
-            X_train = feature_matrix(fitted, ingredients, train_idx)
             X_test = feature_matrix(fitted, ingredients, test_idx)
         except ValueError as exc:
             raise RuntimeError(f"feature fit failed on fold {i}: {exc}") from exc
@@ -219,7 +222,7 @@ def prepare_folds(
                 train_idx=tuple(train_idx),
                 test_idx=tuple(test_idx),
                 fitted=fitted,
-                X_train=X_train,
+                X_train=fitted.train_matrix,
                 X_test=X_test,
                 counts_train=counts_train,
                 counts_test=counts_test,
@@ -325,12 +328,17 @@ def grid_search(
     k: int = 5,
     seed: int = 42,
     features: FeatureSettings | None = None,
+    rows=None,
 ) -> GridSearchResult:
     """Evaluate every configuration on one shared set of folds.
 
     `grid` is either a sequence of ModelConfig or a dict with axes
-    model/penalty/C/class_weight. The winner maximizes mean weighted F1;
-    exact ties go to the smaller C, then logreg over svm over nb.
+    model/penalty/C/class_weight. The folds split `rows`, the ingredient
+    rows to search on (all of them by default), and hold positions in it;
+    `y` labels every ingredient row. Searching on some rows of a corpus
+    reuses the corpus's n-gram count tables. The winner maximizes mean
+    weighted F1; exact ties go to the smaller C, then logreg over svm over
+    nb.
     """
     if isinstance(grid, dict):
         unknown = set(grid) - {"model", "penalty", "C", "class_weight"}
@@ -348,9 +356,10 @@ def grid_search(
         raise ValueError("grid is empty")
     if features is None:
         features = FeatureSettings()
-    folds = kfold_indices(y, k, seed)
+    y_rows = y if rows is None else [y[int(r)] for r in rows]
+    folds = kfold_indices(y_rows, k, seed)
     need_counts = any(c.kind == "nb" for c in configs)
-    prepared = prepare_folds(ingredients, y, folds, features, need_counts=need_counts)
+    prepared = prepare_folds(ingredients, y, folds, features, need_counts, rows)
     cells = []
     for config in configs:
         fold_f1 = []

@@ -9,7 +9,7 @@ a standalone predictor needs into one versioned artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,7 +233,9 @@ class FittedFeatures:
     """Everything corpus-dependent that transform-time needs.
 
     selected_columns is None when selection is off; registry covers the full
-    assembled matrix before selection.
+    assembled matrix before selection. train_matrix is what feature_matrix
+    would return for the rows fit_features fitted on, kept from the fit; it
+    is not compared and not saved, so a loaded pipeline has None there.
     """
 
     settings: FeatureSettings
@@ -242,6 +244,7 @@ class FittedFeatures:
     standardizer: Standardizer | None
     selected_columns: tuple[int, ...] | None
     registry: tuple[tuple[str, str], ...]
+    train_matrix: FeatureMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_ngram_columns(self) -> int:
@@ -259,7 +262,9 @@ def fit_features(
     ingredients: Ingredients, y, settings: FeatureSettings, indices=None
 ) -> FittedFeatures:
     """Fit vocabularies, standardization, and L1 selection on the given
-    rows only; rows outside `indices` never influence the result.
+    rows only; rows outside `indices` never influence the result. The
+    matrix assembled for selection, projected onto the kept columns, is
+    returned as the result's train_matrix.
 
     The n-grams of every document are counted once per ingredients, so a
     refit on other rows (the next fold) slices the same tables."""
@@ -295,19 +300,22 @@ def fit_features(
         surf,
         standardize=settings.standardize,
     )
+    registry = tuple((block, name) for block, name in assembled.registry)
     selected = None
     if settings.select:
         y_sub = [int(y[i]) for i in indices]
         selected = tuple(
             select_l1(assembled, y_sub, C=settings.select_c, tol=settings.select_tol)
         )
+        assembled = assembled.project(list(selected))
     return FittedFeatures(
         settings=settings,
         word_vocab=word_vocab,
         pos_vocab=pos_vocab,
         standardizer=standardizer,
         selected_columns=selected,
-        registry=tuple((block, name) for block, name in assembled.registry),
+        registry=registry,
+        train_matrix=assembled,
     )
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from .vectorize import CSRMatrix, Standardizer, as_csr
@@ -122,6 +121,15 @@ def _check_fit_inputs(X: CSRMatrix, y: np.ndarray) -> np.ndarray:
     return classes
 
 
+def logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) elementwise, the algebra of scipy.special.expit
+    with numpy's exp. Below z of about -709, exp(-z) overflows to inf and
+    the result is exactly 0, so that overflow is not reported; above about
+    37, exp(-z) vanishes next to 1 and the result is exactly 1."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _logistic_value(z, omega, n, margins):
     return float((omega * np.logaddexp(0.0, -z * margins)).sum() / n)
 
@@ -132,7 +140,7 @@ def _logistic_terms(Xc, z, omega, n, margins, Xt=None):
     Xt is X transposed in CSR form; a fit builds it once and passes it to
     every gradient, since X.T would build a new CSC object per call.
     """
-    coef = (omega * (-z) * expit(-z * margins)) / n
+    coef = (omega * (-z) * logistic(-z * margins)) / n
     Xt = Xc.T if Xt is None else Xt
     return _logistic_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
 
@@ -457,7 +465,7 @@ def predict_scores(model: LinearModel, X) -> np.ndarray:
     log-posteriors (nb). No cross-class normalization."""
     margins = decision_margins(model, X)
     if model.loss == "logistic":
-        return expit(margins)
+        return logistic(margins)
     return margins
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,6 +14,7 @@ from hatetriage.linmodel import (
     fit_logreg,
     fit_multinomial_nb,
     load_model,
+    logistic,
     predict,
     predict_scores,
     save_model,
@@ -88,6 +91,31 @@ class TestSoftThreshold:
         assert _soft_threshold(np.array([3.0]), 1.0)[0] == 2.0
         assert _soft_threshold(np.array([-0.5]), 1.0)[0] == 0.0
         assert _soft_threshold(np.array([-3.0]), 1.0)[0] == -2.0
+
+
+class TestLogistic:
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logistic(np.array([-np.inf, -800.0, 800.0, np.inf]))
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_within_ulps_of_expit(self):
+        """Same algebra as expit, but numpy's exp, which may differ from the
+        C library's in the last place. Where exp(-z) lies in [2**53, 2**54)
+        (z in about [-37.4, -36.7]) its ulp is 2, so adding 1 is an exact
+        tie that rounds to even, and one ulp of exp can become four of the
+        result; elsewhere the results lie within two ulps."""
+        from scipy.special import expit
+
+        z = np.linspace(-745.0, 745.0, 1_490_001)
+        got, want = logistic(z), expit(z)
+        ulps = np.abs(got - want) / np.spacing(want)
+        with np.errstate(over="ignore"):
+            e = np.exp(-z)
+        tie_window = (e >= 2.0**53) & (e < 2.0**54)
+        assert ulps[~tie_window].max() <= 2.0
+        assert ulps[tie_window].max() <= 4.0
 
 
 class TestGradients:

@@ -3,9 +3,14 @@
 import csv
 import importlib.resources
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from hatetriage import cli
 from hatetriage.cli import PREDICT_BATCH, main
 from hatetriage.corpus import LABELS, Label
 from hatetriage.pipeline import load_pipeline, pipeline_predict
@@ -110,7 +115,43 @@ class TestTrain:
         ).read_text()
 
 
+# runs in a fresh interpreter: loads a model, predicts through the library
+# and the CLI, runs report and ingest, then prints the scipy modules loaded
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+from hatetriage import cli
+from hatetriage.pipeline import load_pipeline, pipeline_predict
+
+model, cfg, src, dst = sys.argv[1:]
+pipeline_predict(load_pipeline(Path(model).read_bytes()), ["sunny picnic by the lake"])
+for argv in (["predict", "--model", model, "--input", src, "--output", dst],
+             ["report", "--config", cfg, "--model", model],
+             ["ingest", "--config", cfg]):
+    assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
 class TestPredict:
+    def test_predict_report_and_ingest_import_no_scipy(self, workspace, tmp_path):
+        """scipy is imported only by the solver fits, so a process that
+        only loads a model and predicts, reports or ingests never pays for
+        importing it."""
+        src = tmp_path / "in.txt"
+        src.write_text("those vermin are filth and scum\nsunny picnic by the lake\n")
+        package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(workspace["out"] / "model.bin"),
+             str(write_config(tmp_path)), str(src), str(tmp_path / "pred.tsv")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert len((tmp_path / "pred.tsv").read_text().splitlines()) == 2
+
     def test_line_format(self, workspace, tmp_path):
         src = tmp_path / "in.txt"
         src.write_text("those vermin are filth and scum\nsunny picnic by the lake\n")

@@ -18,6 +18,7 @@ import pathlib
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hatetriage import pipeline
@@ -25,6 +26,7 @@ from hatetriage.evalharness import GridCell, GridSearchResult, grid_report_csv
 from hatetriage.lexfeat import SentimentLexicon
 from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
 from hatetriage.postag import load_model
+from hatetriage.vectorize import FeatureMatrix, assemble_features
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -82,6 +84,24 @@ def test_grid_csv_layout_the_benchmark_parses():
     assert float(scored_row.split(",")[4]) == 0.75
     assert not failed_row.endswith(",")
     assert len(failed_row.split(",")) == len(fields)
+
+
+def test_assembled_matrix_has_what_the_tracer_reads():
+    """perfbench/tracing.py _observe_assemble records `.nnz` and
+    `.shape[1]` of the matrix in assemble_features' result as
+    vectorize.matrix_nnz and matrix_cols."""
+    tracing = _tracing_module()
+    word = FeatureMatrix(np.eye(2), [("word-ngram", "a"), ("word-ngram", "b")])
+    pos = FeatureMatrix(np.zeros((2, 1)), [("pos-ngram", "N")])
+    sent = [[0.5, 0.0, 0.5, 0.1], [0.0, 0.5, 0.5, -0.1]]
+    read = [[1.0, 80.0], [2.0, 60.0]]
+    surf = [[0.0] * 11, [1.0] * 11]
+    result = assemble_features(word, pos, sent, read, surf)
+    tracer = tracing.Tracer()
+    tracing._observe_assemble(tracer, None, (), {}, result)
+    dense = result[0].matrix.toarray()
+    assert tracer.counts["matrix_nnz"] == np.count_nonzero(dense) > 0
+    assert tracer.counts["matrix_cols"] == dense.shape[1] == 3 + 17
 
 
 def _calls_below(spans, name):

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from hatetriage.linmodel import LinearModel, decision_margins
 from hatetriage.vectorize import (
+    CSRMatrix,
     FeatureMatrix,
     NgramTable,
     Standardizer,
@@ -19,8 +21,10 @@ from hatetriage.vectorize import (
     transform_tfidf,
 )
 from vectorize_reference import (
+    reference_assemble,
     reference_count_matrix,
     reference_fit_vocab,
+    reference_margins,
     reference_tfidf_matrix,
 )
 
@@ -245,6 +249,93 @@ class TestNgramTable:
             [0, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 1, 1],
         ]
+
+
+value = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False) | st.just(0.0)
+
+
+@st.composite
+def dense_block(draw, n_rows=None, max_cols=8):
+    """A small float64 array, about half of its cells zero."""
+    n = draw(st.integers(0, 6)) if n_rows is None else n_rows
+    d = draw(st.integers(0, max_cols))
+    cells = draw(st.lists(value, min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=np.float64).reshape(n, d)
+
+
+class TestCSRMatrixAgainstScipy:
+    """Every CSRMatrix operation equals the scipy.sparse one it replaced bit
+    for bit: the same sorted indices, row pointers and values, and the same
+    dtypes. TF-IDF is compared on token documents here and on table rows
+    in TestNgramTable."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_block(), st.data())
+    def test_rows_columns_and_hstack(self, dense, data):
+        want = sparse.csr_matrix(dense)
+        got = CSRMatrix.from_dense(dense)
+        assert_same_csr(got, want)
+        assert np.array_equal(got.toarray(), dense)
+        n, d = dense.shape
+        idx = data.draw(st.lists(st.integers(0, n - 1), max_size=8) if n else st.just([]))
+        assert_same_csr(got.rows(idx), want[idx])
+        picked = data.draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d) if d else st.just([]))
+        ordered = want[:, picked].tocsr()
+        ordered.sort_indices()
+        assert_same_csr(got.columns(picked), ordered)
+        assert_same_csr(got.columns(sorted(picked)), want[:, sorted(picked)].tocsr())
+        other = data.draw(dense_block(n_rows=n))
+        assert_same_csr(
+            CSRMatrix.hstack([got, CSRMatrix.from_dense(other), got]),
+            sparse.hstack([want, sparse.csr_matrix(other), want], format="csr"),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdefghijkl"), max_size=40), min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    def test_tfidf_of_long_documents(self, docs, n_hi):
+        """Rows of up to a hundred terms, so the norm's summation order shows."""
+        assume(any(docs))
+        vocab = fit_vocab(docs, 1, n_hi, 1, 1.0)
+        registry = [("word-ngram", t) for t in vocab.ordered_ngrams()]
+        assert_same_csr(
+            transform_tfidf(vocab, docs).matrix,
+            FeatureMatrix(reference_tfidf_matrix(vocab, docs), registry).matrix,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*(
+        dense_block(n_rows=n, max_cols=c) for c in (6, 4)
+    ), *(
+        st.lists(st.lists(value, min_size=w, max_size=w), min_size=n, max_size=n)
+        for w in (4, 2, 11)
+    ))))
+    def test_assembly(self, blocks):
+        word, pos, sent, read, surf = blocks
+        names = [("word-ngram", str(i)) for i in range(word.shape[1])]
+        pos_names = [("pos-ngram", str(i)) for i in range(pos.shape[1])]
+        fm, std = assemble_features(
+            FeatureMatrix(word, names), FeatureMatrix(pos, pos_names), sent, read, surf
+        )
+        scalars = std.apply(np.hstack([np.array(sent), np.array(read), np.array(surf)]))
+        want = reference_assemble(sparse.csr_matrix(word), sparse.csr_matrix(pos), scalars)
+        assert_same_csr(fm.matrix, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_block(), st.integers(1, 3), st.data())
+    def test_margins(self, dense, k, data):
+        d = dense.shape[1]
+        weights = np.array(
+            data.draw(st.lists(value, min_size=k * d, max_size=k * d)), dtype=np.float64
+        ).reshape(k, d)
+        bias = np.array(data.draw(st.lists(value, min_size=k, max_size=k)), dtype=np.float64)
+        model = LinearModel(weights, bias, tuple(range(k)), "hinge", "l2", 1.0)
+        got = decision_margins(model, CSRMatrix.from_dense(dense))
+        want = reference_margins(sparse.csr_matrix(dense), weights, bias)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAssembleFeatures:

@@ -2,7 +2,12 @@
 written before the n-gram count table: fit_vocab collects document
 frequencies in a dict over every document's n-gram set, and every transform
 enumerates each document's n-grams and looks them up in the vocabulary.
-Tests compare the table-derived vocabularies and blocks against these."""
+Tests compare the table-derived vocabularies and blocks against these.
+
+The matrices here are scipy.sparse ones, as the package held them before
+its own numpy CSR: TF-IDF weighting and row normalization, feature
+assembly and the class margins are written as they were then, so tests can
+require the numpy forms to equal them bit for bit."""
 
 import math
 
@@ -70,3 +75,12 @@ def reference_tfidf_matrix(vocab: Vocabulary, docs) -> sparse.csr_matrix:
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return sparse.diags(scale).dot(m).tocsr()
+
+
+def reference_assemble(word: sparse.csr_matrix, pos: sparse.csr_matrix, scalars) -> sparse.csr_matrix:
+    """[word | pos | scalars], the scalar block already standardized."""
+    return sparse.hstack([word, pos, sparse.csr_matrix(scalars)], format="csr")
+
+
+def reference_margins(X: sparse.csr_matrix, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    return X.dot(weights.T) + bias

@@ -28,6 +28,13 @@ in CSR form once and every class's gradients use it. Both solvers are
 deterministic from a zero start; nothing is randomized, and the seed
 argument is unused.
 
+scipy is imported only inside the fit functions (_fit_ovr and
+fit_multinomial_nb), which wrap the arrays of the package's numpy CSR
+matrix in scipy.sparse without copying and run their products there.
+Margins and scores need no scipy: decision_margins is a bincount per
+class, and the logistic is numpy's, so loading a model and predicting
+never import it.
+
 Model files: "linmodel <version> <payload-bytes>" header line followed by a
 canonical JSON object holding classes, loss, penalty, C, weights, bias,
 selected columns, standardization parameters, and per-class training

@@ -18,6 +18,10 @@ time) are enumerated and looked up in the vocabulary directly.
 
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
+
+Every sparse matrix here is a CSRMatrix, held in numpy arrays, so feature
+extraction and predict never import scipy; only the solver fits in linmodel
+wrap its arrays in scipy.sparse.
 """
 
 from __future__ import annotations
@@ -130,8 +134,8 @@ class CSRMatrix:
             key, values = key[first], np.add.reduceat(values, first)
         return cls(
             values,
-            (key % max(n_cols, 1)).astype(np.int32),
-            _indptr(np.bincount(key // max(n_cols, 1), minlength=n_rows)),
+            (key % n_cols).astype(np.int32),
+            _indptr(np.bincount(key // n_cols, minlength=n_rows)),
             (n_rows, n_cols),
         )
 
@@ -574,4 +578,3 @@ def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> list[int]:
             f"L1 selection at C={C} zeroed every column; increase C to keep features"
         )
     return keep
-

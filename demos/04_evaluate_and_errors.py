@@ -10,7 +10,6 @@ import importlib.resources
 
 from hatetriage.corpus import parse_corpus
 from hatetriage.evalharness import (
-    cross_validate,
     error_report,
     error_report_text,
     grid_report_text,
@@ -20,7 +19,7 @@ from hatetriage.lexfeat import SentimentLexicon
 from hatetriage.pipeline import (
     FeatureSettings,
     ModelConfig,
-    PipelineSettings,
+    build_grid,
     extract_ingredients,
     fit_config_model,
     fit_features,
@@ -41,14 +40,12 @@ settings = FeatureSettings(min_df=2)
 
 # one configuration, five folds: every fold refits vocabularies and
 # selection on its own training rows, so nothing leaks from held-out data
-cv = cross_validate(
-    PipelineSettings(settings, ModelConfig("logreg", "l2", 1.0)), ingredients, y
-)
+(cv,) = grid_search([ModelConfig("logreg", "l2", 1.0)], ingredients, y, features=settings).cells
 print(f"logreg l2 C=1: mean weighted F1 {cv.mean_weighted_f1:.4f} "
       f"(std {cv.std_weighted_f1:.4f})")
 
 # a small grid over model kind and regularization strength
-grid = {"model": ["logreg", "svm"], "penalty": ["l1", "l2"], "C": [0.1, 1.0]}
+grid = build_grid(["logreg", "svm"], ["l1", "l2"], [0.1, 1.0], ["uniform"])
 result = grid_search(grid, ingredients, y, features=settings)
 print("\n" + grid_report_text(result))
 

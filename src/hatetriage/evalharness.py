@@ -1,4 +1,4 @@
-"""Stratified cross-validation, grid search, metrics, and error reports.
+"""Stratified folds, cross-validated grid search, metrics, and error reports.
 
 Headline precision/recall/F1 are support-weighted averages; every report
 that prints them says so in its header. Confusion matrices are rendered
@@ -22,8 +22,6 @@ from .pipeline import (
     FittedFeatures,
     Ingredients,
     ModelConfig,
-    PipelineSettings,
-    build_grid,
     feature_matrix,
     count_matrix,
     fit_config_model,
@@ -248,54 +246,6 @@ def _evaluate_fold(
 
 
 @dataclass(frozen=True)
-class CrossValidationResult:
-    fold_reports: tuple[MetricsReport, ...]
-    folds: tuple[tuple[int, ...], ...]
-    mean_weighted_f1: float
-    std_weighted_f1: float
-    mean_weighted_precision: float
-    mean_weighted_recall: float
-    mean_accuracy: float
-
-
-def _aggregate(reports, folds) -> CrossValidationResult:
-    f1s = np.asarray([r.weighted_f1 for r in reports])
-    return CrossValidationResult(
-        fold_reports=tuple(reports),
-        folds=tuple(tuple(int(v) for v in f) for f in folds),
-        mean_weighted_f1=float(f1s.mean()),
-        std_weighted_f1=float(f1s.std()),
-        mean_weighted_precision=float(
-            np.mean([r.weighted_precision for r in reports])
-        ),
-        mean_weighted_recall=float(np.mean([r.weighted_recall for r in reports])),
-        mean_accuracy=float(np.mean([r.accuracy for r in reports])),
-    )
-
-
-def cross_validate(
-    settings: PipelineSettings,
-    ingredients: Ingredients,
-    y,
-    k: int = 5,
-    seed: int = 42,
-) -> CrossValidationResult:
-    """Leakage-free k-fold evaluation of one pipeline configuration: all
-    corpus-dependent feature state is refitted inside every fold."""
-    folds = kfold_indices(y, k, seed)
-    prepared = prepare_folds(
-        ingredients, y, folds, settings.features, need_counts=settings.model.kind == "nb"
-    )
-    reports = []
-    for pf in prepared:
-        try:
-            reports.append(_evaluate_fold(pf, settings.model, y)[0])
-        except ValueError as exc:
-            raise RuntimeError(f"model fit failed on fold {pf.index}: {exc}") from exc
-    return _aggregate(reports, folds)
-
-
-@dataclass(frozen=True)
 class GridCell:
     """One configuration's cross-validated score. converged holds only if
     every class fit of every fold converged; max_iterations is the largest
@@ -330,28 +280,18 @@ def grid_search(
     features: FeatureSettings | None = None,
     rows=None,
 ) -> GridSearchResult:
-    """Evaluate every configuration on one shared set of folds.
+    """Evaluate every configuration in `grid`, a sequence of ModelConfig, on
+    one shared set of stratified folds; all corpus-dependent feature state is
+    refitted inside every fold, so nothing leaks from held-out rows. A grid
+    of one configuration is the plain k-fold cross-validation of it.
 
-    `grid` is either a sequence of ModelConfig or a dict with axes
-    model/penalty/C/class_weight. The folds split `rows`, the ingredient
-    rows to search on (all of them by default), and hold positions in it;
-    `y` labels every ingredient row. Searching on some rows of a corpus
-    reuses the corpus's n-gram count tables. The winner maximizes mean
-    weighted F1; exact ties go to the smaller C, then logreg over svm over
-    nb.
+    The folds split `rows`, the ingredient rows to search on (all of them by
+    default), and hold positions in it; `y` labels every ingredient row.
+    Searching on some rows of a corpus reuses the corpus's n-gram count
+    tables. The winner maximizes mean weighted F1; exact ties go to the
+    smaller C, then logreg over svm over nb.
     """
-    if isinstance(grid, dict):
-        unknown = set(grid) - {"model", "penalty", "C", "class_weight"}
-        if unknown:
-            raise ValueError(f"unknown grid axes: {sorted(unknown)}")
-        configs = build_grid(
-            grid.get("model", ["logreg"]),
-            grid.get("penalty", ["l2"]),
-            grid.get("C", [1.0]),
-            grid.get("class_weight", ["uniform"]),
-        )
-    else:
-        configs = tuple(grid)
+    configs = tuple(grid)
     if not configs:
         raise ValueError("grid is empty")
     if features is None:

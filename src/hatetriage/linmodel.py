@@ -25,8 +25,7 @@ objective never increases. The fit converges when one backtracking
 prox-gradient step in that metric from the returned iterate itself, without
 momentum, moves no parameter by more than tol. Each fit builds X transposed
 in CSR form once and every class's gradients use it. Both solvers are
-deterministic from a zero start; nothing is randomized, and the seed
-argument is unused.
+deterministic from a zero start; nothing is randomized.
 
 scipy is imported only inside the fit functions (_fit_ovr and
 fit_multinomial_nb), which wrap the arrays of the package's numpy CSR
@@ -35,10 +34,10 @@ Margins and scores need no scipy: decision_margins is a bincount per
 class, and the logistic is numpy's, so loading a model and predicting
 never import it.
 
-Model files: "linmodel <version> <payload-bytes>" header line followed by a
-canonical JSON object holding classes, loss, penalty, C, weights, bias,
-selected columns, standardization parameters, and per-class training
-metadata. Loading reproduces predictions bit-exactly.
+A model is saved only inside the pipeline artifact: model_payload gives
+the JSON object it embeds (classes, loss, penalty, C, weights, bias and
+per-class training metadata), and model_from_payload reads it back with
+predictions bit-exact.
 """
 
 from __future__ import annotations
@@ -47,15 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
-from .vectorize import CSRMatrix, Standardizer, as_csr
-
-MAGIC = "linmodel"
-FORMAT_VERSION = 1
+from ._serialize import ArtifactFormatError
+from .vectorize import CSRMatrix, as_csr
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 1000
-DEFAULT_SEED = 42
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -81,7 +76,6 @@ class LinearModel:
     loss: str  # logistic | hinge | nb
     penalty: str  # l1 | l2 | none
     C: float
-    selected_columns: tuple[int, ...] | None = None
     train_meta: tuple[TrainMeta, ...] = ()
 
     def __post_init__(self):
@@ -394,7 +388,6 @@ def fit_logreg(
     class_weight: str = "uniform",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = DEFAULT_SEED,
 ) -> LinearModel:
     if penalty not in ("l1", "l2"):
         raise ValueError(f"unknown penalty {penalty!r}")
@@ -408,7 +401,6 @@ def fit_linear_svm(
     class_weight: str = "uniform",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = DEFAULT_SEED,
 ) -> LinearModel:
     return _fit_ovr(X, y, "hinge", "l2", C, class_weight, tol, max_iter)
 
@@ -487,7 +479,10 @@ def predict(model: LinearModel, X) -> np.ndarray:
     return labels_from_scores(model, predict_scores(model, X))
 
 
-def model_payload(model: LinearModel, standardizer: Standardizer | None = None) -> dict:
+def model_payload(model: LinearModel) -> dict:
+    """The JSON object the pipeline artifact embeds. The selected_columns and
+    standardizer keys are always null: the pipeline's feature state holds
+    both, and they stay in the payload so saved artifacts keep their bytes."""
     return {
         "classes": list(model.classes),
         "loss": model.loss,
@@ -495,14 +490,8 @@ def model_payload(model: LinearModel, standardizer: Standardizer | None = None) 
         "C": model.C,
         "weights": [[float(v) for v in row] for row in model.weights],
         "bias": [float(v) for v in model.bias],
-        "selected_columns": (
-            list(model.selected_columns) if model.selected_columns is not None else None
-        ),
-        "standardizer": (
-            {"means": list(standardizer.means), "scales": list(standardizer.scales)}
-            if standardizer is not None
-            else None
-        ),
+        "selected_columns": None,
+        "standardizer": None,
         "train_meta": [
             {"iterations": m.iterations, "objective": m.objective, "converged": m.converged}
             for m in model.train_meta
@@ -510,9 +499,9 @@ def model_payload(model: LinearModel, standardizer: Standardizer | None = None) 
     }
 
 
-def model_from_payload(payload: dict) -> tuple[LinearModel, Standardizer | None]:
+def model_from_payload(payload: dict) -> LinearModel:
     try:
-        model = LinearModel(
+        return LinearModel(
             weights=np.array(payload["weights"], dtype=np.float64).reshape(
                 len(payload["classes"]), -1
             ),
@@ -521,11 +510,6 @@ def model_from_payload(payload: dict) -> tuple[LinearModel, Standardizer | None]
             loss=payload["loss"],
             penalty=payload["penalty"],
             C=float(payload["C"]),
-            selected_columns=(
-                tuple(int(c) for c in payload["selected_columns"])
-                if payload["selected_columns"] is not None
-                else None
-            ),
             train_meta=tuple(
                 TrainMeta(int(m["iterations"]), float(m["objective"]), bool(m["converged"]))
                 for m in payload["train_meta"]
@@ -533,18 +517,3 @@ def model_from_payload(payload: dict) -> tuple[LinearModel, Standardizer | None]
         )
     except (KeyError, TypeError) as err:
         raise ArtifactFormatError(f"model payload missing field: {err}") from None
-    std = payload.get("standardizer")
-    standardizer = (
-        Standardizer(means=tuple(std["means"]), scales=tuple(std["scales"]))
-        if std is not None
-        else None
-    )
-    return model, standardizer
-
-
-def save_model(model: LinearModel, standardizer: Standardizer | None = None) -> bytes:
-    return dump_artifact(MAGIC, FORMAT_VERSION, model_payload(model, standardizer))
-
-
-def load_model(data: bytes) -> tuple[LinearModel, Standardizer | None]:
-    return model_from_payload(load_artifact(data, MAGIC, FORMAT_VERSION))

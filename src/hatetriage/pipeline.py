@@ -9,7 +9,7 @@ a standalone predictor needs into one versioned artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
 from .textproc import tokenize, word_streams
 from .vectorize import (
+    SCALAR_WIDTH,
     CSRMatrix,
     FeatureMatrix,
     NgramTable,
@@ -123,12 +124,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class PipelineSettings:
-    features: FeatureSettings
-    model: ModelConfig
-
-
-@dataclass(frozen=True)
 class Ingredients:
     """Per-document raw material for every feature block.
 
@@ -175,17 +170,6 @@ class Ingredients:
             return table.rows(indices)
         docs = self.word_docs if block == "word-ngram" else self.pos_docs
         return [docs[i] for i in indices]
-
-    def subset(self, indices) -> Ingredients:
-        """The ingredients of the given rows, in the given order."""
-        indices = list(indices)
-        return Ingredients(
-            word_docs=tuple(self.word_docs[i] for i in indices),
-            pos_docs=tuple(self.pos_docs[i] for i in indices),
-            sentiment=tuple(self.sentiment[i] for i in indices),
-            readability=tuple(self.readability[i] for i in indices),
-            surface=tuple(self.surface[i] for i in indices),
-        )
 
 
 def extract_ingredients(
@@ -389,7 +373,6 @@ def fit_config_model(
     y,
     tol: float = 1e-4,
     max_iter: int = 1000,
-    seed: int = 42,
 ) -> LinearModel:
     """Dispatch one ModelConfig to the matching solver."""
     if config.kind == "logreg":
@@ -401,7 +384,6 @@ def fit_config_model(
             class_weight=config.class_weight,
             tol=tol,
             max_iter=max_iter,
-            seed=seed,
         )
     if config.kind == "svm":
         return fit_linear_svm(
@@ -411,7 +393,6 @@ def fit_config_model(
             class_weight=config.class_weight,
             tol=tol,
             max_iter=max_iter,
-            seed=seed,
         )
     return fit_multinomial_nb(X, y, alpha=config.C)
 
@@ -491,21 +472,6 @@ def _vocab_from_payload(d: dict) -> Vocabulary:
     )
 
 
-def _settings_payload(s: FeatureSettings) -> dict:
-    return {
-        "word_ngram_lo": s.word_ngram_lo,
-        "word_ngram_hi": s.word_ngram_hi,
-        "pos_ngram_lo": s.pos_ngram_lo,
-        "pos_ngram_hi": s.pos_ngram_hi,
-        "min_df": s.min_df,
-        "max_df_ratio": s.max_df_ratio,
-        "standardize": s.standardize,
-        "select": s.select,
-        "select_c": s.select_c,
-        "select_tol": s.select_tol,
-    }
-
-
 def save_pipeline(pm: PipelineModel) -> bytes:
     fitted = pm.fitted
     payload = {
@@ -513,23 +479,12 @@ def save_pipeline(pm: PipelineModel) -> bytes:
         "lexicon": dict(pm.lexicon.valences),
         "word_vocab": _vocab_payload(fitted.word_vocab),
         "pos_vocab": _vocab_payload(fitted.pos_vocab),
-        "standardizer": None
-        if fitted.standardizer is None
-        else {
-            "means": list(fitted.standardizer.means),
-            "scales": list(fitted.standardizer.scales),
-        },
-        "selected_columns": None
-        if fitted.selected_columns is None
-        else list(fitted.selected_columns),
-        "registry": [list(entry) for entry in fitted.registry],
-        "settings": _settings_payload(fitted.settings),
-        "config": {
-            "kind": pm.config.kind,
-            "penalty": pm.config.penalty,
-            "C": pm.config.C,
-            "class_weight": pm.config.class_weight,
-        },
+        # tuples serialize as JSON arrays
+        "standardizer": None if fitted.standardizer is None else asdict(fitted.standardizer),
+        "selected_columns": fitted.selected_columns,
+        "registry": fitted.registry,
+        "settings": asdict(fitted.settings),
+        "config": asdict(pm.config),
         "model": model_payload(pm.model),
     }
     return dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
@@ -546,7 +501,54 @@ def _payload_field(payload: dict, name: str, parse):
         raise ArtifactFormatError(f"pipeline payload field {name!r} is malformed: {err}") from None
 
 
+def _require(ok: bool, name: str, why: str) -> None:
+    if not ok:
+        raise ArtifactFormatError(f"pipeline payload field {name!r} is malformed: {why}")
+
+
+def _check_consistent(pm: PipelineModel) -> None:
+    """The registry, selected columns, standardizer and model weights must
+    agree with each other, or prediction would read the wrong columns,
+    standardize each batch by its own statistics, or fail."""
+    fitted = pm.fitted
+    std = fitted.standardizer
+    _require(
+        (std is None) != fitted.settings.standardize
+        and (std is None or len(std.means) == len(std.scales) == SCALAR_WIDTH),
+        "standardizer",
+        f"needs {SCALAR_WIDTH} means and scales exactly when settings.standardize is set",
+    )
+    width = fitted.n_ngram_columns + SCALAR_WIDTH
+    _require(
+        len(fitted.registry) == width,
+        "registry",
+        f"{len(fitted.registry)} entries; the vocabularies and scalar blocks make {width}",
+    )
+    cols = fitted.selected_columns
+    _require(
+        cols is None
+        or (
+            all(type(c) is int for c in cols)
+            and all(a < b for a, b in zip((-1, *cols), (*cols, width)))
+        ),
+        "selected_columns",
+        f"not strictly increasing column numbers below {width}",
+    )
+    if pm.config.kind == "nb":  # count columns only
+        n = fitted.n_ngram_columns
+        expected = n if cols is None else sum(c < n for c in cols)
+    else:
+        expected = width if cols is None else len(cols)
+    _require(
+        pm.model.n_features == expected,
+        "model",
+        f"weights have {pm.model.n_features} columns; {pm.config.kind} reads {expected}",
+    )
+
+
 def load_pipeline(data: bytes) -> PipelineModel:
+    """Read a saved pipeline; a missing, malformed or inconsistent field
+    raises ArtifactFormatError naming it."""
     payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
     fitted = FittedFeatures(
         settings=_payload_field(payload, "settings", lambda d: FeatureSettings(**d)),
@@ -566,21 +568,14 @@ def load_pipeline(data: bytes) -> PipelineModel:
             payload, "registry", lambda reg: tuple((b, n) for b, n in reg)
         ),
     )
-    return PipelineModel(
+    pm = PipelineModel(
         tagger=_payload_field(payload, "tagger", lambda t: load_tag_model(t.encode("utf-8"))),
         lexicon=_payload_field(
             payload, "lexicon", lambda lex: SentimentLexicon(valences=dict(lex))
         ),
         fitted=fitted,
-        model=_payload_field(payload, "model", lambda m: model_from_payload(m)[0]),
-        config=_payload_field(
-            payload,
-            "config",
-            lambda cfg: ModelConfig(
-                kind=cfg["kind"],
-                penalty=cfg["penalty"],
-                C=float(cfg["C"]),
-                class_weight=cfg["class_weight"],
-            ),
-        ),
+        model=_payload_field(payload, "model", model_from_payload),
+        config=_payload_field(payload, "config", lambda cfg: ModelConfig(**cfg)),
     )
+    _check_consistent(pm)
+    return pm

@@ -11,9 +11,15 @@ import sys
 import pytest
 
 from hatetriage import cli
+from hatetriage._serialize import dump_artifact, load_artifact
 from hatetriage.cli import PREDICT_BATCH, main
 from hatetriage.corpus import LABELS, Label
-from hatetriage.pipeline import load_pipeline, pipeline_predict
+from hatetriage.pipeline import (
+    PIPELINE_FORMAT_VERSION,
+    PIPELINE_MAGIC,
+    load_pipeline,
+    pipeline_predict,
+)
 from hatetriage.postag import load_model as load_tag_model
 
 CORPUS = str(importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv"))
@@ -342,6 +348,21 @@ class TestErrorExits:
                    "--input", str(tmp_path / "absent.txt")])
         assert rc == 2
         assert "absent.bin" in capsys.readouterr().err
+
+    def test_inconsistent_model_fails_at_load(self, workspace, tmp_path, capsys):
+        data = (workspace["out"] / "model.bin").read_bytes()
+        payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        payload["registry"] = payload["registry"][:-1]
+        model = tmp_path / "model.bin"
+        model.write_bytes(dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload))
+        src = tmp_path / "in.txt"
+        src.write_text("fine line\n", encoding="utf-8")
+        dst = tmp_path / "pred.tsv"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
+        assert rc == 1
+        assert "stage load: pipeline payload field 'registry'" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

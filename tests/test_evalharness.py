@@ -11,7 +11,6 @@ from hatetriage.evalharness import (
     confusion,
     confusion_report_csv,
     confusion_report_text,
-    cross_validate,
     error_report,
     error_report_json,
     error_report_text,
@@ -29,7 +28,7 @@ from hatetriage.pipeline import (
     FeatureSettings,
     Ingredients,
     ModelConfig,
-    PipelineSettings,
+    build_grid,
     feature_matrix,
     fit_config_model,
     fit_features,
@@ -248,18 +247,21 @@ class TestKfoldIndices:
 
 
 class TestCrossValidate:
+    """k-fold cross-validation of one configuration, which is grid_search
+    over a one-configuration grid."""
+
     def test_separable_corpus_high_f1(self):
         docs, y = separable_corpus()
-        cfg = PipelineSettings(features=SMALL, model=ModelConfig("logreg", "l2", 1.0))
-        res = cross_validate(cfg, neutral_ingredients(docs), y, k=5, seed=42)
-        assert res.mean_weighted_f1 >= 0.95
+        only = ModelConfig("logreg", "l2", 1.0)
+        res = grid_search([only], neutral_ingredients(docs), y, k=5, seed=42, features=SMALL)
+        assert res.best_mean_weighted_f1 >= 0.95
 
     def test_identical_seeds_identical_metrics(self):
         docs, y = separable_corpus(n_per=15)
-        cfg = PipelineSettings(features=SMALL, model=ModelConfig("svm", "l2", 1.0))
+        only = ModelConfig("svm", "l2", 1.0)
         ing = neutral_ingredients(docs)
-        a = cross_validate(cfg, ing, y, k=3, seed=5)
-        b = cross_validate(cfg, ing, y, k=3, seed=5)
+        a = grid_search([only], ing, y, k=3, seed=5, features=SMALL)
+        b = grid_search([only], ing, y, k=3, seed=5, features=SMALL)
         assert a == b
 
     def test_majority_predictor_arithmetic(self):
@@ -269,25 +271,35 @@ class TestCrossValidate:
         fs = FeatureSettings(
             word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select=False
         )
-        cfg = PipelineSettings(features=fs, model=ModelConfig("logreg", "l2", 1.0))
-        res = cross_validate(cfg, neutral_ingredients(docs), y, k=5, seed=42)
-        assert res.mean_accuracy == pytest.approx(0.76, abs=0.02)
-        assert all(r.recall[H] == 0.0 for r in res.fold_reports)
+        only = ModelConfig("logreg", "l2", 1.0)
+        res = grid_search([only], neutral_ingredients(docs), y, k=5, seed=42, features=fs)
+
+        # predicting the majority class for every row of share p scores F1
+        # 2p/(1+p) on it and 0 on the others, so weighted F1 p*2p/(1+p)
+        def majority_f1(p):
+            return p * 2 * p / (1 + p)
+
+        (cell,) = res.cells
+        assert cell.mean_weighted_f1 == pytest.approx(majority_f1(0.76), abs=0.02)
+        # exact per fold: no fold predicts Hate (or Neither) for any row
+        for fold, f1 in zip(res.folds, cell.fold_f1):
+            share = sum(y[i] == O for i in fold) / len(fold)
+            assert f1 == pytest.approx(majority_f1(share), rel=1e-12)
 
     def test_fold_error_names_fold(self):
         docs, y = separable_corpus(n_per=4)
         fs = FeatureSettings(
             word_ngram_hi=1, pos_ngram_hi=1, min_df=50, max_df_ratio=1.0, select=False
         )
-        cfg = PipelineSettings(features=fs, model=ModelConfig("logreg", "l2", 1.0))
+        only = ModelConfig("logreg", "l2", 1.0)
         with pytest.raises(RuntimeError, match="fold 0"):
-            cross_validate(cfg, neutral_ingredients(docs), y, k=2, seed=0)
+            grid_search([only], neutral_ingredients(docs), y, k=2, seed=0, features=fs)
 
     def test_nb_configuration_runs(self):
         docs, y = separable_corpus(n_per=15)
-        cfg = PipelineSettings(features=SMALL, model=ModelConfig("nb", "none", 1.0))
-        res = cross_validate(cfg, neutral_ingredients(docs), y, k=3, seed=1)
-        assert res.mean_weighted_f1 >= 0.95
+        only = ModelConfig("nb", "none", 1.0)
+        res = grid_search([only], neutral_ingredients(docs), y, k=3, seed=1, features=SMALL)
+        assert res.best_mean_weighted_f1 >= 0.95
 
     def test_leakage_free_vocabularies(self):
         # fold vocabularies must come from that fold's training rows alone
@@ -342,7 +354,7 @@ class TestGridSearch:
 
     def test_best_score_is_table_max(self):
         docs, y = separable_corpus(n_per=12, words_per_doc=2)
-        grid = {"model": ["logreg", "svm"], "C": [0.01, 1.0]}
+        grid = build_grid(["logreg", "svm"], ["l2"], [0.01, 1.0], ["uniform"])
         res = grid_search(grid, neutral_ingredients(docs), y, k=3, seed=2, features=SMALL)
         table_max = max(c.mean_weighted_f1 for c in res.cells if c.error is None)
         assert res.best_mean_weighted_f1 == table_max
@@ -359,11 +371,6 @@ class TestGridSearch:
         )
         expected = kfold_indices(y, 3, 11)
         assert res.folds == tuple(tuple(int(v) for v in f) for f in expected)
-
-    def test_unknown_grid_axis_rejected(self):
-        docs, y = separable_corpus(n_per=5)
-        with pytest.raises(ValueError, match="axes"):
-            grid_search({"gamma": [1]}, neutral_ingredients(docs), y, k=2, seed=0)
 
     def test_empty_grid_rejected(self):
         docs, y = separable_corpus(n_per=5)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from hatetriage._serialize import ArtifactFormatError
 from hatetriage.linmodel import (
     LinearModel,
     _logistic_loss_grad,
@@ -13,13 +12,11 @@ from hatetriage.linmodel import (
     fit_linear_svm,
     fit_logreg,
     fit_multinomial_nb,
-    load_model,
     logistic,
     predict,
     predict_scores,
-    save_model,
 )
-from hatetriage.vectorize import COEF_KEEP_THRESHOLD, Standardizer
+from hatetriage.vectorize import COEF_KEEP_THRESHOLD
 
 
 def separable_set(seed=0, n_per=20):
@@ -244,8 +241,8 @@ class TestFitLogreg:
 
     def test_determinism_bit_identical(self):
         X, y = noisy_set()
-        a = fit_logreg(X, y, penalty="l2", C=2.0, seed=42)
-        b = fit_logreg(X, y, penalty="l2", C=2.0, seed=42)
+        a = fit_logreg(X, y, penalty="l2", C=2.0)
+        b = fit_logreg(X, y, penalty="l2", C=2.0)
         assert (a.weights == b.weights).all()
         assert (a.bias == b.bias).all()
 
@@ -444,38 +441,6 @@ class TestPredict:
         scores = predict_scores(model, X)
         assert (scores <= 0).all()
         assert (predict(model, X) == y).all()
-
-
-class TestSaveLoad:
-    def test_roundtrip_bit_exact(self):
-        X, y = noisy_set(seed=8)
-        model = fit_logreg(X, y, penalty="l2", C=3.0)
-        std = Standardizer(means=(0.5, 1.5), scales=(1.0, 2.0))
-        restored, std2 = load_model(save_model(model, std))
-        assert (restored.weights == model.weights).all()
-        assert (restored.bias == model.bias).all()
-        assert restored.classes == model.classes
-        assert std2 == std
-        assert (predict_scores(restored, X) == predict_scores(model, X)).all()
-
-    def test_roundtrip_without_standardizer(self):
-        X, y = separable_set(seed=9)
-        model = fit_linear_svm(X, y)
-        restored, std = load_model(save_model(model))
-        assert std is None
-        assert restored.loss == "hinge"
-
-    def test_version_mismatch(self):
-        X, y = separable_set(seed=9)
-        data = save_model(fit_logreg(X, y))
-        with pytest.raises(ArtifactFormatError, match="version"):
-            load_model(data.replace(b"linmodel 1 ", b"linmodel 9 ", 1))
-
-    def test_truncated(self):
-        X, y = separable_set(seed=9)
-        data = save_model(fit_logreg(X, y))
-        with pytest.raises(ArtifactFormatError):
-            load_model(data[:-10])
 
 
 class TestLinearModelType:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib.resources
 
 import numpy as np
@@ -15,6 +14,7 @@ from hatetriage.lexfeat import (
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
     PIPELINE_MAGIC,
+    MODEL_KINDS,
     FeatureSettings,
     Ingredients,
     ModelConfig,
@@ -178,15 +178,6 @@ class TestIngredients:
         assert ing.word_docs == word_docs
         assert ing.pos_docs == tuple(pos_docs)
 
-    def test_subset_picks_rows_in_order(self, tagger):
-        ing = extract_ingredients(["good day", "bad day", "@x http://y.z", ""], tagger, LEX)
-        sub = ing.subset(iter([2, 0]))
-        assert len(sub) == 2
-        for field in dataclasses.fields(Ingredients):
-            full = getattr(ing, field.name)
-            assert getattr(sub, field.name) == (full[2], full[0])
-        assert len(ing.subset([])) == 0
-
 
 class TestFitFeatures:
     def test_subset_rows_only_shape_vocab(self):
@@ -262,7 +253,7 @@ PAYLOAD_FIELDS = (
 
 
 class TestPipelineArtifact:
-    def build(self, tagger, kind="logreg"):
+    def build(self, tagger, kind="logreg", select=False):
         rng = np.random.default_rng(1)
         words = {0: ["awful", "trash"], 1: ["mediocre", "meh"], 2: ["lovely", "sunny"]}
         texts, y = [], []
@@ -272,7 +263,7 @@ class TestPipelineArtifact:
                 y.append(cls)
         ing = extract_ingredients(texts, tagger, LEX)
         fs = FeatureSettings(
-            word_ngram_hi=2, pos_ngram_hi=1, min_df=2, max_df_ratio=1.0, select=False
+            word_ngram_hi=2, pos_ngram_hi=1, min_df=2, max_df_ratio=1.0, select=select
         )
         fitted = fit_features(ing, y, fs)
         config = (
@@ -287,9 +278,15 @@ class TestPipelineArtifact:
         )
         return pm, texts, y
 
-    def test_roundtrip_reproduces_predictions(self, tagger):
-        pm, texts, y = self.build(tagger)
-        restored = load_pipeline(save_pipeline(pm))
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_roundtrip_reproduces_predictions(self, tagger, kind):
+        pm, texts, y = self.build(tagger, kind)
+        blob = save_pipeline(pm)
+        restored = load_pipeline(blob)
+        assert (restored.model.weights == pm.model.weights).all()
+        assert (restored.model.bias == pm.model.bias).all()
+        assert restored.model.loss == pm.model.loss
+        assert save_pipeline(restored) == blob
         l1, s1 = pipeline_predict(pm, texts)
         l2, s2 = pipeline_predict(restored, texts)
         assert (l1 == l2).all()
@@ -341,6 +338,45 @@ class TestPipelineArtifact:
         pm, _, _ = self.build(tagger)
         payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
         payload[field] = value
+        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
+        with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
+            load_pipeline(blob)
+
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            ("logreg", "weights-column-dropped", "model"),
+            ("nb", "weights-column-dropped", "model"),
+            ("logreg", "selected-column-beyond-registry", "selected_columns"),
+            ("logreg", "selected-column-negative", "selected_columns"),
+            ("logreg", "selected-columns-unsorted", "selected_columns"),
+            ("logreg", "registry-truncated", "registry"),
+            ("logreg", "standardizer-dropped", "standardizer"),
+            ("logreg", "standardizer-short", "standardizer"),
+        ],
+    )
+    def test_inconsistent_fields_rejected(self, tagger, kind, edit, field):
+        # each edit leaves well-typed JSON whose parts disagree; loading must
+        # fail on the field, not predict from bad columns (or, without the
+        # stored standardizer, standardize each batch by its own statistics)
+        pm, texts, _ = self.build(tagger, kind, select=True)
+        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        cols = payload["selected_columns"]
+        assert len(cols) >= 2
+        if edit == "weights-column-dropped":
+            payload["model"]["weights"] = [row[:-1] for row in payload["model"]["weights"]]
+        elif edit == "selected-column-beyond-registry":
+            cols[-1] = 10**6
+        elif edit == "selected-column-negative":
+            cols[0] = -1
+        elif edit == "selected-columns-unsorted":
+            cols[0], cols[1] = cols[1], cols[0]
+        elif edit == "registry-truncated":
+            payload["registry"] = payload["registry"][:-1]
+        elif edit == "standardizer-dropped":
+            payload["standardizer"] = None
+        else:
+            payload["standardizer"]["means"].pop()
         blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
         with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
             load_pipeline(blob)

@@ -178,6 +178,11 @@ def _train_input(kind: str, fitted, ingredients, indices=None):
     return fitted.train_matrix
 
 
+def _per_class(metas) -> str:
+    """Per-class solver iterations, comma-separated in class order."""
+    return ",".join(str(m.iterations) for m in metas)
+
+
 def cmd_train(args) -> int:
     config = _read_config(args.config)
     records, tagger, lexicon, ingredients, y = _prepare(config)
@@ -203,6 +208,14 @@ def cmd_train(args) -> int:
         f"n_features_total={len(fitted.registry)}",
         f"n_features_selected={n_selected}",
         f"converged={model.converged}",
+        f"iterations={_per_class(model.train_meta)}",
+    ]
+    if fitted.selection_meta is not None:
+        report += [
+            f"selection_converged={all(m.converged for m in fitted.selection_meta)}",
+            f"selection_iterations={_per_class(fitted.selection_meta)}",
+        ]
+    report += [
         "in-sample confusion:",
         confusion_report_text(cm).rstrip(),
     ]

@@ -10,8 +10,15 @@ sample weights are omega_i = n / (K * n_class(i)). This scaling gives C its
 conventional meaning: multiplying through by C n recovers the usual
 "penalty + C * summed loss" form.
 
-Solvers: L2 problems (logistic loss, squared hinge) run limited-memory BFGS
-with Armijo backtracking, stopping at ||grad J||_inf <= tol. L1 logistic
+Solvers: L2 problems (logistic loss, squared hinge) run the trust-region
+Newton method of LIBLINEAR (Lin, Weng & Keerthi 2008), with its constants:
+each iteration is one Newton step, solved approximately by conjugate
+gradient inside the trust region with exact Hessian-vector products (the
+squared hinge's generalized Hessian), and accepted only if it lowers J by
+enough of the reduction the quadratic model predicts; a fit's iterations
+count its Newton steps, rejected ones included. The fit converges at
+||grad J||_inf <= tol, and ends unconverged if the actual and predicted
+reductions both vanish at the precision of J first. L1 logistic
 runs monotone FISTA (Beck & Teboulle 2009): accelerated proximal gradient
 with soft-threshold steps on w, plain steps on b, and a backtracking step
 length that grows back after every step. Steps are taken in a fixed
@@ -52,10 +59,17 @@ from .vectorize import CSRMatrix, as_csr
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 1000
 
-_LBFGS_MEMORY = 10
-_ARMIJO_C1 = 1e-4
+# FISTA's backtracking
 _BACKTRACK = 0.5
 _MAX_LINE_STEPS = 60
+
+# trust-region Newton, with LIBLINEAR's constants: a step is accepted when
+# the actual reduction exceeds _ETA0 times the predicted one, and the ratio's
+# bands at _ETA0/_ETA1/_ETA2 pick the radius update from the _SIGMA factors
+_ETA0, _ETA1, _ETA2 = 1e-4, 0.25, 0.75
+_SIGMA1, _SIGMA2, _SIGMA3 = 0.25, 0.5, 4.0
+_CG_TOL = 0.1  # CG stops at ||r|| <= _CG_TOL ||g||
+_PRECISION = np.finfo(np.float64).eps  # reductions below this share of J have vanished
 
 
 @dataclass(frozen=True)
@@ -150,83 +164,146 @@ def _logistic_loss_grad(Xc, z, omega, n, w, b, Xt=None):
     return _logistic_terms(Xc, z, omega, n, Xc.dot(w) + b, Xt)
 
 
+def _logistic_slope_curvature(z, omega, n, margins):
+    """Per-row first and second derivatives of the mean logistic loss in the
+    margin: -omega z sigma(-z m) / n and omega sigma(-z m) sigma(z m) / n."""
+    p = logistic(-z * margins)
+    return (omega * (-z) * p) / n, omega * p * (1.0 - p) / n
+
+
+def _squared_hinge_value(z, omega, n, margins):
+    gap = np.maximum(0.0, 1.0 - z * margins)
+    return float((omega * gap * gap).sum() / n)
+
+
+def _squared_hinge_slope_curvature(z, omega, n, margins):
+    """Per-row slope of the mean squared hinge in the margin, and its
+    generalized second derivative: 2 omega / n where the gap is positive, 0
+    elsewhere."""
+    gap = np.maximum(0.0, 1.0 - z * margins)
+    return (omega * 2.0 * gap * (-z)) / n, np.where(gap > 0.0, 2.0 * omega / n, 0.0)
+
+
 def _squared_hinge_loss_grad(Xc, z, omega, n, w, b, Xt=None):
     margins = Xc.dot(w) + b
-    gap = np.maximum(0.0, 1.0 - z * margins)
-    value = float((omega * gap * gap).sum() / n)
-    coef = (omega * 2.0 * gap * (-z)) / n
+    coef, _ = _squared_hinge_slope_curvature(z, omega, n, margins)
     Xt = Xc.T if Xt is None else Xt
-    return value, Xt.dot(coef), float(coef.sum())
+    return _squared_hinge_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
 
 
-def _lbfgs_l2(loss_grad, Xc, Xt, z, omega, reg, tol, max_iter):
-    """Limited-memory BFGS with Armijo backtracking on the L2 objective.
+# loss -> (value, slope and curvature), each a function of the margins
+_L2_LOSSES = {
+    "logistic": (_logistic_value, _logistic_slope_curvature),
+    "hinge": (_squared_hinge_value, _squared_hinge_slope_curvature),
+}
 
-    theta stacks (w, b); the penalty reg/2 * ||w||^2 leaves b alone.
+
+def _trust_region_cg(hess_vec, g, delta):
+    """Conjugate gradient on H s = -g from s = 0, kept inside ||s|| <= delta
+    (Steihaug). It stops once ||r|| <= _CG_TOL ||g||, after at most one step
+    per variable, or on reaching the boundary, where it goes along the last
+    direction to ||s|| = delta. Returns s, the residual r = -g - H s, and
+    whether s lies on the boundary."""
+    s = np.zeros_like(g)
+    r = -g
+    d = r
+    rr = float(r @ r)
+    stop = _CG_TOL * _CG_TOL * rr
+    for _ in range(g.shape[0]):
+        if rr <= stop:
+            break
+        Hd = hess_vec(d)
+        dHd = float(d @ Hd)
+        if dHd > 0.0:
+            alpha = rr / dHd
+            s_next = s + alpha * d
+        if dHd <= 0.0 or float(s_next @ s_next) > delta * delta:
+            # the positive root tau of ||s + tau d|| = delta
+            sd, ss, dd = float(s @ d), float(s @ s), float(d @ d)
+            room = max(delta * delta - ss, 0.0)
+            rad = np.sqrt(sd * sd + dd * room)
+            tau = room / (sd + rad) if sd >= 0.0 else (rad - sd) / dd
+            return s + tau * d, r - tau * Hd, True
+        s = s_next
+        r = r - alpha * Hd
+        rr_next = float(r @ r)
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    return s, r, False
+
+
+def _tron_l2(loss, Xc, Xt, z, omega, reg, tol, max_iter):
+    """Trust-region Newton-CG (Lin, Weng & Keerthi 2008) on the L2 objective.
+
+    theta stacks (w, b); the penalty reg/2 * ||w||^2 leaves b alone. Each
+    iteration solves the Newton system approximately by _trust_region_cg,
+    with Hessian-vector products X^T (c * (X v_w + v_b)) + reg v_w (and the
+    bias entry sum(c * (X v_w + v_b))), where c is the loss's per-row
+    curvature, computed once per accepted iterate. The step is accepted when
+    the actual reduction of J exceeds _ETA0 times the reduction the
+    quadratic model predicts, and the radius, ||g_0|| at the start, is
+    updated from their ratio as in LIBLINEAR. A fit whose predicted
+    reduction is not positive, or whose actual and predicted reductions both
+    vanish at the precision of J, ends where it is, unconverged unless the
+    gradient test holds there.
     """
-    n_features = Xc.shape[1]
-    n = Xc.shape[0]
-    theta = np.zeros(n_features + 1)
+    value, slope_curvature = _L2_LOSSES[loss]
+    n, dim = Xc.shape
+    theta = np.zeros(dim + 1)
+    margins = np.zeros(n)  # X w + b at theta
 
-    def objective(th):
-        loss, gw, gb = loss_grad(Xc, z, omega, n, th[:-1], th[-1], Xt)
-        value = loss + 0.5 * reg * float(th[:-1] @ th[:-1])
-        grad = np.concatenate([gw + reg * th[:-1], [gb]])
-        return value, grad
+    def objective(th, m):
+        return value(z, omega, n, m) + 0.5 * reg * float(th[:-1] @ th[:-1])
 
-    f, g = objective(theta)
+    def derivatives(th, m):
+        coef, c = slope_curvature(z, omega, n, m)
+        return np.append(Xt.dot(coef) + reg * th[:-1], coef.sum()), c
+
+    def hess_vec(v):
+        scaled = curvature * (Xc.dot(v[:-1]) + v[-1])
+        return np.append(Xt.dot(scaled) + reg * v[:-1], scaled.sum())
+
+    f = objective(theta, margins)
+    g, curvature = derivatives(theta, margins)
     history = [f]
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    delta = float(np.sqrt(g @ g))
     iterations = 0
     converged = bool(np.abs(g).max() <= tol)
     while not converged and iterations < max_iter:
         iterations += 1
-        # two-loop recursion for the search direction
-        q = g.copy()
-        alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * yv
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            beta = rho * (yv @ q)
-            q += (a - beta) * s
-        direction = -q
-        descent = float(direction @ g)
-        if descent >= 0.0:
-            direction = -g
-            descent = float(direction @ g)
-
-        step = 1.0 if y_hist else min(1.0, 1.0 / max(np.abs(g).max(), 1e-12))
-        accepted = False
-        for _ in range(_MAX_LINE_STEPS):
-            candidate = theta + step * direction
-            f_new, g_new = objective(candidate)
-            if f_new <= f + _ARMIJO_C1 * step * descent:
-                accepted = True
-                break
-            step *= _BACKTRACK
-        if not accepted:
-            break  # line search stalled at numerical precision
-        s_vec = candidate - theta
-        y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-10:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
-        theta, f, g = candidate, f_new, g_new
-        history.append(f)
-        converged = bool(np.abs(g).max() <= tol)
+        s, r, boundary = _trust_region_cg(hess_vec, g, delta)
+        theta_new = theta + s
+        margins_new = Xc.dot(theta_new[:-1]) + theta_new[-1]
+        f_new = objective(theta_new, margins_new)
+        gs = float(g @ s)
+        predicted = -0.5 * (gs - float(s @ r))
+        actual = f - f_new
+        if predicted <= 0.0:
+            break  # no descent left in the model: stalled at precision
+        snorm = float(np.sqrt(s @ s))
+        if iterations == 1:
+            delta = min(delta, snorm)  # the first radius shrinks to the first step
+        # the step length, as a multiple of ||s||, that minimizes a quadratic
+        # interpolating f, its slope along s and f_new
+        curve = f_new - f - gs
+        alpha = _SIGMA3 if curve <= 0.0 else max(_SIGMA1, -0.5 * gs / curve)
+        if actual < _ETA0 * predicted:
+            delta = min(alpha * snorm, _SIGMA2 * delta)
+        elif actual < _ETA1 * predicted:
+            delta = max(_SIGMA1 * delta, min(alpha * snorm, _SIGMA2 * delta))
+        elif actual < _ETA2 * predicted:
+            delta = max(_SIGMA1 * delta, min(alpha * snorm, _SIGMA3 * delta))
+        elif boundary:
+            delta = _SIGMA3 * delta
+        else:
+            delta = max(delta, min(alpha * snorm, _SIGMA3 * delta))
+        if actual > _ETA0 * predicted:
+            theta, margins, f = theta_new, margins_new, f_new
+            history.append(f)
+            g, curvature = derivatives(theta, margins)
+            converged = bool(np.abs(g).max() <= tol)
+        if abs(actual) <= _PRECISION * abs(f) and predicted <= _PRECISION * abs(f):
+            break
     return theta[:-1], float(theta[-1]), TrainMeta(iterations, f, converged, tuple(history))
 
 
@@ -358,12 +435,8 @@ def _fit_ovr(
         z = np.where(labels == cls, 1.0, -1.0)
         if loss == "logistic" and penalty == "l1":
             w, b, info = _prox_l1(Xc, Xt, z, omega, reg, d, tol, max_iter)
-        elif loss == "logistic":
-            w, b, info = _lbfgs_l2(_logistic_loss_grad, Xc, Xt, z, omega, reg, tol, max_iter)
-        elif loss == "hinge":
-            w, b, info = _lbfgs_l2(
-                _squared_hinge_loss_grad, Xc, Xt, z, omega, reg, tol, max_iter
-            )
+        elif loss in _L2_LOSSES:
+            w, b, info = _tron_l2(loss, Xc, Xt, z, omega, reg, tol, max_iter)
         else:
             raise ValueError(f"unknown loss {loss!r}")
         weights[k] = w

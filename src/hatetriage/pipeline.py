@@ -24,7 +24,10 @@ from .lexfeat import (
     surface_features,
 )
 from .linmodel import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     LinearModel,
+    TrainMeta,
     fit_linear_svm,
     fit_logreg,
     fit_multinomial_nb,
@@ -218,8 +221,10 @@ class FittedFeatures:
 
     selected_columns is None when selection is off; registry covers the full
     assembled matrix before selection. train_matrix is what feature_matrix
-    would return for the rows fit_features fitted on, kept from the fit; it
-    is not compared and not saved, so a loaded pipeline has None there.
+    would return for the rows fit_features fitted on, kept from the fit, and
+    selection_meta is the selection fit's per-class TrainMeta (None when
+    selection is off). Neither is compared or saved, so a loaded pipeline
+    has None in both.
     """
 
     settings: FeatureSettings
@@ -229,6 +234,7 @@ class FittedFeatures:
     selected_columns: tuple[int, ...] | None
     registry: tuple[tuple[str, str], ...]
     train_matrix: FeatureMatrix | None = field(default=None, compare=False, repr=False)
+    selection_meta: tuple[TrainMeta, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_ngram_columns(self) -> int:
@@ -286,12 +292,13 @@ def fit_features(
     )
     registry = tuple((block, name) for block, name in assembled.registry)
     selected = None
+    selection_meta = None
     if settings.select:
         y_sub = [int(y[i]) for i in indices]
-        selected = tuple(
-            select_l1(assembled, y_sub, C=settings.select_c, tol=settings.select_tol)
-        )
-        assembled = assembled.project(list(selected))
+        selection = select_l1(assembled, y_sub, C=settings.select_c, tol=settings.select_tol)
+        selected = tuple(selection)
+        selection_meta = selection.train_meta
+        assembled = assembled.project(selection)
     return FittedFeatures(
         settings=settings,
         word_vocab=word_vocab,
@@ -300,6 +307,7 @@ def fit_features(
         selected_columns=selected,
         registry=registry,
         train_matrix=assembled,
+        selection_meta=selection_meta,
     )
 
 
@@ -371,8 +379,8 @@ def fit_config_model(
     config: ModelConfig,
     X,
     y,
-    tol: float = 1e-4,
-    max_iter: int = 1000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LinearModel:
     """Dispatch one ModelConfig to the matching solver."""
     if config.kind == "logreg":

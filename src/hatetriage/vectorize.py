@@ -552,7 +552,17 @@ def assemble_features(
     return FeatureMatrix(matrix=matrix, registry=registry), standardizer
 
 
-def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> list[int]:
+class Selection(list):
+    """The columns an L1 selection keeps, ascending, as a list of ints that
+    callers count, compare and project with as before; train_meta holds the
+    selection fit's per-class TrainMeta."""
+
+    def __init__(self, columns, train_meta=()):
+        super().__init__(columns)
+        self.train_meta = tuple(train_meta)
+
+
+def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> Selection:
     """Columns kept by an OvR L1 logistic fit: any class coefficient with
     magnitude above 1e-6 retains the column. Warns when a class fit did not
     converge, since its columns are then those of an unfinished solve."""
@@ -577,4 +587,4 @@ def select_l1(X: FeatureMatrix, y, C: float, tol: float) -> list[int]:
         raise ValueError(
             f"L1 selection at C={C} zeroed every column; increase C to keep features"
         )
-    return keep
+    return Selection(keep, model.train_meta)

@@ -101,6 +101,25 @@ class TestTrain:
         assert "converged=True" in report
         assert "in-sample confusion:" in report
 
+    def test_report_has_solver_facts_before_confusion(self, workspace):
+        """Per-class iterations of the final model and of the L1 selection
+        fit, and whether the selection converged, come before the confusion
+        block whose `counts` table is read by position."""
+        lines = (workspace["out"] / "train_report.txt").read_text().splitlines()
+        confusion = lines.index("in-sample confusion:")
+        facts = dict(line.split("=", 1) for line in lines[:confusion])
+        assert facts["selection_converged"] == "True"
+        for key in ("iterations", "selection_iterations"):
+            counts = facts[key].split(",")
+            assert len(counts) == 3 and all(c.isdigit() and int(c) > 0 for c in counts)
+
+    def test_report_without_selection_has_no_selection_facts(self, tmp_path):
+        cfg = write_config(tmp_path, select="false")
+        assert main(["train", "--config", str(cfg)]) == 0
+        report = (tmp_path / "out" / "train_report.txt").read_text()
+        assert "iterations=" in report
+        assert "selection_" not in report
+
     def test_selected_features_csv_shape(self, workspace):
         lines = (workspace["out"] / "selected_features.csv").read_text().splitlines()
         assert lines[0] == "index,block,name"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.resources
 
 import numpy as np
@@ -212,6 +213,22 @@ class TestFitFeatures:
         blocks = {b for b, _ in fitted.registry}
         assert blocks == {"word-ngram", "pos-ngram", "sentiment", "readability", "surface"}
 
+    def test_selection_meta_kept_but_not_compared(self):
+        rng = np.random.default_rng(0)
+        vocab = {0: ["alpha", "beta"], 1: ["delta", "epsilon"]}
+        y = [cls for cls in (0, 1) for _ in range(15)]
+        docs = [[str(rng.choice(vocab[cls])) for _ in range(4)] for cls in y]
+        ing = neutral_ingredients(docs)
+        fs = FeatureSettings(
+            word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select_c=10.0
+        )
+        fitted = fit_features(ing, y, fs)
+        assert len(fitted.selection_meta) == 2
+        assert all(m.iterations > 0 for m in fitted.selection_meta)
+        assert dataclasses.replace(fitted, selection_meta=None) == fitted
+        unselected = fit_features(ing, y, dataclasses.replace(fs, select=False))
+        assert unselected.selection_meta is None
+
     def test_count_matrix_intersects_selection_with_ngram_span(self):
         rng = np.random.default_rng(0)
         vocab = {0: ["alpha", "beta"], 1: ["delta", "epsilon"]}
@@ -291,6 +308,13 @@ class TestPipelineArtifact:
         l2, s2 = pipeline_predict(restored, texts)
         assert (l1 == l2).all()
         assert (s1 == s2).all()
+
+    def test_selection_meta_not_saved(self, tagger):
+        pm, _, _ = self.build(tagger, select=True)
+        assert pm.fitted.selection_meta is not None
+        restored = load_pipeline(save_pipeline(pm))
+        assert restored.fitted.selection_meta is None
+        assert restored.fitted == pm.fitted
 
     def test_serialization_byte_stable(self, tagger):
         pm, _, _ = self.build(tagger)

@@ -1,5 +1,5 @@
 """Guards for what the benchmark under perfbench/ reaches by string or by
-position.
+position, and a run of scripts/artifact_digests.py.
 
 The traced benchmark run re-binds each (module, function) pair listed in
 perfbench/tracing.py, and the worker imports textproc.unstemmed_words for
@@ -11,10 +11,13 @@ calling the traced function.
 """
 
 import csv
+import hashlib
 import importlib
 import importlib.resources
 import importlib.util
 import pathlib
+import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -28,7 +31,8 @@ from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
 from hatetriage.postag import load_model
 from hatetriage.vectorize import FeatureMatrix, assemble_features
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing_module():
@@ -163,3 +167,35 @@ def test_pipeline_calls_traced_vectorize_functions():
     assert [c[counts] for c in _calls_below(spans, "pipeline.count_matrix")] == [2, 2]
     predicts = _calls_below(spans, "pipeline.pipeline_predict")
     assert [(c[tfidf], c[counts]) for c in predicts] == [(2, 0), (0, 2)]
+
+
+def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):
+    """The script prints `name sha256` for every artifact of train,
+    evaluate, predict and report on both toy-corpus setups, and the digest
+    of model.bin is that of the file train writes."""
+    from hatetriage.cli import main
+
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py")],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = done.stdout.splitlines()
+    digests = dict(line.split(" ") for line in lines)
+    assert len(digests) == len(lines) and sorted(digests) == list(digests)
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+    for name in ("toy", "toy-raw"):
+        names = {key.split("/", 1)[1] for key in digests if key.split("/", 1)[0] == name}
+        assert names == {
+            "model.bin", "train_report.txt", "selected_features.csv",
+            "grid.txt", "grid.csv", "holdout_metrics.txt", "holdout_metrics.csv",
+            "holdout_confusion.txt", "holdout_confusion.csv", "insample_metrics.txt",
+            "insample_metrics.csv", "insample_confusion.txt", "insample_confusion.csv",
+            "reference_deltas.txt", "predictions.tsv", "error_report.txt", "error_report.json",
+        }
+
+    corpus = importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"corpus = {corpus}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 0
+    model = (tmp_path / "out" / "model.bin").read_bytes()
+    assert digests["toy/model.bin"] == hashlib.sha256(model).hexdigest()

@@ -465,6 +465,12 @@ class TestSelectL1:
         keep = select_l1(X, y, C=1.0, tol=1e-5)
         assert keep == sorted(set(keep))
 
+    def test_carries_the_selection_fit_meta(self):
+        X, y = self.toy()
+        keep = select_l1(X, y, C=1.0, tol=1e-5)
+        assert len(keep.train_meta) == 2
+        assert all(m.converged and m.iterations > 0 for m in keep.train_meta)
+
     def test_unconverged_fit_warns(self, monkeypatch):
         from hatetriage import linmodel
 

@@ -1,16 +1,16 @@
 """Print the SHA-256 of every artifact the CLI writes on fixed inputs.
 
-    python scripts/artifact_digests.py            # the bundled toy corpus
-    python scripts/artifact_digests.py --seed 1   # and a generated corpus
+    python scripts/artifact_digests.py                      # the bundled toy corpus
+    python scripts/artifact_digests.py --seed 1 --seed 17   # and generated corpora
 
 For each corpus it runs train, evaluate, predict and report with the
 default configuration, and prints one `name sha256` line per artifact,
 sorted by name; names are `<corpus>/<file>`. The corpora are the bundled
 toy corpus (`toy`), the toy corpus with standardization and selection off
 (`toy-raw`, whose unscaled scalar columns make the worst-conditioned solver
-problems), and with --seed N a 600-row perfbench/corpusgen.py corpus of that
-seed (`bench-N`), with 200 unseen generated tweets to predict. Predict reads
-the toy corpus's own tweets.
+problems), and for each --seed N a 600-row perfbench/corpusgen.py corpus of
+that seed (`bench-N`), with 200 unseen generated tweets to predict. Predict
+reads the toy corpus's own tweets.
 
 The package is imported from this checkout's src/. Running the script in two
 checkouts and diffing the output shows which artifacts a change moved;
@@ -66,13 +66,13 @@ def corpus_digests(name: str, corpus: Path, tweets: list[str], work: Path,
     }
 
 
-def digests(work: Path, seed: int | None = None) -> dict[str, str]:
+def digests(work: Path, seeds=()) -> dict[str, str]:
     with TOY.open(encoding="utf-8") as f:
         toy_tweets = [row["tweet"] for row in csv.DictReader(f)]
     found = corpus_digests("toy", TOY, toy_tweets, work)
     found.update(corpus_digests("toy-raw", TOY, toy_tweets, work,
                                 "standardize = false\nselect = false\n"))
-    if seed is not None:
+    for seed in seeds:
         import corpusgen
 
         corpus = work / f"bench-{seed}.csv"
@@ -82,10 +82,15 @@ def digests(work: Path, seed: int | None = None) -> dict[str, str]:
     return found
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, help="also digest a generated corpus of this seed")
-    args = parser.parse_args(argv)
+    parser.add_argument("--seed", type=int, action="append", default=[],
+                        help="also digest a generated corpus of this seed; repeatable")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in sorted(digests(Path(tmp), args.seed).items()):
             print(f"{name} {digest}")

@@ -54,6 +54,8 @@ def load_artifact(data: bytes, magic: str, version: int) -> dict:
         payload = json.loads(body.decode("utf-8"))
     except ValueError:  # bad UTF-8 or JSON, or an integer too long to convert
         raise ArtifactFormatError("corrupt artifact payload") from None
+    except RecursionError:  # nesting deeper than the decoder's recursion allows
+        raise ArtifactFormatError("artifact payload nested too deeply") from None
     if not isinstance(payload, dict):
         raise ArtifactFormatError("artifact payload must be a JSON object")
     return payload

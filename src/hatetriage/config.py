@@ -11,9 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .pipeline import FeatureSettings, ModelConfig, build_grid
+from .pipeline import FeatureSettings, ModelConfig, SettingError, build_grid
 
 _PENALTY_DEFAULT = {"logreg": "l2", "svm": "l2", "nb": "none"}
+# the config key each ModelConfig field comes from, for the final model and
+# for the grid
+_MODEL_KEYS = {"kind": "model", "penalty": "penalty", "C": "model_c", "class_weight": "class_weight"}
+_GRID_KEYS = {
+    "kind": "grid_models",
+    "penalty": "grid_penalties",
+    "C": "grid_cs",
+    "class_weight": "grid_class_weights",
+}
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,13 @@ class PipelineConfig:
             raise ValueError("holdout_fraction must lie in (0, 1)")
         if self.report_top_n < 1:
             raise ValueError("report_top_n must be >= 1")
-        # surface bad values at load time, not at first use
+        # surface bad values at load time, not at first use, under their keys
         self.feature_settings()
-        self.model_config()
+        for keys, build in ((_MODEL_KEYS, self.model_config), (_GRID_KEYS, self.grid)):
+            try:
+                build()
+            except SettingError as err:
+                raise ValueError(f"config key {keys[err.field]!r}: {err}") from None
 
     def feature_settings(self) -> FeatureSettings:
         return FeatureSettings(
@@ -80,7 +93,7 @@ class PipelineConfig:
         # the penalty key only matters for logreg; other kinds have one option
         penalty = self.penalty if self.model == "logreg" else _PENALTY_DEFAULT.get(self.model)
         if penalty is None:
-            raise ValueError(f"unknown model kind {self.model!r}")
+            raise SettingError("kind", f"unknown model kind {self.model!r}")
         return ModelConfig(
             kind=self.model,
             penalty=penalty,

@@ -30,16 +30,23 @@ A step that would raise J is dropped and restarts the momentum
 (function-value restart, O'Donoghue & Candes 2015), so the recorded
 objective never increases. The fit converges when one backtracking
 prox-gradient step in that metric from the returned iterate itself, without
-momentum, moves no parameter by more than tol. Each fit builds X transposed
-in CSR form once and every class's gradients use it. Both solvers are
+momentum, moves no parameter by more than tol. Both solvers are
 deterministic from a zero start; nothing is randomized.
 
-scipy is imported only inside the fit functions (_fit_ovr and
-fit_multinomial_nb), which wrap the arrays of the package's numpy CSR
-matrix in scipy.sparse without copying and run their products there.
-Margins and scores need no scipy: decision_margins is a bincount per
-class, and the logistic is numpy's, so loading a model and predicting
-never import it.
+Storage: a fit holds X in one of two forms, chosen once per fit by one
+fixed rule (_dense_storage) and shared by every class. When X is at least a
+third full (3 nnz >= n D), it is a dense array and X transposed is a view
+of it, so products are BLAS calls and nothing is copied; below that, the
+fit wraps the arrays of the package's numpy CSR matrix in scipy.sparse
+without copying and builds X transposed in CSR form once. The solvers only
+call .dot, so they run unchanged on either form; the L1 metric is read from
+the stored entries. The two forms add the products' terms in different
+orders, so their weights agree to rounding, not bit for bit.
+
+scipy is imported only on the sparse path of _fit_ovr and inside
+fit_multinomial_nb. Margins and scores need no scipy: decision_margins is a
+bincount per class, and the logistic is numpy's, so loading a model and
+predicting never import it.
 
 A model is saved only inside the pipeline artifact: model_payload gives
 the JSON object it embeds (classes, loss, penalty, C, weights, bias and
@@ -152,8 +159,9 @@ def _logistic_value(z, omega, n, margins):
 def _logistic_terms(Xc, z, omega, n, margins, Xt=None):
     """Logistic loss and its gradient in (w, b), given margins = X w + b.
 
-    Xt is X transposed in CSR form; a fit builds it once and passes it to
-    every gradient, since X.T would build a new CSC object per call.
+    Xt is X transposed, in CSR form or as a view of the dense array; a fit
+    builds it once and passes it to every gradient, since X.T of a CSR
+    matrix would build a new CSC object per call.
     """
     coef = (omega * (-z) * logistic(-z * margins)) / n
     Xt = Xc.T if Xt is None else Xt
@@ -311,10 +319,14 @@ def _soft_threshold(v: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def _l1_metric(Xt, omega, n):
+def _l1_metric(X: CSRMatrix, omega, n):
     """Per-column curvature scale d_j = (1/n) sum_i omega_i x_ij^2; an
-    all-zero column gets 1."""
-    d = Xt.multiply(Xt).dot(omega) / n
+    all-zero column gets 1. It is read from the stored entries, so both
+    storages share it; each column's terms are added from zero in row order,
+    as scipy's product of X^T (in CSR form) with omega adds them."""
+    terms = X.data * X.data
+    terms *= np.repeat(omega, np.diff(X.indptr))
+    d = np.bincount(X.indices, terms, minlength=X.shape[1]) / n
     d[d == 0.0] = 1.0
     return d
 
@@ -404,6 +416,17 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
     return w, b, TrainMeta(iterations, objective, converged, tuple(history))
 
 
+def _dense_storage(X: CSRMatrix) -> bool:
+    """Whether a fit holds X as a dense array rather than as scipy CSR. The
+    dense array takes 8 n D bytes and its transpose is a free view; CSR
+    takes about 12 bytes per stored entry (an 8-byte value and a 4-byte
+    column), twice over with the CSR transpose the products need. So from a
+    third full on, dense is no larger, and its products are BLAS calls
+    without scipy's per-call dispatch."""
+    n, dim = X.shape
+    return 3 * X.nnz >= n * dim
+
+
 def _fit_ovr(
     X,
     y,
@@ -414,19 +437,24 @@ def _fit_ovr(
     tol: float,
     max_iter: int,
 ) -> LinearModel:
-    from scipy import sparse
-
     if C <= 0:
         raise ValueError("C must be positive")
     X = as_csr(X)
     labels = _as_labels(y)
     classes = _check_fit_inputs(X, labels)
-    Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
     omega = _sample_weights(labels, classes, class_weight)
-    n = Xc.shape[0]
+    n = X.shape[0]
     reg = 1.0 / (C * n)
-    Xt = Xc.T.tocsr()
-    d = _l1_metric(Xt, omega, n) if loss == "logistic" and penalty == "l1" else None
+    # before the solver's copy of X exists, so its temporaries add no peak
+    d = _l1_metric(X, omega, n) if loss == "logistic" and penalty == "l1" else None
+    if _dense_storage(X):
+        Xc = X.toarray()
+        Xt = Xc.T  # a view: BLAS reads it transposed, nothing is copied
+    else:
+        from scipy import sparse
+
+        Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        Xt = Xc.T.tocsr()
 
     weights = np.zeros((classes.shape[0], Xc.shape[1]))
     bias = np.zeros(classes.shape[0])

@@ -9,6 +9,7 @@ a standalone predictor needs into one versioned artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,6 +64,20 @@ MODEL_KINDS = ("logreg", "svm", "nb")
 _PENALTIES = {"logreg": ("l1", "l2"), "svm": ("l2",), "nb": ("none",)}
 
 
+def _finite_positive(value: float) -> bool:
+    """False for NaN, infinities, zero and negatives."""
+    return math.isfinite(value) and value > 0
+
+
+class SettingError(ValueError):
+    """A ModelConfig field out of range; field names it, so a caller can
+    report the setting the value came from."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class FeatureSettings:
     """Corpus-independent knobs of the feature stage."""
@@ -87,10 +102,10 @@ class FeatureSettings:
             raise ValueError("min_df must be >= 1")
         if not 0.0 < self.max_df_ratio <= 1.0:
             raise ValueError("max_df_ratio must lie in (0, 1]")
-        if self.select_c <= 0:
-            raise ValueError("select_c must be positive")
-        if self.select_tol <= 0:
-            raise ValueError("select_tol must be positive")
+        if not _finite_positive(self.select_c):
+            raise ValueError(f"select_c must be finite and positive, got {self.select_c!r}")
+        if not _finite_positive(self.select_tol):
+            raise ValueError(f"select_tol must be finite and positive, got {self.select_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -109,15 +124,18 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise SettingError("kind", f"unknown model kind {self.kind!r}")
         if self.penalty not in _PENALTIES[self.kind]:
-            raise ValueError(
-                f"model kind {self.kind!r} does not support penalty {self.penalty!r}"
+            raise SettingError(
+                "penalty", f"model kind {self.kind!r} does not support penalty {self.penalty!r}"
             )
-        if not self.C > 0:
-            raise ValueError("C must be positive")
+        if not _finite_positive(self.C):
+            raise SettingError("C", f"C must be finite and positive, got {self.C!r}")
         if self.class_weight not in ("uniform", "balanced"):
-            raise ValueError("class_weight must be 'uniform' or 'balanced'")
+            raise SettingError(
+                "class_weight",
+                f"class_weight must be 'uniform' or 'balanced', got {self.class_weight!r}",
+            )
 
     def describe(self) -> str:
         return (
@@ -412,7 +430,7 @@ def build_grid(models, penalties, cs, class_weights) -> tuple[ModelConfig, ...]:
     seen = set()
     for kind in models:
         if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
+            raise SettingError("kind", f"unknown model kind {kind!r}")
         for penalty in penalties:
             normalized = penalty if kind == "logreg" else _PENALTIES[kind][0]
             for c in cs:

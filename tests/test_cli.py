@@ -346,6 +346,20 @@ class TestErrorExits:
         assert rc == 2
         assert "corpsu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bad_grid_value_exits_two_before_extraction(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        def refuse(*args):
+            raise AssertionError("features were extracted")
+
+        monkeypatch.setattr(cli, "extract_ingredients", refuse)
+        cfg = write_config(tmp_path, grid_class_weights="uniform, bogus")
+        rc = main([command, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: config key 'grid_class_weights': class_weight must be" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
     def test_undecodable_corpus_names_line(self, tmp_path, capsys, command):
         corpus = tmp_path / "tweets.csv"

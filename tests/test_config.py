@@ -144,13 +144,42 @@ class TestValidation:
             parse_config("model = forest\n")
 
     def test_bad_logreg_penalty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="config key 'penalty'"):
             parse_config("penalty = elastic\n")
 
     def test_bad_grid_model(self):
-        cfg = parse_config("grid_models = logreg, forest\n")
-        with pytest.raises(ValueError):
-            cfg.grid()
+        with pytest.raises(ValueError, match="config key 'grid_models'"):
+            parse_config("grid_models = logreg, forest\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("key", ["select_c", "select_tol", "model_c", "grid_cs"])
+    def test_float_keys_must_be_finite_and_positive(self, key, raw):
+        with pytest.raises(ValueError, match=key):
+            parse_config(f"{key} = {raw}\n")
+        if key == "grid_cs":
+            with pytest.raises(ValueError, match="config key 'grid_cs'"):
+                parse_config(f"grid_cs = 1, {raw}\n")
+
+    @pytest.mark.parametrize("key", ["max_df_ratio", "holdout_fraction"])
+    def test_nan_fractions_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            parse_config(f"{key} = nan\n")
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("grid_class_weights", "uniform, bogus"),
+            ("grid_penalties", "l2, l3"),
+            ("class_weight", "bogus"),
+        ],
+    )
+    def test_grid_and_model_errors_name_the_key(self, key, raw):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            parse_config(f"{key} = {raw}\n")
+
+    def test_empty_grid_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            PipelineConfig(grid_models=())
 
 
 class TestSerialize:

@@ -1,4 +1,10 @@
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from hatetriage import linmodel
 from hatetriage.linmodel import (
     DEFAULT_MAX_ITER,
     LinearModel,
@@ -26,6 +33,28 @@ from hatetriage.linmodel import (
 )
 from hatetriage.vectorize import COEF_KEEP_THRESHOLD
 from linmodel_reference import reference_fit_l2
+
+STORAGES = ("csr", "dense")
+
+
+@contextmanager
+def stored_as(storage):
+    """Fits inside the block hold X in the given storage, whatever its
+    density."""
+    with mock.patch.object(linmodel, "_dense_storage", lambda X: storage == "dense"):
+        yield
+
+
+def on_both_storages(argnames, cases):
+    """Parametrize argnames plus storage: each case runs on CSR under its
+    plain id, and on the dense storage with "-dense" appended."""
+    params = []
+    for case in cases:
+        values = case if isinstance(case, tuple) else (case,)
+        name = "-".join(str(v) for v in values)
+        params.append(pytest.param(*values, "csr", id=name))
+        params.append(pytest.param(*values, "dense", id=f"{name}-dense"))
+    return pytest.mark.parametrize(f"{argnames}, storage", params)
 
 
 def separable_set(seed=0, n_per=20):
@@ -196,8 +225,8 @@ class TestFitLogreg:
             nnz[C] = int((np.abs(model.weights) > 1e-6).sum())
         assert nnz[1e-3] <= nnz[1e3]
 
-    @pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0])
-    def test_l1_converges_to_kkt_point_on_sparse_tfidf(self, C):
+    @on_both_storages("C", [0.01, 0.1, 1.0, 10.0])
+    def test_l1_converges_to_kkt_point_on_sparse_tfidf(self, C, storage):
         """Every class fit converges under the default max_iter and meets the
         L1 optimality conditions. A converged fit is one from which a prox
         step of length s in the metric d_j = (1/n) sum_i x_ij^2 (1 for the
@@ -207,7 +236,8 @@ class TestFitLogreg:
         at least 1 here (4 to 8 on this matrix), so each condition holds
         within tol."""
         X, y = tfidf_set()
-        model = fit_logreg(X, y, penalty="l1", C=C)
+        with stored_as(storage):
+            model = fit_logreg(X, y, penalty="l1", C=C)
         n = X.shape[0]
         lam = 1.0 / (C * n)
         tol = 1e-4
@@ -222,14 +252,15 @@ class TestFitLogreg:
             assert (np.abs(grad[zero]) <= lam + tol).all()
             assert (np.abs(grad[~zero] + lam * np.sign(w[~zero])) <= tol).all()
 
-    @pytest.mark.parametrize("C", [1.0, 10.0])
-    def test_l1_accurate_on_mixed_column_scales(self, C):
+    @on_both_storages("C", [1.0, 10.0])
+    def test_l1_accurate_on_mixed_column_scales(self, C, storage):
         """With TF-IDF and standardized columns side by side, the default-tol
         fit lands within 1e-7 of a tight reference objective for every class
         and keeps the same columns."""
         X, y = mixed_scale_set()
-        fit = fit_logreg(X, y, penalty="l1", C=C)
-        ref = fit_logreg(X, y, penalty="l1", C=C, tol=1e-10, max_iter=100000)
+        with stored_as(storage):
+            fit = fit_logreg(X, y, penalty="l1", C=C)
+            ref = fit_logreg(X, y, penalty="l1", C=C, tol=1e-10, max_iter=100000)
         for k, cls in enumerate(fit.classes):
             z = np.where(y == cls, 1.0, -1.0)
             gap = objective_l1_logistic(
@@ -466,8 +497,9 @@ class TestTrustRegionNewton:
         loss=st.sampled_from(["logistic", "hinge"]),
         class_weight=st.sampled_from(["uniform", "balanced"]),
         log_c=st.floats(-2.0, 2.0),
+        storage=st.sampled_from(STORAGES),
     )
-    def test_matches_reference_lbfgs_at_tight_tol(self, seed, loss, class_weight, log_c):
+    def test_matches_reference_lbfgs_at_tight_tol(self, seed, loss, class_weight, log_c, storage):
         """On random small problems with column scales from 0.1 to 10, the
         tol = 1e-10 fit's objective matches the L-BFGS reference's within
         1e-9 relative. Where the reference stops unconverged (L-BFGS often
@@ -481,7 +513,8 @@ class TestTrustRegionNewton:
         y[:k] = np.arange(k)
         C = 10.0**log_c
         tol = 1e-10
-        fit = fit_l2(loss, X, y, C, class_weight, tol=tol)
+        with stored_as(storage):
+            fit = fit_l2(loss, X, y, C, class_weight, tol=tol)
         ref_w, ref_b, ref_meta = reference_fit_l2(X, y, loss, C, class_weight, tol, 200)
         for j, cls in enumerate(fit.classes):
             meta = fit.train_meta[j]
@@ -496,14 +529,16 @@ class TestTrustRegionNewton:
             if ref_meta[j].converged:
                 assert value >= ref_value * (1.0 - 1e-9)
 
-    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
-    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
-    def test_ill_conditioned_columns_converge(self, loss, C):
+    @on_both_storages(
+        "C, loss", [(C, loss) for C in (0.01, 1.0, 100.0) for loss in ("logistic", "hinge")]
+    )
+    def test_ill_conditioned_columns_converge(self, C, loss, storage):
         """Unstandardized columns near 100 beside TF-IDF columns near 0.1:
         every class converges under the default max_iter, to a point whose
         gradient meets tol."""
         X, y = raw_scale_set()
-        fit = fit_l2(loss, X, y, C)
+        with stored_as(storage):
+            fit = fit_l2(loss, X, y, C)
         for j, cls in enumerate(fit.classes):
             meta = fit.train_meta[j]
             assert meta.converged and meta.iterations < DEFAULT_MAX_ITER, (j, meta.iterations)
@@ -521,6 +556,112 @@ class TestTrustRegionNewton:
             assert not meta.converged
             assert meta.iterations < 100
             assert (np.diff(meta.history) < 0.0).all()
+
+
+def storage_of_fit(X, y, monkeypatch):
+    """The storage of X that a fit's solver received."""
+    seen = []
+    tron = linmodel._tron_l2
+
+    def spy(loss, Xc, *args):
+        seen.append("csr" if sparse.issparse(Xc) else type(Xc).__name__)
+        return tron(loss, Xc, *args)
+
+    monkeypatch.setattr(linmodel, "_tron_l2", spy)
+    fit_logreg(X, y)
+    return seen[0]
+
+
+NO_SCIPY_FIT_SCRIPT = """
+import sys
+import numpy as np
+from hatetriage import linmodel
+rng = np.random.default_rng(0)
+X = rng.normal(size=(40, 5))
+X[rng.random(X.shape) < 0.5] = 0.0
+y = np.arange(40) % 3
+assert linmodel._dense_storage(linmodel.as_csr(X))
+for penalty in ("l1", "l2"):
+    assert linmodel.fit_logreg(X, y, penalty=penalty).converged
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestStorage:
+    @pytest.mark.parametrize("nnz, storage", [(9, "csr"), (10, "ndarray"), (11, "ndarray")])
+    def test_rule_boundary(self, monkeypatch, nnz, storage):
+        """A 6 x 5 matrix is held dense from 3 nnz >= 30, that is 10 stored
+        entries, and as scipy CSR below."""
+        X = np.zeros((6, 5))
+        X.flat[np.linspace(0, 29, nnz).astype(int)] = np.arange(1.0, nnz + 1.0)
+        y = np.array([0, 1, 0, 1, 0, 1])
+        assert linmodel.as_csr(X).nnz == nnz
+        assert storage_of_fit(X, y, monkeypatch) == storage
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        problem=st.sampled_from([("logistic", "l1"), ("logistic", "l2"), ("hinge", "l2")]),
+        log_c=st.floats(-2.0, 2.0),
+        density=st.floats(0.1, 1.0),
+    )
+    def test_dense_and_csr_fits_agree(self, seed, problem, log_c, density):
+        """The same problem fitted on either storage reaches objectives within
+        1e-9 relative per class at tol = 1e-10, and the same converged at
+        tol = 1e-6. Only the order of the products' sums differs between
+        the two. At tol = 1e-10 converged itself is decided by rounding: a
+        gradient that lands just above it leaves a Newton step whose
+        reductions vanish at the precision of J, and FISTA mostly stalls
+        there before its step test, so either storage may end on either
+        side."""
+        loss, penalty = problem
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(8, 40)), int(rng.integers(1, 7)), int(rng.integers(2, 4))
+        X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0], size=d)
+        X[rng.random((n, d)) >= density] = 0.0
+        y = rng.integers(0, k, size=n)
+        y[:k] = np.arange(k)
+        C = 10.0**log_c
+
+        def fit(storage, tol):
+            with stored_as(storage):
+                if loss == "logistic":
+                    return fit_logreg(X, y, penalty=penalty, C=C, tol=tol, max_iter=100000)
+                return fit_linear_svm(X, y, C=C, tol=tol, max_iter=100000)
+
+        tight = [fit(storage, 1e-10).train_meta for storage in STORAGES]
+        for a, b in zip(*tight):
+            assert abs(a.objective - b.objective) <= 1e-9 * abs(a.objective)
+        loose = [fit(storage, 1e-6).train_meta for storage in STORAGES]
+        assert [m.converged for m in loose[0]] == [m.converged for m in loose[1]]
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_dense_fits_are_bit_identical(self, penalty):
+        """Two fits of a dense-eligible problem give the same weights bit for
+        bit, also from a copy of X that sits elsewhere in memory."""
+        X, y = noisy_set()
+        X[np.random.default_rng(1).random(X.shape) < 0.4] = 0.0
+        assert linmodel._dense_storage(linmodel.as_csr(X))
+        copy = np.empty(X.size + 1)[1:].reshape(X.shape)
+        copy[...] = X
+        fits = [fit_logreg(M, y, penalty=penalty, C=2.0) for M in (X, X, copy)]
+        for other in fits[1:]:
+            assert (other.weights == fits[0].weights).all()
+            assert (other.bias == fits[0].bias).all()
+            assert [m.history for m in other.train_meta] == [
+                m.history for m in fits[0].train_meta
+            ]
+
+    def test_dense_fit_imports_no_scipy(self):
+        """A fit held dense runs on numpy alone, so scipy stays unimported."""
+        package_root = pathlib.Path(linmodel.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_FIT_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestFitMultinomialNb:

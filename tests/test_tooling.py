@@ -199,3 +199,17 @@ def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):
     assert main(["train", "--config", str(config)]) == 0
     model = (tmp_path / "out" / "model.bin").read_bytes()
     assert digests["toy/model.bin"] == hashlib.sha256(model).hexdigest()
+
+
+def test_artifact_digests_takes_seed_more_than_once(monkeypatch):
+    """--seed repeats, so one run digests several generated corpora; none
+    means the toy corpora alone."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "scripts" / "artifact_digests.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = script.build_parser()
+    assert parser.parse_args(["--seed", "1", "--seed", "17"]).seed == [1, 17]
+    assert parser.parse_args([]).seed == []

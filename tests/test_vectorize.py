@@ -488,6 +488,18 @@ class TestSelectL1:
             warnings.simplefilter("error")
             select_l1(X, y, C=1.0, tol=1e-5)
 
+    def test_same_columns_on_either_storage(self, monkeypatch):
+        """The toy matrix is full, so its fit is held dense; held as CSR it
+        keeps the same columns after an equally converged fit."""
+        from hatetriage import linmodel
+
+        X, y = self.toy()
+        dense = select_l1(X, y, C=1.0, tol=1e-5)
+        monkeypatch.setattr(linmodel, "_dense_storage", lambda X: False)
+        csr = select_l1(X, y, C=1.0, tol=1e-5)
+        assert list(csr) == list(dense)
+        assert [m.converged for m in csr.train_meta] == [m.converged for m in dense.train_meta]
+
 
 class TestStandardizer:
     def test_fit_apply_roundtrip(self):

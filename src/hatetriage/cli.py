@@ -41,6 +41,7 @@ from .pipeline import (
     model_input_matrix,
     pipeline_predict,
     save_pipeline,
+    train_input_matrix,
 )
 from .postag import load_model as load_tag_model
 from .postag import parse_conll, save_model as save_tag_model, train_tagger
@@ -170,14 +171,6 @@ def _prepare(config: PipelineConfig):
     return records, tagger, lexicon, ingredients, y
 
 
-def _train_input(kind: str, fitted, ingredients, indices=None):
-    """The model input of the rows `fitted` was fitted on: the matrix that
-    fit_features kept, or their count matrix for naive Bayes."""
-    if kind == "nb":
-        return _stage("assemble", model_input_matrix, kind, fitted, ingredients, indices)
-    return fitted.train_matrix
-
-
 def _per_class(metas) -> str:
     """Per-class solver iterations, comma-separated in class order."""
     return ",".join(str(m.iterations) for m in metas)
@@ -190,7 +183,7 @@ def cmd_train(args) -> int:
     model_config = config.model_config()
     t0 = time.perf_counter()
     fitted = _stage("assemble", fit_features, ingredients, y, settings)
-    fm = _train_input(model_config.kind, fitted, ingredients)
+    fm = _stage("assemble", train_input_matrix, model_config.kind, fitted, ingredients)
     model = _stage("fit", fit_config_model, model_config, fm, y)
     _say(f"fitted {model_config.describe()} in {time.perf_counter() - t0:.1f}s")
     pm = PipelineModel(
@@ -278,7 +271,7 @@ def cmd_evaluate(args) -> int:
 
     # refit best on the training side, score the untouched holdout
     fitted_tr = _stage("assemble", fit_features, ingredients, y, settings, tr_idx)
-    X_tr = _train_input(best.kind, fitted_tr, ingredients, tr_idx)
+    X_tr = _stage("assemble", train_input_matrix, best.kind, fitted_tr, ingredients, tr_idx)
     X_ho = _stage("assemble", model_input_matrix, best.kind, fitted_tr, ingredients, ho_idx)
     model_tr = _stage("fit", fit_config_model, best, X_tr, y_tr)
     pred_ho = model_predict(model_tr, X_ho)
@@ -292,7 +285,7 @@ def cmd_evaluate(args) -> int:
 
     # full-data in-sample view: fit on everything, predict everything
     fitted_all = _stage("assemble", fit_features, ingredients, y, settings)
-    X_all = _train_input(best.kind, fitted_all, ingredients)
+    X_all = _stage("assemble", train_input_matrix, best.kind, fitted_all, ingredients)
     model_all = _stage("fit", fit_config_model, best, X_all, y)
     pred_all = model_predict(model_all, X_all)
     in_report = metrics(y, pred_all)

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .pipeline import FeatureSettings, ModelConfig, SettingError, build_grid
+from .pipeline import FeatureSettings, ModelConfig, SettingError, build_grid, kind_penalty
 
-_PENALTY_DEFAULT = {"logreg": "l2", "svm": "l2", "nb": "none"}
 # the config key each ModelConfig field comes from, for the final model and
 # for the grid
 _MODEL_KEYS = {"kind": "model", "penalty": "penalty", "C": "model_c", "class_weight": "class_weight"}
@@ -76,27 +75,12 @@ class PipelineConfig:
                 raise ValueError(f"config key {keys[err.field]!r}: {err}") from None
 
     def feature_settings(self) -> FeatureSettings:
-        return FeatureSettings(
-            word_ngram_lo=self.word_ngram_lo,
-            word_ngram_hi=self.word_ngram_hi,
-            pos_ngram_lo=self.pos_ngram_lo,
-            pos_ngram_hi=self.pos_ngram_hi,
-            min_df=self.min_df,
-            max_df_ratio=self.max_df_ratio,
-            standardize=self.standardize,
-            select=self.select,
-            select_c=self.select_c,
-            select_tol=self.select_tol,
-        )
+        return FeatureSettings(**{f.name: getattr(self, f.name) for f in fields(FeatureSettings)})
 
     def model_config(self) -> ModelConfig:
-        # the penalty key only matters for logreg; other kinds have one option
-        penalty = self.penalty if self.model == "logreg" else _PENALTY_DEFAULT.get(self.model)
-        if penalty is None:
-            raise SettingError("kind", f"unknown model kind {self.model!r}")
         return ModelConfig(
             kind=self.model,
-            penalty=penalty,
+            penalty=kind_penalty(self.model, self.penalty),
             C=self.model_c,
             class_weight=self.class_weight,
         )

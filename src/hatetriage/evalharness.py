@@ -18,19 +18,18 @@ import numpy as np
 from .corpus import LABELS, Label
 from .linmodel import LinearModel, labels_from_scores, predict, predict_scores
 from .pipeline import (
+    MODEL_KINDS,
     FeatureSettings,
     FittedFeatures,
     Ingredients,
     ModelConfig,
-    feature_matrix,
-    count_matrix,
+    SplitInputs,
     fit_config_model,
     fit_features,
 )
 from .vectorize import FeatureMatrix
 
 _N_CLASSES = len(LABELS)
-_MODEL_PRIORITY = {"logreg": 0, "svm": 1, "nb": 2}
 
 
 @dataclass(frozen=True)
@@ -168,18 +167,12 @@ def kfold_indices(labels, k: int, seed: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class PreparedFold:
-    """One fold's fitted feature state and transformed matrices, computed
-    once and shared across every grid configuration."""
+    """One fold's rows and the feature state fitted on its training rows."""
 
     index: int
     train_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
     fitted: FittedFeatures
-    X_train: FeatureMatrix
-    X_test: FeatureMatrix
-    counts_train: FeatureMatrix | None
-    counts_test: FeatureMatrix | None
-    counts_error: str | None
 
 
 def prepare_folds(
@@ -187,11 +180,10 @@ def prepare_folds(
     y,
     folds,
     features: FeatureSettings,
-    need_counts: bool = False,
     rows=None,
 ) -> list[PreparedFold]:
     """Fit vocabularies, standardization, and selection on each fold's
-    training rows only; the held-out rows are transformed, never fitted.
+    training rows only; nothing is fitted on the held-out rows.
 
     The folds hold positions in `rows`, the ingredient rows that take part
     (all of them by default); `y` labels every ingredient row."""
@@ -203,46 +195,10 @@ def prepare_folds(
         train_idx = [r for j, r in enumerate(rows) if j not in in_test]
         try:
             fitted = fit_features(ingredients, y, features, train_idx)
-            X_test = feature_matrix(fitted, ingredients, test_idx)
         except ValueError as exc:
             raise RuntimeError(f"feature fit failed on fold {i}: {exc}") from exc
-        counts_train = counts_test = None
-        counts_error = None
-        if need_counts:
-            try:
-                counts_train = count_matrix(fitted, ingredients, train_idx)
-                counts_test = count_matrix(fitted, ingredients, test_idx)
-            except ValueError as exc:
-                counts_error = str(exc)
-        prepared.append(
-            PreparedFold(
-                index=i,
-                train_idx=tuple(train_idx),
-                test_idx=tuple(test_idx),
-                fitted=fitted,
-                X_train=fitted.train_matrix,
-                X_test=X_test,
-                counts_train=counts_train,
-                counts_test=counts_test,
-                counts_error=counts_error,
-            )
-        )
+        prepared.append(PreparedFold(i, tuple(train_idx), tuple(test_idx), fitted))
     return prepared
-
-
-def _evaluate_fold(
-    pf: PreparedFold, config: ModelConfig, y
-) -> tuple[MetricsReport, LinearModel]:
-    if config.kind == "nb":
-        if pf.counts_error is not None:
-            raise ValueError(pf.counts_error)
-        X_train, X_test = pf.counts_train, pf.counts_test
-    else:
-        X_train, X_test = pf.X_train, pf.X_test
-    y_train = [int(y[j]) for j in pf.train_idx]
-    y_test = [int(y[j]) for j in pf.test_idx]
-    model = fit_config_model(config, X_train, y_train)
-    return metrics(y_test, predict(model, X_test)), model
 
 
 @dataclass(frozen=True)
@@ -285,11 +241,20 @@ def grid_search(
     refitted inside every fold, so nothing leaks from held-out rows. A grid
     of one configuration is the plain k-fold cross-validation of it.
 
+    The fold is the unit of work: prepare_folds fits each fold's features,
+    then every configuration is scored fold by fold, folds outer. A fold's
+    model inputs are built by pipeline.SplitInputs on the first
+    configuration that reads them and shared by the rest, so a grid without
+    count-based kinds never builds count matrices. A configuration that
+    fails on a fold records the fold and its cause and is not fitted on
+    later folds; the scores do not depend on the order.
+
     The folds split `rows`, the ingredient rows to search on (all of them by
     default), and hold positions in it; `y` labels every ingredient row.
     Searching on some rows of a corpus reuses the corpus's n-gram count
     tables. The winner maximizes mean weighted F1; exact ties go to the
-    smaller C, then logreg over svm over nb.
+    smaller C, then to the kind that comes first in pipeline.MODEL_KINDS
+    (logreg, svm, nb).
     """
     configs = tuple(grid)
     if not configs:
@@ -298,32 +263,38 @@ def grid_search(
         features = FeatureSettings()
     y_rows = y if rows is None else [y[int(r)] for r in rows]
     folds = kfold_indices(y_rows, k, seed)
-    need_counts = any(c.kind == "nb" for c in configs)
-    prepared = prepare_folds(ingredients, y, folds, features, need_counts, rows)
-    cells = []
-    for config in configs:
-        fold_f1 = []
-        fold_meta = []
-        error = None
-        for pf in prepared:
+    fold_f1: list[list[float]] = [[] for _ in configs]
+    fold_meta: list[list] = [[] for _ in configs]
+    errors: list[str | None] = [None] * len(configs)
+    for pf in prepare_folds(ingredients, y, folds, features, rows):
+        inputs = SplitInputs(pf.fitted, ingredients, pf.train_idx, pf.test_idx)
+        y_train = [int(y[j]) for j in pf.train_idx]
+        y_test = [int(y[j]) for j in pf.test_idx]
+        for c, config in enumerate(configs):
+            if errors[c] is not None:
+                continue  # a configuration that failed is not fitted again
             try:
-                report, model = _evaluate_fold(pf, config, y)
+                X_train, X_test = inputs.get(config.kind)
+                model = fit_config_model(config, X_train, y_train)
+                report = metrics(y_test, predict(model, X_test))
             except ValueError as exc:
-                error = f"fold {pf.index}: {exc}"
-                break
-            fold_f1.append(report.weighted_f1)
-            fold_meta.extend(model.train_meta)
+                errors[c] = f"fold {pf.index}: {exc}"
+                continue
+            fold_f1[c].append(report.weighted_f1)
+            fold_meta[c].extend(model.train_meta)
+    cells = []
+    for config, f1, meta, error in zip(configs, fold_f1, fold_meta, errors):
         if error is None:
-            arr = np.asarray(fold_f1)
+            arr = np.asarray(f1)
             cells.append(
                 GridCell(
                     config=config,
                     mean_weighted_f1=float(arr.mean()),
                     std_weighted_f1=float(arr.std()),
-                    fold_f1=tuple(float(v) for v in fold_f1),
+                    fold_f1=tuple(float(v) for v in f1),
                     error=None,
-                    converged=all(m.converged for m in fold_meta),
-                    max_iterations=max(m.iterations for m in fold_meta),
+                    converged=all(m.converged for m in meta),
+                    max_iterations=max(m.iterations for m in meta),
                 )
             )
         else:
@@ -345,7 +316,7 @@ def grid_search(
         key=lambda item: (
             -item[1].mean_weighted_f1,
             item[1].config.C,
-            _MODEL_PRIORITY[item[1].config.kind],
+            MODEL_KINDS.index(item[1].config.kind),
             item[0],
         ),
     )

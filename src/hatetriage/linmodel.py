@@ -43,10 +43,10 @@ call .dot, so they run unchanged on either form; the L1 metric is read from
 the stored entries. The two forms add the products' terms in different
 orders, so their weights agree to rounding, not bit for bit.
 
-scipy is imported only on the sparse path of _fit_ovr and inside
-fit_multinomial_nb. Margins and scores need no scipy: decision_margins is a
-bincount per class, and the logistic is numpy's, so loading a model and
-predicting never import it.
+scipy is imported only on the sparse path of _fit_ovr. Naive Bayes sums
+each class's rows with one bincount over the stored entries, margins and
+scores are a bincount per class, and the logistic is numpy's, so a naive
+Bayes fit, loading a model and predicting never import it.
 
 A model is saved only inside the pipeline artifact: model_payload gives
 the JSON object it embeds (classes, loss, penalty, C, weights, bias and
@@ -156,7 +156,7 @@ def _logistic_value(z, omega, n, margins):
     return float((omega * np.logaddexp(0.0, -z * margins)).sum() / n)
 
 
-def _logistic_terms(Xc, z, omega, n, margins, Xt=None):
+def _logistic_terms(z, omega, n, margins, Xt):
     """Logistic loss and its gradient in (w, b), given margins = X w + b.
 
     Xt is X transposed, in CSR form or as a view of the dense array; a fit
@@ -164,12 +164,7 @@ def _logistic_terms(Xc, z, omega, n, margins, Xt=None):
     matrix would build a new CSC object per call.
     """
     coef = (omega * (-z) * logistic(-z * margins)) / n
-    Xt = Xc.T if Xt is None else Xt
     return _logistic_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
-
-
-def _logistic_loss_grad(Xc, z, omega, n, w, b, Xt=None):
-    return _logistic_terms(Xc, z, omega, n, Xc.dot(w) + b, Xt)
 
 
 def _logistic_slope_curvature(z, omega, n, margins):
@@ -190,13 +185,6 @@ def _squared_hinge_slope_curvature(z, omega, n, margins):
     elsewhere."""
     gap = np.maximum(0.0, 1.0 - z * margins)
     return (omega * 2.0 * gap * (-z)) / n, np.where(gap > 0.0, 2.0 * omega / n, 0.0)
-
-
-def _squared_hinge_loss_grad(Xc, z, omega, n, w, b, Xt=None):
-    margins = Xc.dot(w) + b
-    coef, _ = _squared_hinge_slope_curvature(z, omega, n, margins)
-    Xt = Xc.T if Xt is None else Xt
-    return _squared_hinge_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
 
 
 # loss -> (value, slope and curvature), each a function of the margins
@@ -367,7 +355,7 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
         iterations += 1
         from_iterate = check or momentum == 0.0
         vw, vb, vmargins = (w, b, margins) if from_iterate else (yw, yb, ymargins)
-        loss_v, gw, gb = _logistic_terms(Xc, z, omega, n, vmargins, Xt)
+        loss_v, gw, gb = _logistic_terms(z, omega, n, vmargins, Xt)
         accepted = False
         for _ in range(_MAX_LINE_STEPS):
             scaled = step / d
@@ -508,9 +496,12 @@ def fit_linear_svm(
 
 def fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
     """weights = log smoothed class-conditional probabilities, bias = log
-    priors; scores are then unnormalized log-posteriors."""
-    from scipy import sparse
+    priors; scores are then unnormalized log-posteriors.
 
+    Each class's column sums come from one bincount over the stored
+    entries, keyed by (class, column): each sum adds its entries from zero
+    in row order, as scipy.sparse sums the class's rows, so the weights
+    equal that sum's bitwise."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     X = as_csr(X)
@@ -518,21 +509,21 @@ def fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
     classes = _check_fit_inputs(X, labels)
     if X.nnz and X.data.min() < 0:
         raise ValueError("multinomial NB requires non-negative features")
-    Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
-    n, d = Xc.shape
-    weights = np.zeros((classes.shape[0], d))
-    bias = np.zeros(classes.shape[0])
-    for k, cls in enumerate(classes):
-        rows = labels == cls
-        counts = np.asarray(Xc[np.nonzero(rows)[0]].sum(axis=0)).ravel()
+    n, d = X.shape
+    k = classes.shape[0]
+    entry_class = np.searchsorted(classes, labels)[X.row_ids()]
+    class_counts = np.bincount(entry_class * d + X.indices, X.data, minlength=k * d)
+    weights = np.zeros((k, d))
+    bias = np.zeros(k)
+    for i, counts in enumerate(class_counts.reshape(k, d)):
         smoothed = counts + alpha
         total = counts.sum() + alpha * d
         if total <= 0 or (smoothed <= 0).any():
             raise ValueError(
                 "log of zero probability; use alpha > 0 when classes have unseen features"
             )
-        weights[k] = np.log(smoothed / total)
-        bias[k] = np.log(rows.sum() / n)
+        weights[i] = np.log(smoothed / total)
+        bias[i] = np.log((labels == classes[i]).sum() / n)
     return LinearModel(
         weights=weights,
         bias=bias,
@@ -540,7 +531,7 @@ def fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
         loss="nb",
         penalty="none",
         C=alpha,
-        train_meta=(TrainMeta(iterations=1, objective=0.0, converged=True),) * classes.shape[0],
+        train_meta=(TrainMeta(iterations=1, objective=0.0, converged=True),) * k,
     )
 
 

@@ -63,6 +63,10 @@ MODEL_KINDS = ("logreg", "svm", "nb")
 
 _PENALTIES = {"logreg": ("l1", "l2"), "svm": ("l2",), "nb": ("none",)}
 
+# the matrix each model kind reads: naive Bayes the raw n-gram counts, the
+# other kinds the assembled TF-IDF + scalar matrix
+_MATRIX_READ = {"logreg": "tfidf", "svm": "tfidf", "nb": "counts"}
+
 
 def _finite_positive(value: float) -> bool:
     """False for NaN, infinities, zero and negatives."""
@@ -388,9 +392,51 @@ def count_matrix(
 def model_input_matrix(
     kind: str, fitted: FittedFeatures, ingredients: Ingredients, indices=None
 ) -> FeatureMatrix:
-    if kind == "nb":
+    """The matrix a model of `kind` reads for the given rows."""
+    if _MATRIX_READ[kind] == "counts":
         return count_matrix(fitted, ingredients, indices)
     return feature_matrix(fitted, ingredients, indices)
+
+
+def train_input_matrix(
+    kind: str, fitted: FittedFeatures, ingredients: Ingredients, indices=None
+) -> FeatureMatrix:
+    """The model input of the rows `fitted` was fitted on, which `indices`
+    names (all rows by default): the TF-IDF matrix fit_features kept, or
+    the count matrix built now."""
+    if _MATRIX_READ[kind] == "tfidf":
+        return fitted.train_matrix
+    return model_input_matrix(kind, fitted, ingredients, indices)
+
+
+class SplitInputs:
+    """The train and test model inputs of one split of ingredient rows, for
+    features fitted on its training rows. Each matrix is built on the first
+    request of a kind that reads it and then shared by every such kind; a
+    ValueError while building it is kept and raised for each of them."""
+
+    def __init__(self, fitted: FittedFeatures, ingredients: Ingredients, train_idx, test_idx):
+        self.fitted = fitted
+        self.ingredients = ingredients
+        self.train_idx = train_idx
+        self.test_idx = test_idx
+        self._built: dict[str, tuple[FeatureMatrix, FeatureMatrix] | str] = {}
+
+    def get(self, kind: str) -> tuple[FeatureMatrix, FeatureMatrix]:
+        """(train, test) inputs of a model of `kind`."""
+        matrix = _MATRIX_READ[kind]
+        if matrix not in self._built:
+            try:
+                self._built[matrix] = (
+                    train_input_matrix(kind, self.fitted, self.ingredients, self.train_idx),
+                    model_input_matrix(kind, self.fitted, self.ingredients, self.test_idx),
+                )
+            except ValueError as exc:
+                self._built[matrix] = str(exc)
+        built = self._built[matrix]
+        if isinstance(built, str):
+            raise ValueError(built)
+        return built
 
 
 def fit_config_model(
@@ -423,16 +469,24 @@ def fit_config_model(
     return fit_multinomial_nb(X, y, alpha=config.C)
 
 
+def kind_penalty(kind: str, penalty: str) -> str:
+    """The penalty a model of `kind` takes when `penalty` is asked for: the
+    asked one for a kind with a choice (logreg), else the kind's only one
+    (svm l2, nb none)."""
+    if kind not in MODEL_KINDS:
+        raise SettingError("kind", f"unknown model kind {kind!r}")
+    options = _PENALTIES[kind]
+    return penalty if len(options) > 1 else options[0]
+
+
 def build_grid(models, penalties, cs, class_weights) -> tuple[ModelConfig, ...]:
     """Cartesian product of grid axes, with penalties normalized per model
-    kind (svm is always l2, nb always none) and duplicates dropped."""
+    kind by kind_penalty and duplicates dropped."""
     configs: list[ModelConfig] = []
     seen = set()
     for kind in models:
-        if kind not in MODEL_KINDS:
-            raise SettingError("kind", f"unknown model kind {kind!r}")
         for penalty in penalties:
-            normalized = penalty if kind == "logreg" else _PENALTIES[kind][0]
+            normalized = kind_penalty(kind, penalty)
             for c in cs:
                 for cw in class_weights:
                     key = (kind, normalized, float(c), cw)
@@ -560,7 +614,7 @@ def _check_consistent(pm: PipelineModel) -> None:
         "selected_columns",
         f"not strictly increasing column numbers below {width}",
     )
-    if pm.config.kind == "nb":  # count columns only
+    if _MATRIX_READ[pm.config.kind] == "counts":
         n = fitted.n_ngram_columns
         expected = n if cols is None else sum(c < n for c in cols)
     else:

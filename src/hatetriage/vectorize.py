@@ -20,8 +20,8 @@ Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
 
 Every sparse matrix here is a CSRMatrix, held in numpy arrays, so feature
-extraction and predict never import scipy; only the solver fits in linmodel
-wrap its arrays in scipy.sparse.
+extraction and predict never import scipy; only the sparse logistic and SVM
+fits in linmodel wrap its arrays in scipy.sparse.
 """
 
 from __future__ import annotations

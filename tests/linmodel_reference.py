@@ -1,20 +1,44 @@
-"""Reference L2 solver: limited-memory BFGS with Armijo backtracking, as the
+"""Reference solvers and loss gradients for the tests.
+
+The L2 solver is limited-memory BFGS with Armijo backtracking, as the
 package fitted the L2 logistic and squared-hinge problems before its
 trust-region Newton solver. Tests compare the trust-region objective
 against this one at a tight tolerance, where both must reach the same
-minimum of the same strictly convex objective."""
+minimum of the same strictly convex objective.
+
+The loss-and-gradient functions in (w, b) are thin compositions of the
+package's own per-margin terms, so gradient checks on them check the math
+the solvers run. The naive Bayes fit is the package's earlier one, which
+summed each class's rows with scipy.sparse.
+"""
 
 import numpy as np
 from scipy import sparse
 
 from hatetriage.linmodel import (
+    LinearModel,
     TrainMeta,
     _as_labels,
     _check_fit_inputs,
-    _logistic_loss_grad,
+    _logistic_terms,
     _sample_weights,
-    _squared_hinge_loss_grad,
+    _squared_hinge_slope_curvature,
+    _squared_hinge_value,
 )
+from hatetriage.vectorize import as_csr
+
+
+def _logistic_loss_grad(Xc, z, omega, n, w, b, Xt=None):
+    """Mean logistic loss and its gradient in (w, b) at (w, b)."""
+    return _logistic_terms(z, omega, n, Xc.dot(w) + b, Xc.T if Xt is None else Xt)
+
+
+def _squared_hinge_loss_grad(Xc, z, omega, n, w, b, Xt=None):
+    """Mean squared hinge loss and its gradient in (w, b) at (w, b)."""
+    margins = Xc.dot(w) + b
+    coef, _ = _squared_hinge_slope_curvature(z, omega, n, margins)
+    Xt = Xc.T if Xt is None else Xt
+    return _squared_hinge_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
 
 LBFGS_MEMORY = 10
 ARMIJO_C1 = 1e-4
@@ -113,3 +137,39 @@ def reference_fit_l2(X, y, loss, C, class_weight, tol, max_iter):
         bias.append(b)
         metas.append(meta)
     return np.array(weights), np.array(bias), metas
+
+
+def reference_fit_multinomial_nb(X, y, alpha: float = 1.0) -> LinearModel:
+    """Multinomial naive Bayes with each class's counts summed by
+    scipy.sparse over that class's rows."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    X = as_csr(X)
+    labels = _as_labels(y)
+    classes = _check_fit_inputs(X, labels)
+    if X.nnz and X.data.min() < 0:
+        raise ValueError("multinomial NB requires non-negative features")
+    Xc = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+    n, d = Xc.shape
+    weights = np.zeros((classes.shape[0], d))
+    bias = np.zeros(classes.shape[0])
+    for k, cls in enumerate(classes):
+        rows = labels == cls
+        counts = np.asarray(Xc[np.nonzero(rows)[0]].sum(axis=0)).ravel()
+        smoothed = counts + alpha
+        total = counts.sum() + alpha * d
+        if total <= 0 or (smoothed <= 0).any():
+            raise ValueError(
+                "log of zero probability; use alpha > 0 when classes have unseen features"
+            )
+        weights[k] = np.log(smoothed / total)
+        bias[k] = np.log(rows.sum() / n)
+    return LinearModel(
+        weights=weights,
+        bias=bias,
+        classes=tuple(int(c) for c in classes),
+        loss="nb",
+        penalty="none",
+        C=alpha,
+        train_meta=(TrainMeta(iterations=1, objective=0.0, converged=True),) * classes.shape[0],
+    )

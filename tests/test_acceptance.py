@@ -41,12 +41,7 @@ from hatetriage.lexfeat import (
     readability,
     sentiment_scores,
 )
-from hatetriage.linmodel import (
-    _logistic_loss_grad,
-    _squared_hinge_loss_grad,
-    fit_logreg,
-    predict,
-)
+from hatetriage.linmodel import fit_logreg, predict
 from hatetriage.pipeline import (
     FeatureSettings,
     Ingredients,
@@ -59,6 +54,7 @@ from hatetriage.pipeline import (
 from hatetriage.postag import load_model as load_tag_model
 from hatetriage.textproc import count_syllables, porter_stem, tokenize
 from hatetriage.vectorize import fit_vocab, transform_tfidf
+from linmodel_reference import _logistic_loss_grad, _squared_hinge_loss_grad
 
 DATASET_ENV = "HATETRIAGE_DATASET"
 DATASET = os.environ.get(DATASET_ENV, "")

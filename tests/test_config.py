@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hatetriage.config import PipelineConfig, load_config, parse_config, serialize_config
+from hatetriage.pipeline import FeatureSettings
 
 
 class TestDefaults:
@@ -31,6 +32,13 @@ class TestDefaults:
         assert fs.select_c == 0.5
         assert fs.standardize is False
         assert fs.word_ngram_hi == 3
+
+    def test_every_feature_setting_is_a_config_key_with_its_default(self):
+        config_fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+        for f in dataclasses.fields(FeatureSettings):
+            assert f.name in config_fields, f.name
+            assert config_fields[f.name].default == f.default, f.name
+        assert PipelineConfig().feature_settings() == FeatureSettings()
 
     def test_model_config_logreg_keeps_penalty(self):
         cfg = PipelineConfig(model="logreg", penalty="l1", model_c=2.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatetriage import evalharness
+from hatetriage import evalharness, pipeline
 from hatetriage.corpus import Label, LabeledTweet
 from hatetriage.evalharness import (
     BucketEntry,
@@ -445,6 +445,96 @@ class TestGridSearch:
         assert nb_cell.error is not None and "n-gram" in nb_cell.error
         assert nb_cell.converged is None and nb_cell.max_iterations is None
         assert grid_report_csv(res).splitlines()[2].split(",")[7:9] == ["", ""]
+
+
+def noisy_ingredients(rng, n_per):
+    """Three classes whose words and sentiment overlap, so folds score
+    below 1 and selection keeps a mix of n-gram and scalar columns."""
+    pools = {H: ["alpha", "beta", "mid"], O: ["gamma", "mid", "both"], N: ["delta", "both", "alpha"]}
+    y = [cls for cls in (H, O, N) for _ in range(n_per)]
+    docs = [[str(rng.choice(pools[cls])) for _ in range(int(rng.integers(1, 5)))] for cls in y]
+    sent = [
+        SentimentScores(*(float(v) for v in rng.random(3)), float(rng.normal(cls - 1.0)))
+        for cls in y
+    ]
+    ing = Ingredients(
+        word_docs=tuple(tuple(d) for d in docs),
+        pos_docs=tuple(("NN",) * len(d) for d in docs),
+        sentiment=tuple(sent),
+        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
+        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+    )
+    return ing, y
+
+
+class TestFoldMajorGrid:
+    """grid_search scores folds outer and configurations inner, building
+    each fold's model inputs once; the order must not move a score."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3]),
+        select_c=st.sampled_from([None, 1.0, 0.3]),
+        cs=st.sampled_from([(0.1, 1.0), (1.0, 10.0), (0.01, 100.0)]),
+    )
+    def test_each_cell_equals_its_one_configuration_search(self, seed, k, select_c, cs):
+        """select_c None is no selection; at 0.3 selection mostly keeps
+        scalar columns only, so the nb cells fail."""
+        rng = np.random.default_rng(seed)
+        ing, y = noisy_ingredients(rng, int(rng.integers(8, 14)))
+        fs = FeatureSettings(
+            word_ngram_hi=2, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0,
+            select=select_c is not None, select_c=select_c or 1.0,
+        )
+        grid = build_grid(["logreg", "svm", "nb"], ["l1", "l2"], cs, ["uniform"])
+        assert len(grid) == 8
+        try:
+            mixed = grid_search(grid, ing, y, k=k, seed=seed, features=fs)
+        except RuntimeError:
+            # every cell failed: so must every one-configuration search
+            for config in grid:
+                with pytest.raises(RuntimeError):
+                    grid_search([config], ing, y, k=k, seed=seed, features=fs)
+            return
+        for cell in mixed.cells:
+            try:
+                (alone,) = grid_search([cell.config], ing, y, k=k, seed=seed, features=fs).cells
+            except RuntimeError as exc:
+                assert cell.error is not None and cell.error in str(exc)
+                continue
+            assert cell.fold_f1 == alone.fold_f1
+            assert cell.converged == alone.converged
+            assert cell.max_iterations == alone.max_iterations
+            assert cell == alone
+
+    def test_test_matrix_failure_fails_the_cells_that_read_it(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("no test matrix")
+
+        monkeypatch.setattr(pipeline, "feature_matrix", broken)
+        docs, y = separable_corpus(n_per=10)
+        grid = [ModelConfig("logreg", "l2", 1.0), ModelConfig("svm", "l2", 1.0),
+                ModelConfig("nb", "none", 1.0)]
+        res = grid_search(grid, neutral_ingredients(docs), y, k=2, seed=0, features=SMALL)
+        assert [c.error for c in res.cells] == ["fold 0: no test matrix"] * 2 + [None]
+        assert res.best.kind == "nb"
+
+    def test_failed_configuration_is_not_fitted_again(self, monkeypatch):
+        fitted_kinds = []
+
+        def counting(config, X, y):
+            fitted_kinds.append(config.kind)
+            if config.kind == "svm":
+                raise ValueError("svm refuses")
+            return fit_config_model(config, X, y)
+
+        monkeypatch.setattr(evalharness, "fit_config_model", counting)
+        docs, y = separable_corpus(n_per=10)
+        grid = [ModelConfig("svm", "l2", 1.0), ModelConfig("logreg", "l2", 1.0)]
+        res = grid_search(grid, neutral_ingredients(docs), y, k=3, seed=0, features=SMALL)
+        assert res.cells[0].error == "fold 0: svm refuses"
+        assert fitted_kinds == ["svm", "logreg", "logreg", "logreg"]
 
 
 def build_fitted(docs, y, settings=SMALL):

@@ -16,11 +16,9 @@ from hatetriage import linmodel
 from hatetriage.linmodel import (
     DEFAULT_MAX_ITER,
     LinearModel,
-    _logistic_loss_grad,
     _logistic_slope_curvature,
     _logistic_value,
     _soft_threshold,
-    _squared_hinge_loss_grad,
     _squared_hinge_slope_curvature,
     _squared_hinge_value,
     _trust_region_cg,
@@ -32,7 +30,12 @@ from hatetriage.linmodel import (
     predict_scores,
 )
 from hatetriage.vectorize import COEF_KEEP_THRESHOLD
-from linmodel_reference import reference_fit_l2
+from linmodel_reference import (
+    _logistic_loss_grad,
+    _squared_hinge_loss_grad,
+    reference_fit_l2,
+    reference_fit_multinomial_nb,
+)
 
 STORAGES = ("csr", "dense")
 
@@ -583,6 +586,9 @@ y = np.arange(40) % 3
 assert linmodel._dense_storage(linmodel.as_csr(X))
 for penalty in ("l1", "l2"):
     assert linmodel.fit_logreg(X, y, penalty=penalty).converged
+counts = rng.poisson(0.2, size=(40, 30)).astype(float)
+assert not linmodel._dense_storage(linmodel.as_csr(counts))
+assert linmodel.fit_multinomial_nb(counts, y, alpha=0.5).converged
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -653,7 +659,8 @@ class TestStorage:
             ]
 
     def test_dense_fit_imports_no_scipy(self):
-        """A fit held dense runs on numpy alone, so scipy stays unimported."""
+        """A fit held dense runs on numpy alone, and so does a naive Bayes
+        fit of a sparse count matrix, so scipy stays unimported."""
         package_root = pathlib.Path(linmodel.__file__).resolve().parents[1]
         done = subprocess.run(
             [sys.executable, "-c", NO_SCIPY_FIT_SCRIPT],
@@ -701,6 +708,31 @@ class TestFitMultinomialNb:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             fit_multinomial_nb(np.ones((2, 2)), [0, 1], alpha=-1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.booleans(),
+        density=st.floats(0.02, 1.0),
+        alpha=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+    )
+    def test_bit_equal_to_scipy_row_sums(self, seed, counts, density, alpha):
+        """Weights and bias equal those of the scipy.sparse per-class row
+        sums bit for bit, on integer counts and on non-negative floats."""
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(4, 60)), int(rng.integers(1, 40)), int(rng.integers(2, 4))
+        if counts:
+            X = rng.poisson(3.0, size=(n, d)).astype(float)
+        else:
+            X = rng.exponential(rng.choice([1e-3, 1.0, 1e3]), size=(n, d))
+        X[rng.random((n, d)) >= density] = 0.0
+        y = rng.integers(0, k, size=n)
+        y[:k] = np.arange(k)
+        got = fit_multinomial_nb(X, y, alpha=alpha)
+        want = reference_fit_multinomial_nb(X, y, alpha=alpha)
+        assert got.classes == want.classes
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
 
 
 def hand_model(**kwargs):

@@ -5,6 +5,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
+from hatetriage import pipeline
 from hatetriage._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from hatetriage.lexfeat import (
     ReadabilityScores,
@@ -20,6 +21,7 @@ from hatetriage.pipeline import (
     Ingredients,
     ModelConfig,
     PipelineModel,
+    SplitInputs,
     build_grid,
     count_matrix,
     extract_ingredients,
@@ -29,6 +31,7 @@ from hatetriage.pipeline import (
     load_pipeline,
     pipeline_predict,
     save_pipeline,
+    train_input_matrix,
 )
 from hatetriage.postag import load_model
 from postag_reference import reference_tag
@@ -253,6 +256,86 @@ class TestFitFeatures:
         dense = cm.matrix.toarray()
         assert (dense >= 0).all()
         assert (dense == dense.astype(int)).all()
+
+
+def two_class_fit(select):
+    rng = np.random.default_rng(0)
+    vocab = {0: ["alpha", "beta"], 1: ["delta", "epsilon"]}
+    y = [cls for cls in (0, 1) for _ in range(15)]
+    docs = [[str(rng.choice(vocab[cls])) for _ in range(4)] for cls in y]
+    ing = neutral_ingredients(docs)
+    fs = FeatureSettings(
+        word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select=select, select_c=10.0
+    )
+    return ing, y, fit_features(ing, y, fs, range(20))
+
+
+def scalar_only_fit():
+    """Selection that keeps sentiment columns only, so no count matrix can
+    be built."""
+    y = [0] * 12 + [1] * 12
+    sent = [SentimentScores(1.0, 0.0, 0.0, 0.9)] * 12 + [SentimentScores(0.0, 1.0, 0.0, -0.9)] * 12
+    ing = Ingredients(
+        word_docs=tuple(("pad", "pad") for _ in y),
+        pos_docs=tuple(("NN",) for _ in y),
+        sentiment=tuple(sent),
+        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in y),
+        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in y),
+    )
+    fs = FeatureSettings(
+        word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, standardize=False
+    )
+    return ing, y, fit_features(ing, y, fs, range(16))
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize("select", [False, True])
+    def test_train_input_per_kind(self, select):
+        ing, y, fitted = two_class_fit(select)
+        rows = range(20)
+        for kind in ("logreg", "svm"):
+            assert train_input_matrix(kind, fitted, ing, rows) is fitted.train_matrix
+        counts = train_input_matrix("nb", fitted, ing, rows)
+        want = count_matrix(fitted, ing, rows)
+        assert counts.registry == want.registry
+        assert (counts.matrix.toarray() == want.matrix.toarray()).all()
+
+    @pytest.mark.parametrize("select", [False, True])
+    def test_split_inputs_build_each_matrix_once(self, select, monkeypatch):
+        ing, y, fitted = two_class_fit(select)
+        built = []
+        for name in ("feature_matrix", "count_matrix"):
+            original = getattr(pipeline, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        inputs = SplitInputs(fitted, ing, range(20), range(20, 30))
+        tfidf = inputs.get("logreg")
+        assert inputs.get("svm") is tfidf and inputs.get("logreg") is tfidf
+        assert tfidf[0] is fitted.train_matrix
+        assert tfidf[1].matrix.shape == (10, fitted.train_matrix.n_cols)
+        counts = inputs.get("nb")
+        assert inputs.get("nb") is counts
+        assert [m.matrix.shape[0] for m in counts] == [20, 10]
+        assert built == ["feature_matrix", "count_matrix", "count_matrix"]
+
+    def test_split_inputs_count_failure_fails_count_kinds_only(self, monkeypatch):
+        ing, y, fitted = scalar_only_fit()
+        assert all(c >= fitted.n_ngram_columns for c in fitted.selected_columns)
+        calls = []
+        original = pipeline.count_matrix
+        monkeypatch.setattr(
+            pipeline, "count_matrix", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        inputs = SplitInputs(fitted, ing, range(16), range(16, 24))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n-gram"):
+                inputs.get("nb")
+        assert len(calls) == 1
+        assert inputs.get("logreg")[1].n_rows == 8
 
 
 PAYLOAD_FIELDS = (

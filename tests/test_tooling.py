@@ -24,9 +24,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hatetriage import pipeline
+from hatetriage import evalharness, pipeline
 from hatetriage.evalharness import GridCell, GridSearchResult, grid_report_csv
-from hatetriage.lexfeat import SentimentLexicon
+from hatetriage.lexfeat import (
+    ReadabilityScores,
+    SentimentLexicon,
+    SentimentScores,
+    SurfaceFeatures,
+)
 from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
 from hatetriage.postag import load_model
 from hatetriage.vectorize import FeatureMatrix, assemble_features
@@ -167,6 +172,46 @@ def test_pipeline_calls_traced_vectorize_functions():
     assert [c[counts] for c in _calls_below(spans, "pipeline.count_matrix")] == [2, 2]
     predicts = _calls_below(spans, "pipeline.pipeline_predict")
     assert [(c[tfidf], c[counts]) for c in predicts] == [(2, 0), (0, 2)]
+
+
+@pytest.mark.parametrize("kinds", [("logreg", "svm", "nb"), ("logreg", "svm")])
+def test_grid_search_builds_each_fold_input_once(kinds):
+    """The benchmark's evalharness.prepare_folds_s times feature fits only,
+    and its vectorize counts see each fold's matrices built once: per fold,
+    2 TF-IDF blocks to fit and 2 to transform the held-out rows, and, only
+    when the grid has naive Bayes, 2 count blocks for each side."""
+    rng = np.random.default_rng(0)
+    words = ["w0", "w1", "w2", "w3", "w4", "w5"]
+    y = [cls for cls in range(3) for _ in range(8)]
+    docs = [[words[2 * cls + int(rng.integers(0, 2))], str(rng.choice(words))] for cls in y]
+    ingredients = pipeline.Ingredients(
+        word_docs=tuple(tuple(d) for d in docs),
+        pos_docs=tuple(("N", "V") for _ in docs),
+        sentiment=tuple(SentimentScores(0.0, 0.0, 1.0, 0.0) for _ in docs),
+        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
+        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+    )
+    settings = FeatureSettings(min_df=1, max_df_ratio=1.0, select=False)
+    grid = pipeline.build_grid(kinds, ["l1", "l2"], [1.0], ["uniform"])
+    k = 3
+
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        result = evalharness.grid_search(grid, ingredients, y, k=k, seed=0, features=settings)
+    finally:
+        tracer.uninstall()
+
+    assert all(cell.error is None for cell in result.cells)
+    spans = tracer.spans
+    (prepare,) = _calls_below(spans, "evalharness.prepare_folds")
+    assert prepare["pipeline.fit_features"] == k
+    assert prepare["vectorize.transform_tfidf"] == 2 * k
+    assert prepare["vectorize.transform_counts"] == 0
+    (below,) = _calls_below(spans, "evalharness.grid_search")
+    assert below["vectorize.transform_tfidf"] == 4 * k
+    assert below["vectorize.transform_counts"] == (4 * k if "nb" in kinds else 0)
+    assert below["pipeline.fit_config_model"] == len(grid) * k
 
 
 def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):

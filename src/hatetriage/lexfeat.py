@@ -151,14 +151,14 @@ def sentiment_scores(tokens: list[Token], lexicon: SentimentLexicon) -> Sentimen
     neg_mass = 0.0
     neu_mass = 0.0
     total = 0.0
+    valences = lexicon.valences
     for i, tok in enumerate(tokens):
         if tok.kind is not TokenKind.WORD:
             continue
-        low = tok.surface.lower()
-        if low not in lexicon:
+        valence = valences.get(tok.surface.lower())
+        if valence is None:
             neu_mass += 1.0
             continue
-        valence = lexicon[low]
         adjusted = valence
         if valence != 0.0:
             sign = 1.0 if valence > 0 else -1.0
@@ -205,25 +205,29 @@ def surface_features(text: str, tokens: list[Token]) -> SurfaceFeatures:
     """Token-kind counts plus size metrics. num_chars counts code points of
     the raw text; words are Word plus Hashtag tokens (hashtag bodies counted
     without the '#')."""
-    counts = {kind: 0 for kind in TokenKind}
+    hashtags = mentions = retweets = urls = words = syllables = 0
     for t in tokens:
-        counts[t.kind] += 1
-    syllables = 0
-    words = 0
-    for t in tokens:
-        if t.kind is TokenKind.WORD:
+        kind = t.kind
+        if kind is TokenKind.WORD:
             words += 1
             syllables += count_syllables(t.surface)
-        elif t.kind is TokenKind.HASHTAG:
+        elif kind is TokenKind.HASHTAG:
+            hashtags += 1
             words += 1
             body = t.surface.lstrip("#")
             if body:
                 syllables += count_syllables(body)
+        elif kind is TokenKind.MENTION:
+            mentions += 1
+        elif kind is TokenKind.URL:
+            urls += 1
+        elif kind is TokenKind.RETWEET:
+            retweets += 1
     return SurfaceFeatures(
-        count_hashtags=counts[TokenKind.HASHTAG],
-        count_mentions=counts[TokenKind.MENTION],
-        count_retweets=counts[TokenKind.RETWEET],
-        count_urls=counts[TokenKind.URL],
+        count_hashtags=hashtags,
+        count_mentions=mentions,
+        count_retweets=retweets,
+        count_urls=urls,
         num_chars=len(text),
         num_words=words,
         num_syllables=syllables,

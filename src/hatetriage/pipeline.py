@@ -40,7 +40,7 @@ from .linmodel import (
 from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
-from .textproc import tokenize, word_streams
+from .textproc import classify_chunk, split_retweet, word_streams
 from .vectorize import (
     SCALAR_WIDTH,
     CSRMatrix,
@@ -202,29 +202,78 @@ def extract_ingredients(
 ) -> Ingredients:
     """Tokenize, stem, tag, and score every text once, up front.
 
-    Each text is tokenized once and every block reads that one token list.
-    Stems are memoized for this call only: tweet vocabularies are Zipfian, so
-    a few distinct words cover most tokens. All texts are tagged in one
-    batched call, which reads each text's unstemmed words as the loop below
-    makes them and keeps only their feature ids.
+    Tweets repeat their whitespace chunks, so each distinct chunk is
+    tokenized, stemmed and counted once, into a memo that lives for this
+    call only: a long stream of new chunks cannot grow it past one call.
+    For each chunk the memo holds its tokens, its stemmed and unstemmed
+    words, and its hashtag, mention, URL, word and syllable counts. A
+    tweet is its leading retweet marker, if any, followed by its chunks:
+    its tokens and word streams are the concatenation of theirs, and its
+    surface counts their sum, from which readability follows. Sentiment
+    walks the tweet's tokens, because negation and boosters look across
+    chunks. Stems are memoized per distinct word for the same call. All
+    texts are tagged in one batched call, which reads each text's unstemmed
+    words as the loop below makes them and keeps only their feature ids.
     """
     word_docs = []
     sent = []
     read = []
     surf = []
     stems: dict[str, str] = {}
+    memo: dict[str, tuple] = {}
+    # most chunks' counts are one of a few tuples; each is stored once
+    counts_seen: dict[tuple, tuple] = {}
+
+    def chunk_value(chunk: str) -> tuple:
+        tokens = tuple(classify_chunk(chunk))
+        stemmed, words = word_streams(tokens, stems)
+        stemmed, words = tuple(stemmed), tuple(words)
+        sf = surface_features(chunk, tokens)
+        counts = (sf.count_hashtags, sf.count_mentions, sf.count_urls, sf.num_words,
+                  sf.num_syllables)
+        value = memo[chunk] = (
+            tokens,
+            stemmed,
+            # most words stem to themselves: keep one tuple for both streams
+            stemmed if words == stemmed else words,
+            counts_seen.setdefault(counts, counts),
+        )
+        return value
 
     def unstemmed_words():
         for text in texts:
-            tokens = tokenize(text)
-            stemmed, words = word_streams(tokens, stems)
+            marker, chunks = split_retweet(text)
+            tokens = [] if marker is None else [marker]
+            stemmed: list[str] = []
+            words: list[str] = []
+            hashtags = mentions = urls = num_words = syllables = 0
+            for chunk in chunks:
+                value = memo.get(chunk) or chunk_value(chunk)
+                tokens += value[0]
+                stemmed += value[1]
+                words += value[2]
+                h, m, u, w, s = value[3]
+                hashtags += h
+                mentions += m
+                urls += u
+                num_words += w
+                syllables += s
             word_docs.append(tuple(stemmed))
             sent.append(sentiment_scores(tokens, lexicon))
-            sf = surface_features(text, tokens)
-            surf.append(sf)
+            surf.append(
+                SurfaceFeatures(
+                    count_hashtags=hashtags,
+                    count_mentions=mentions,
+                    count_retweets=0 if marker is None else 1,
+                    count_urls=urls,
+                    num_chars=len(text),
+                    num_words=num_words,
+                    num_syllables=syllables,
+                )
+            )
             # tweets with no countable words are scored as one empty word so
             # the readability formulas stay defined
-            read.append(readability(max(1, sf.num_words), max(1, sf.num_syllables)))
+            read.append(readability(max(1, num_words), max(1, syllables)))
             yield words
 
     pos_docs = tag_batch(tagger, unstemmed_words())

@@ -2,8 +2,11 @@
 
 Everything here is a pure function over strings; this module is the lexical
 substrate for the n-gram, sentiment, readability, and surface features.
-tokenize() runs once per tweet; word_streams() turns its tokens into both
-the stemmed n-gram stream and the unstemmed tagger stream in one pass.
+A tweet's tokens are its leading retweet marker, if any (split_retweet()),
+followed by the tokens of each whitespace chunk (classify_chunk()), so
+extraction can classify each distinct chunk once; tokenize() does the
+whole tweet. word_streams() turns tokens into both the stemmed n-gram
+stream and the unstemmed tagger stream in one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     kind: TokenKind
@@ -34,47 +37,61 @@ class Token:
 URL_PLACEHOLDER = "URLHERE"
 MENTION_PLACEHOLDER = "MENTIONHERE"
 
-_URL_RE = re.compile(r"(?:[a-zA-Z][a-zA-Z0-9+.-]*://|www\.)\S+")
-_MENTION_RE = re.compile(r"@\w+")
-_HASHTAG_RE = re.compile(r"#\w+")
+# A URL, a mention or a hashtag at the front of what is left of a chunk,
+# tried in that order; a URL takes the rest of the chunk.
+_LEADING = re.compile(
+    r"(?P<url>(?:[a-zA-Z][a-zA-Z0-9+.-]*://|www\.)\S+)|(?P<mention>@\w+)|(?P<hashtag>#\w+)"
+)
+_LEADING_KIND = {"url": TokenKind.URL, "mention": TokenKind.MENTION, "hashtag": TokenKind.HASHTAG}
 # Apostrophes inside a word ("ain't") stay part of the word; everything else
 # peels off the edges as punctuation.
-_WORD_CHARS = re.compile(r"[0-9A-Za-z_']")
+_WORD_CHARS = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_'")
 
 
-def _classify_chunk(chunk: str) -> list[Token]:
-    """Split one whitespace-delimited chunk into tokens, dropping no characters."""
-    m = _URL_RE.match(chunk)
-    if m:
-        out = [Token(m.group(0), TokenKind.URL)]
-        rest = chunk[m.end():]
-        if rest:
-            out.append(Token(rest, TokenKind.PUNCT))
-        return out
-    for rx, kind in ((_MENTION_RE, TokenKind.MENTION), (_HASHTAG_RE, TokenKind.HASHTAG)):
-        m = rx.match(chunk)
-        if m:
-            out = [Token(m.group(0), kind)]
-            rest = chunk[m.end():]
-            if rest:
-                out.extend(_classify_chunk(rest))
+def classify_chunk(chunk: str) -> list[Token]:
+    """Split one whitespace-delimited chunk into tokens, dropping no characters.
+
+    Mentions and hashtags chain ("#a#b" is two hashtags): each match is
+    taken at an offset, so a chunk is scanned once, however long its chain.
+    """
+    out: list[Token] = []
+    pos = 0
+    n = len(chunk)
+    while m := _LEADING.match(chunk, pos):
+        kind = _LEADING_KIND[m.lastgroup]
+        out.append(Token(m.group(), kind))
+        pos = m.end()
+        if kind is TokenKind.URL:
+            if pos < n:
+                out.append(Token(chunk[pos:], TokenKind.PUNCT))
+            return out
+        if pos == n:
             return out
     # Peel leading and trailing non-word characters into Punct tokens.
-    start, end = 0, len(chunk)
-    while start < end and not _WORD_CHARS.match(chunk[start]):
+    start, end = pos, n
+    while start < end and chunk[start] not in _WORD_CHARS:
         start += 1
-    while end > start and not _WORD_CHARS.match(chunk[end - 1]):
+    while end > start and chunk[end - 1] not in _WORD_CHARS:
         end -= 1
-    out: list[Token] = []
-    if start > 0:
-        out.append(Token(chunk[:start], TokenKind.PUNCT))
+    if start > pos:
+        out.append(Token(chunk[pos:start], TokenKind.PUNCT))
     core = chunk[start:end]
     if core:
         kind = TokenKind.WORD if any(c.isalnum() for c in core) else TokenKind.OTHER
         out.append(Token(core, kind))
-    if end < len(chunk):
+    if end < n:
         out.append(Token(chunk[end:], TokenKind.PUNCT))
     return out
+
+
+def split_retweet(text: str) -> tuple[Token | None, list[str]]:
+    """The whitespace chunks of `text`, with a leading "RT" (any case) taken
+    off as a retweet marker; None when there is none. An "RT" anywhere else
+    stays a chunk like any other."""
+    chunks = text.split()
+    if chunks and chunks[0].lower() == "rt":
+        return Token(chunks[0], TokenKind.RETWEET), chunks[1:]
+    return None, chunks
 
 
 def tokenize(text: str) -> list[Token]:
@@ -85,13 +102,10 @@ def tokenize(text: str) -> list[Token]:
     on whitespace with leading/trailing punctuation peeled into Punct tokens.
     No non-whitespace character of the input is ever dropped.
     """
-    tokens: list[Token] = []
-    chunks = text.split()
-    for i, chunk in enumerate(chunks):
-        if i == 0 and chunk.lower() == "rt":
-            tokens.append(Token(chunk, TokenKind.RETWEET))
-            continue
-        tokens.extend(_classify_chunk(chunk))
+    marker, chunks = split_retweet(text)
+    tokens = [] if marker is None else [marker]
+    for chunk in chunks:
+        tokens.extend(classify_chunk(chunk))
     return tokens
 
 
@@ -120,6 +134,15 @@ def count_syllables(word: str) -> int:
     if groups > 1 and w.endswith("e"):
         groups -= 1
     return max(groups, 1)
+
+
+def _by_last_two(suffixes) -> dict[str, tuple[str, ...]]:
+    """Suffixes grouped by their last two letters, in the given order
+    within each group."""
+    groups: dict[str, list[str]] = {}
+    for suffix in suffixes:
+        groups.setdefault(suffix[-2:], []).append(suffix)
+    return {end: tuple(group) for end, group in groups.items()}
 
 
 class _PorterStemmer:
@@ -183,10 +206,9 @@ class _PorterStemmer:
         return self.b[i] not in "wxy"
 
     def _ends(self, s: str) -> bool:
-        length = len(s)
-        if length > self.k + 1 or self.b[self.k - length + 1 : self.k + 1] != s:
+        if not self.b.endswith(s, 0, self.k + 1):
             return False
-        self.j = self.k - length
+        self.j = self.k - len(s)
         return True
 
     def _set_to(self, s: str) -> None:
@@ -226,31 +248,45 @@ class _PorterStemmer:
         if self._ends("y") and self._vowel_in_stem():
             self.b = self.b[: self.k] + "i"
 
-    _STEP2 = (
-        ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-        ("izer", "ize"), ("bli", "ble"), ("alli", "al"), ("entli", "ent"),
-        ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-        ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-        ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-        ("logi", "log"),
+    _STEP2 = {
+        "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+        "izer": "ize", "bli": "ble", "alli": "al", "entli": "ent",
+        "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+        "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+        "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+        "logi": "log",
+    }
+
+    _STEP3 = {
+        "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+        "ical": "ic", "ful": "", "ness": "",
+    }
+
+    _STEP4 = (
+        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
     )
 
-    _STEP3 = (
-        ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-        ("ical", "ic"), ("ful", ""), ("ness", ""),
-    )
+    # Steps 2 to 4 test only the suffixes that end in the word's last two
+    # letters (every suffix has at least two). Each group keeps its step's
+    # order, so the first suffix that matches is the one a scan of the
+    # whole step would find.
+    _STEP2_ENDS = _by_last_two(_STEP2)
+    _STEP3_ENDS = _by_last_two(_STEP3)
+    _STEP4_ENDS = _by_last_two(_STEP4)
 
-    def _apply_table(self, table) -> None:
-        for suffix, repl in table:
+    def _candidates(self, ends: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+        """The suffixes in `ends` that can end the word."""
+        return ends.get(self.b[self.k - 1 : self.k + 1], ()) if self.k >= 1 else ()
+
+    def _apply_table(self, table: dict[str, str], ends: dict[str, tuple[str, ...]]) -> None:
+        for suffix in self._candidates(ends):
             if self._ends(suffix):
-                self._replace_if_m(repl)
+                self._replace_if_m(table[suffix])
                 return
 
     def _step4(self) -> None:
-        for suffix in (
-            "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-            "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-        ):
+        for suffix in self._candidates(self._STEP4_ENDS):
             if self._ends(suffix):
                 if suffix == "ion" and (self.j < 0 or self.b[self.j] not in "st"):
                     continue
@@ -275,8 +311,8 @@ class _PorterStemmer:
             return word
         self._step1ab()
         self._step1c()
-        self._apply_table(self._STEP2)
-        self._apply_table(self._STEP3)
+        self._apply_table(self._STEP2, self._STEP2_ENDS)
+        self._apply_table(self._STEP3, self._STEP3_ENDS)
         self._step4()
         self._step5()
         return self.b[: self.k + 1]

@@ -257,6 +257,21 @@ class TestPredict:
         expected = "".join(one_call_line(pm, t) for t in texts)
         assert dst.read_bytes() == expected.encode("utf-8")
 
+    def test_long_hashtag_and_mention_chains_are_answered(self, workspace, tmp_path):
+        # a chain of 5,000 hashtags or mentions in one chunk is tokenized
+        # without recursion, so its batch is answered in full
+        texts = ["sunny picnic by the lake", "#a" * 5000, "@b" * 5000, "those vermin are filth"]
+        src = tmp_path / "in.txt"
+        src.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        dst = tmp_path / "pred.tsv"
+        model = workspace["out"] / "model.bin"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
+        assert rc == 0
+        pm = load_pipeline(model.read_bytes())
+        expected = "".join(one_call_line(pm, t) for t in texts)
+        assert dst.read_bytes() == expected.encode("utf-8")
+
 
 class TestEvaluate:
     def test_artifact_manifest(self, workspace):

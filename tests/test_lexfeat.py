@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hatetriage.lexfeat import (
     sentiment_scores,
     surface_features,
 )
-from hatetriage.textproc import tokenize
+from hatetriage.textproc import TokenKind, count_syllables, tokenize
 
 LEX = SentimentLexicon({"good": 2.0, "bad": -2.5, "love": 3.0, "awful": -3.1})
 
@@ -192,3 +193,24 @@ class TestSurfaceFeatures:
         assert f.has_mention == (f.count_mentions > 0)
         assert f.has_retweet == (f.count_retweets > 0)
         assert f.has_url == (f.count_urls > 0)
+
+    @given(
+        st.lists(
+            st.sampled_from(["RT", "rt", "#", "#Yo#b!", "@u", "@u@v:", "http://x.y),", "hello", "é", "!!"]),
+            max_size=10,
+        ).map(" ".join)
+        | st.text(max_size=120)
+    )
+    def test_matches_a_tally_of_token_kinds(self, text):
+        tokens = tokenize(text)
+        kinds = Counter(t.kind for t in tokens)
+        words = [t.surface for t in tokens if t.kind is TokenKind.WORD]
+        words += [t.surface.lstrip("#") for t in tokens if t.kind is TokenKind.HASHTAG]
+        f = surface_features(text, tokens)
+        assert (f.count_hashtags, f.count_mentions, f.count_retweets, f.count_urls) == (
+            kinds[TokenKind.HASHTAG], kinds[TokenKind.MENTION], kinds[TokenKind.RETWEET],
+            kinds[TokenKind.URL],
+        )
+        assert f.num_words == len(words)
+        assert f.num_syllables == sum(count_syllables(w) for w in words if w)
+        assert f.num_chars == len(text)

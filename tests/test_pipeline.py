@@ -4,6 +4,8 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatetriage import pipeline
 from hatetriage._serialize import ArtifactFormatError, dump_artifact, load_artifact
@@ -12,6 +14,9 @@ from hatetriage.lexfeat import (
     SentimentLexicon,
     SentimentScores,
     SurfaceFeatures,
+    readability,
+    sentiment_scores,
+    surface_features,
 )
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
@@ -34,6 +39,7 @@ from hatetriage.pipeline import (
     train_input_matrix,
 )
 from hatetriage.postag import load_model
+from hatetriage.textproc import tokenize, word_streams
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
@@ -57,6 +63,42 @@ def neutral_ingredients(word_docs):
         sentiment=tuple(SentimentScores(0.0, 0.0, 1.0, 0.0) for _ in range(n)),
         readability=tuple(ReadabilityScores(1.0, 100.0) for _ in range(n)),
         surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in range(n)),
+    )
+
+
+# chunks that repeat within and across texts: the retweet marker in every
+# case and position, bare and chained hashtags, URLs and mentions with
+# trailing punctuation, lexicon hits with negation and boosters, non-ASCII
+# words and punctuation-only chunks
+TEXTS_OF_REPEATED_CHUNKS = st.lists(
+    st.sampled_from([
+        "RT", "rt", "Rt", "#", "#a#b!", "#Good", "http://x.co/y).", "www.a.b,", "@u", "@u:",
+        "good", "GOOD", "love!!", "not", "don't", "very", "bad", "hate", "the", "é", "naïve",
+        "…", "!!", "a", "running",
+    ]),
+    max_size=8,
+).map(" ".join)
+
+
+def per_tweet_ingredients(texts, tagger, lexicon):
+    """Ingredients built tweet by tweet from one token list each, as
+    extraction did before it memoized chunks, with the dict-scorer tagger."""
+    word_docs, pos_docs, sent, read, surf = [], [], [], [], []
+    for text in texts:
+        tokens = tokenize(text)
+        stemmed, words = word_streams(tokens)
+        word_docs.append(tuple(stemmed))
+        pos_docs.append(tuple(reference_tag(tagger, words)))
+        sent.append(sentiment_scores(tokens, lexicon))
+        sf = surface_features(text, tokens)
+        surf.append(sf)
+        read.append(readability(max(1, sf.num_words), max(1, sf.num_syllables)))
+    return Ingredients(
+        word_docs=tuple(word_docs),
+        pos_docs=tuple(pos_docs),
+        sentiment=tuple(sent),
+        readability=tuple(read),
+        surface=tuple(surf),
     )
 
 
@@ -170,7 +212,8 @@ class TestIngredients:
     def test_single_pass_matches_three_pass_composition(self, tagger):
         # the old extraction tokenized each text in itself, preprocess and
         # unstemmed_words, and tagged each text alone with the dict scorer;
-        # the single pass and its one batched tagging must give the same
+        # the single pass and its one batched tagging must give the same,
+        # and so must its scalar blocks built from per-chunk parts
         with open(CORPUS, encoding="utf-8") as f:
             texts = [row["tweet"] for row in csv.DictReader(f)]
         ing = extract_ingredients(texts, tagger, LEX)
@@ -181,6 +224,20 @@ class TestIngredients:
             pos_docs.append(tuple(reference_tag(tagger, words)))
         assert ing.word_docs == word_docs
         assert ing.pos_docs == tuple(pos_docs)
+        per_tweet = per_tweet_ingredients(texts, tagger, LEX)
+        assert ing.sentiment == per_tweet.sentiment
+        assert ing.readability == per_tweet.readability
+        assert ing.surface == per_tweet.surface
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(TEXTS_OF_REPEATED_CHUNKS, max_size=6))
+    def test_chunk_memo_matches_per_tweet_path(self, tagger, texts):
+        ing = extract_ingredients(texts, tagger, LEX)
+        assert ing == per_tweet_ingredients(texts, tagger, LEX)
+        # one call per text shares no memo across texts, and gives the same
+        alone = [extract_ingredients([t], tagger, LEX) for t in texts]
+        for name in ("word_docs", "pos_docs", "sentiment", "readability", "surface"):
+            assert getattr(ing, name) == tuple(getattr(a, name)[0] for a in alone)
 
 
 class TestFitFeatures:

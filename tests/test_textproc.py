@@ -9,6 +9,7 @@ from hatetriage.textproc import (
     URL_PLACEHOLDER,
     Token,
     TokenKind,
+    classify_chunk,
     count_syllables,
     porter_stem,
     preprocess,
@@ -16,9 +17,26 @@ from hatetriage.textproc import (
     unstemmed_words,
     word_streams,
 )
-from textproc_reference import reference_preprocess, reference_unstemmed_words
+from textproc_reference import (
+    PORTER_SUFFIXES,
+    reference_classify_chunk,
+    reference_porter_stem,
+    reference_preprocess,
+    reference_unstemmed_words,
+)
 
 lower_words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20)
+
+# short chunks built from pieces that start every kind of token, so that
+# hashtags and mentions chain and mix with URLs, punctuation and non-ASCII
+chunks = st.lists(
+    st.sampled_from(
+        ["#", "@", "a", "B", "7", "_", "'", "!", ".", ":", ",", "é", "…", "#a", "@b",
+         "http://", "https://x.co", "www.", "ftp+x://y", "a.b-c"]
+    ),
+    min_size=1,
+    max_size=8,
+).map("".join)
 
 
 class TestTokenize:
@@ -58,6 +76,21 @@ class TestTokenize:
         for t in tokenize("a!! #b @c ... http://d.e"):
             assert t.surface
 
+    @pytest.mark.parametrize("chunk, kind", [("#a", TokenKind.HASHTAG), ("@b", TokenKind.MENTION)])
+    def test_long_chain_is_one_token_per_link(self, chunk, kind):
+        tokens = tokenize(chunk * 5000)
+        assert len(tokens) == 5000
+        assert all(t == Token(chunk, kind) for t in tokens)
+
+    def test_rt_is_a_word_after_the_first_chunk(self):
+        assert tokenize("RT rt Rt") == [
+            Token("RT", TokenKind.RETWEET), Token("rt", TokenKind.WORD), Token("Rt", TokenKind.WORD)
+        ]
+
+    @given(chunks)
+    def test_chunk_loop_matches_recursive_reference(self, chunk):
+        assert classify_chunk(chunk) == reference_classify_chunk(chunk)
+
     @given(st.text(max_size=200))
     def test_concatenation_preserves_nonwhitespace(self, text):
         joined = "".join(t.surface for t in tokenize(text))
@@ -95,6 +128,18 @@ class TestPorterStem:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             porter_stem("")
+
+    @given(lower_words)
+    def test_matches_reference_stemmer(self, word):
+        assert porter_stem(word) == reference_porter_stem(word)
+
+    @given(
+        st.text(alphabet=string.ascii_lowercase, max_size=8),
+        st.lists(st.sampled_from(PORTER_SUFFIXES), min_size=1, max_size=2).map("".join),
+    )
+    def test_matches_reference_stemmer_on_suffixed_words(self, stem, suffixes):
+        word = stem + suffixes
+        assert porter_stem(word) == reference_porter_stem(word)
 
     @given(lower_words)
     def test_never_lengthens_never_empty(self, word):

@@ -174,6 +174,33 @@ def test_pipeline_calls_traced_vectorize_functions():
     assert [(c[tfidf], c[counts]) for c in predicts] == [(2, 0), (0, 2)]
 
 
+def test_extraction_spans_the_tracer_sees():
+    """The benchmark's lexfeat.* times come from spans below
+    extract_ingredients: one sentiment_scores and one readability call per
+    tweet, and one surface_features call per distinct chunk other than a
+    leading retweet marker. Nothing else traced runs there, so
+    textproc.tokenize_s reads 0 on every workload."""
+    data = importlib.resources.files("hatetriage.data")
+    tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
+    lexicon = SentimentLexicon({"good": 2.0})
+    texts = ["RT good day!", "good day rt", "#a#b good", "", "rt RT"]
+    distinct_chunks = {"good", "day!", "day", "rt", "#a#b", "RT"}
+
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        pipeline.extract_ingredients(texts, tagger, lexicon)
+    finally:
+        tracer.uninstall()
+
+    (below,) = _calls_below(tracer.spans, "pipeline.extract_ingredients")
+    assert below == {
+        "lexfeat.sentiment_scores": len(texts),
+        "lexfeat.readability": len(texts),
+        "lexfeat.surface_features": len(distinct_chunks),
+    }
+
+
 @pytest.mark.parametrize("kinds", [("logreg", "svm", "nb"), ("logreg", "svm")])
 def test_grid_search_builds_each_fold_input_once(kinds):
     """The benchmark's evalharness.prepare_folds_s times feature fits only,

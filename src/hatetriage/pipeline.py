@@ -42,6 +42,7 @@ from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
 from .textproc import classify_chunk, split_retweet, word_streams
 from .vectorize import (
+    SCALAR_REGISTRY,
     SCALAR_WIDTH,
     CSRMatrix,
     FeatureMatrix,
@@ -188,10 +189,10 @@ class Ingredients:
 
     def ngram_docs(self, block: str, vocab: Vocabulary, indices) -> TableRows | list:
         """The given rows' documents of one n-gram block, to transform with
-        `vocab`: rows of the block's count table when it is already counted,
-        else token tuples."""
+        `vocab`: rows of the block's count table when `vocab` was fitted
+        from it, else token tuples."""
         table = self._tables.get((block, vocab.n_lo, vocab.n_hi))
-        if table is not None:
+        if table is not None and vocab.table_columns(table) is not None:
             return table.rows(indices)
         docs = self.word_docs if block == "word-ngram" else self.pos_docs
         return [docs[i] for i in indices]
@@ -290,8 +291,9 @@ def extract_ingredients(
 class FittedFeatures:
     """Everything corpus-dependent that transform-time needs.
 
-    selected_columns is None when selection is off; registry covers the full
-    assembled matrix before selection. train_matrix is what feature_matrix
+    selected_columns is None when selection is off. registry names every
+    column of the assembled matrix before selection; it is derived from the
+    vocabularies once, beside the fields. train_matrix is what feature_matrix
     would return for the rows fit_features fitted on, kept from the fit, and
     selection_meta is the selection fit's per-class TrainMeta (None when
     selection is off). Neither is compared or saved, so a loaded pipeline
@@ -303,9 +305,15 @@ class FittedFeatures:
     pos_vocab: Vocabulary
     standardizer: Standardizer | None
     selected_columns: tuple[int, ...] | None
-    registry: tuple[tuple[str, str], ...]
     train_matrix: FeatureMatrix | None = field(default=None, compare=False, repr=False)
     selection_meta: tuple[TrainMeta, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "registry", (
+            tuple(("word-ngram", t) for t in self.word_vocab.ngrams)
+            + tuple(("pos-ngram", t) for t in self.pos_vocab.ngrams)
+            + SCALAR_REGISTRY
+        ))
 
     @property
     def n_ngram_columns(self) -> int:
@@ -339,20 +347,9 @@ def fit_features(
         "pos-ngram", settings.pos_ngram_lo, settings.pos_ngram_hi
     ).rows(indices)
     sent, read, surf = _scalar_rows(ingredients, indices)
-    word_vocab = fit_vocab(
-        wdocs,
-        settings.word_ngram_lo,
-        settings.word_ngram_hi,
-        settings.min_df,
-        settings.max_df_ratio,
-    )
-    pos_vocab = fit_vocab(
-        pdocs,
-        settings.pos_ngram_lo,
-        settings.pos_ngram_hi,
-        settings.min_df,
-        settings.max_df_ratio,
-    )
+    bounds = (settings.min_df, settings.max_df_ratio)
+    word_vocab = fit_vocab(wdocs, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
+    pos_vocab = fit_vocab(pdocs, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
     assembled, standardizer = assemble_features(
         transform_tfidf(word_vocab, wdocs, block="word-ngram"),
         transform_tfidf(pos_vocab, pdocs, block="pos-ngram"),
@@ -361,7 +358,6 @@ def fit_features(
         surf,
         standardize=settings.standardize,
     )
-    registry = tuple((block, name) for block, name in assembled.registry)
     selected = None
     selection_meta = None
     if settings.select:
@@ -376,9 +372,19 @@ def fit_features(
         pos_vocab=pos_vocab,
         standardizer=standardizer,
         selected_columns=selected,
-        registry=registry,
         train_matrix=assembled,
         selection_meta=selection_meta,
+    )
+
+
+def _row_docs(fitted: FittedFeatures, ingredients: Ingredients, indices):
+    """The row list (all rows by default) and its word and POS documents,
+    as Ingredients.ngram_docs gives them for the fitted vocabularies."""
+    indices = list(range(len(ingredients)) if indices is None else indices)
+    return (
+        indices,
+        ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices),
+        ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices),
     )
 
 
@@ -387,11 +393,7 @@ def feature_matrix(
 ) -> FeatureMatrix:
     """Assembled TF-IDF + scalar matrix for the given rows, projected onto
     the selected columns when selection is active."""
-    if indices is None:
-        indices = range(len(ingredients))
-    indices = list(indices)
-    wdocs = ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices)
-    pdocs = ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices)
+    indices, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
     sent, read, surf = _scalar_rows(ingredients, indices)
     assembled, _ = assemble_features(
         transform_tfidf(fitted.word_vocab, wdocs, block="word-ngram"),
@@ -416,11 +418,7 @@ def count_matrix(
     intersected with the n-gram column span, which aligns one-to-one with
     the leading columns of the assembled matrix.
     """
-    if indices is None:
-        indices = range(len(ingredients))
-    indices = list(indices)
-    wdocs = ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices)
-    pdocs = ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices)
+    _, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
     word_block = transform_counts(fitted.word_vocab, wdocs, block="word-ngram")
     pos_block = transform_counts(fitted.pos_vocab, pdocs, block="pos-ngram")
     combined = FeatureMatrix(
@@ -575,30 +573,15 @@ def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
     return labels_from_scores(pm.model, scores), scores
 
 
+_VOCAB_FIELDS = ("ngrams", "df", "n_docs", "n_lo", "n_hi", "min_df", "max_df_ratio")
+
+
 def _vocab_payload(v: Vocabulary) -> dict:
-    ordered = v.ordered_ngrams()
-    return {
-        "ngrams": ordered,
-        "df": [v.df[t] for t in ordered],
-        "n_docs": v.n_docs,
-        "n_lo": v.n_lo,
-        "n_hi": v.n_hi,
-        "min_df": v.min_df,
-        "max_df_ratio": v.max_df_ratio,
-    }
+    return {name: getattr(v, name) for name in _VOCAB_FIELDS}
 
 
 def _vocab_from_payload(d: dict) -> Vocabulary:
-    ngrams = list(d["ngrams"])
-    return Vocabulary(
-        index={t: i for i, t in enumerate(ngrams)},
-        df=dict(zip(ngrams, d["df"])),
-        n_docs=int(d["n_docs"]),
-        n_lo=int(d["n_lo"]),
-        n_hi=int(d["n_hi"]),
-        min_df=int(d["min_df"]),
-        max_df_ratio=float(d["max_df_ratio"]),
-    )
+    return Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
 
 
 def save_pipeline(pm: PipelineModel) -> bytes:
@@ -635,23 +618,23 @@ def _require(ok: bool, name: str, why: str) -> None:
         raise ArtifactFormatError(f"pipeline payload field {name!r} is malformed: {why}")
 
 
-def _check_consistent(pm: PipelineModel) -> None:
-    """The registry, selected columns, standardizer and model weights must
-    agree with each other, or prediction would read the wrong columns,
-    standardize each batch by its own statistics, or fail."""
+def _check_consistent(pm: PipelineModel, registry: tuple) -> None:
+    """The saved registry, selected columns, standardizer and model weights
+    must agree with the vocabularies and each other, or prediction would read
+    the wrong columns, standardize each batch by its own statistics, or fail."""
     fitted = pm.fitted
     std = fitted.standardizer
     _require(
         (std is None) != fitted.settings.standardize
-        and (std is None or len(std.means) == len(std.scales) == SCALAR_WIDTH),
+        and (std is None or len(std.means) == SCALAR_WIDTH),
         "standardizer",
         f"needs {SCALAR_WIDTH} means and scales exactly when settings.standardize is set",
     )
-    width = fitted.n_ngram_columns + SCALAR_WIDTH
+    width = len(fitted.registry)
     _require(
-        len(fitted.registry) == width,
+        registry == fitted.registry,
         "registry",
-        f"{len(fitted.registry)} entries; the vocabularies and scalar blocks make {width}",
+        f"does not name the {width} columns of the vocabularies and scalar blocks in order",
     )
     cols = fitted.selected_columns
     _require(
@@ -684,19 +667,13 @@ def load_pipeline(data: bytes) -> PipelineModel:
         word_vocab=_payload_field(payload, "word_vocab", _vocab_from_payload),
         pos_vocab=_payload_field(payload, "pos_vocab", _vocab_from_payload),
         standardizer=_payload_field(
-            payload,
-            "standardizer",
-            lambda std: None
-            if std is None
-            else Standardizer(means=tuple(std["means"]), scales=tuple(std["scales"])),
+            payload, "standardizer", lambda std: None if std is None else Standardizer(**std)
         ),
         selected_columns=_payload_field(
             payload, "selected_columns", lambda cols: None if cols is None else tuple(cols)
         ),
-        registry=_payload_field(
-            payload, "registry", lambda reg: tuple((b, n) for b, n in reg)
-        ),
     )
+    registry = _payload_field(payload, "registry", lambda reg: tuple((b, n) for b, n in reg))
     pm = PipelineModel(
         tagger=_payload_field(payload, "tagger", lambda t: load_tag_model(t.encode("utf-8"))),
         lexicon=_payload_field(
@@ -706,5 +683,5 @@ def load_pipeline(data: bytes) -> PipelineModel:
         model=_payload_field(payload, "model", model_from_payload),
         config=_payload_field(payload, "config", lambda cfg: ModelConfig(**cfg)),
     )
-    _check_consistent(pm)
+    _check_consistent(pm, registry)
     return pm

@@ -1,20 +1,24 @@
 """N-gram vocabularies, TF-IDF blocks, feature assembly, and L1 selection.
 
 Conventions fixed here: idf(t) = ln((1 + n_docs)/(1 + df(t))) + 1 with raw
-term counts, rows L2-normalized after weighting; vocabulary indices follow
+term counts, rows L2-normalized after weighting; vocabulary columns follow
 lexicographic ngram order so fitted artifacts are deterministic. Scalar
 blocks are standardized to train-set mean 0 / variance 1 with the transform
 stored for predict time; a zero-variance column is centered to all zeros
 without dividing.
+
+A fitted `Vocabulary` is its column list, the n-grams in column order with
+their document frequencies; it derives its index and idf vector from them
+once, when built, and every transform and the saved artifact read them.
 
 A corpus that is fitted on is counted once: `NgramTable.build` enumerates
 every document's n-grams into a documents x distinct-n-grams count table.
 A vocabulary fitted on some of its rows takes its document frequencies from
 the table, and the count and TF-IDF blocks of any of its rows are slices of
 the table with the columns mapped to the vocabulary's order, so folds that
-refit on different rows never enumerate the n-grams again. Documents that
-are not in the table a vocabulary was fitted from (new tweets at predict
-time) are enumerated and looked up in the vocabulary directly.
+refit on different rows never enumerate the n-grams again. Token lists (new
+tweets at predict time) are enumerated and looked up in the vocabulary
+directly; rows of a table the vocabulary was not fitted from are refused.
 
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
@@ -52,13 +56,24 @@ SURFACE_NAMES = (
     "num_words",
     "num_syllables",
 )
-SCALAR_WIDTH = len(SENTIMENT_NAMES) + len(READABILITY_NAMES) + len(SURFACE_NAMES)
+# the scalar columns' registry entries, in assembled order
+SCALAR_REGISTRY = (
+    tuple(("sentiment", n) for n in SENTIMENT_NAMES)
+    + tuple(("readability", n) for n in READABILITY_NAMES)
+    + tuple(("surface", n) for n in SURFACE_NAMES)
+)
+SCALAR_WIDTH = len(SCALAR_REGISTRY)
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    index: dict[str, int]
-    df: dict[str, int]
+    """The columns of one n-gram block: column i is ngrams[i], seen in df[i]
+    of the n_docs fitted documents. The fields are checked once when built
+    (lists are taken as tuples), and `index` (n-gram -> column) and `idf`
+    (float64, one per column) are built from them then, beside the fields."""
+
+    ngrams: tuple[str, ...]
+    df: tuple[int, ...]
     n_docs: int
     n_lo: int
     n_hi: int
@@ -70,8 +85,31 @@ class Vocabulary:
         default=None, compare=False, repr=False
     )
 
+    def __post_init__(self):
+        # a loaded payload holds lists
+        object.__setattr__(self, "ngrams", tuple(self.ngrams))
+        object.__setattr__(self, "df", tuple(self.df))
+        if len(self.ngrams) != len(self.df):
+            raise ValueError(f"{len(self.ngrams)} n-grams but {len(self.df)} document frequencies")
+        if not all(type(t) is str for t in self.ngrams) or any(
+            a >= b for a, b in zip(self.ngrams, self.ngrams[1:])
+        ):
+            raise ValueError("n-grams must be strings in strictly increasing order")
+        if not 1 <= self.n_lo <= self.n_hi:
+            raise ValueError("require 1 <= n_lo <= n_hi")
+        if self.min_df < 1:
+            raise ValueError("min_df must be >= 1")
+        if not 0.0 < self.max_df_ratio <= 1.0:
+            raise ValueError("max_df_ratio must lie in (0, 1]")
+        n, max_df = self.n_docs, self.max_df_ratio * self.n_docs
+        if not all(type(d) is int and self.min_df <= d <= max_df for d in self.df):
+            raise ValueError(f"document frequencies must be ints from min_df to {max_df}")
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.ngrams)})
+        idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in self.df]
+        object.__setattr__(self, "idf", np.array(idf, dtype=np.float64))
+
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.ngrams)
 
     def table_columns(self, table: "NgramTable") -> np.ndarray | None:
         """The table column of each vocabulary column when this vocabulary
@@ -79,15 +117,6 @@ class Vocabulary:
         if self.source is None or self.source[0]() is not table:
             return None
         return self.source[1]
-
-    def idf(self, ngram: str) -> float:
-        return math.log((1 + self.n_docs) / (1 + self.df[ngram])) + 1.0
-
-    def ordered_ngrams(self) -> list[str]:
-        out = [""] * len(self.index)
-        for ngram, col in self.index.items():
-            out[col] = ngram
-        return out
 
 
 def _indptr(lengths) -> np.ndarray:
@@ -359,9 +388,6 @@ class TableRows:
     def counts(self) -> CSRMatrix:
         return self.table.counts.rows(self.rows)
 
-    def documents(self) -> list[Sequence[str]]:
-        return [self.table.docs[i] for i in self.rows]
-
 
 def fit_vocab(
     docs: Sequence[Sequence[str]] | TableRows,
@@ -375,13 +401,8 @@ def fit_vocab(
 
     Token lists are counted into a throwaway table first; table rows are
     read as they are, so a vocabulary fitted on them transforms rows of the
-    same table by slicing it."""
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError("require 1 <= n_lo <= n_hi")
-    if min_df < 1:
-        raise ValueError("min_df must be >= 1")
-    if not 0.0 < max_df_ratio <= 1.0:
-        raise ValueError("max_df_ratio must lie in (0, 1]")
+    same table by slicing it. The bounds are checked by the table and the
+    Vocabulary."""
     if not len(docs):
         raise ValueError("fit_vocab requires a non-empty corpus")
     if not isinstance(docs, TableRows):
@@ -402,10 +423,9 @@ def fit_vocab(
             "or raise max_df_ratio"
         )
     cols = cols[order]
-    kept = [names[i] for i in order]
     return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        df=dict(zip(kept, df[cols].tolist())),
+        ngrams=tuple(names[i] for i in order),
+        df=tuple(df[cols].tolist()),
         n_docs=len(docs),
         n_lo=n_lo,
         n_hi=n_hi,
@@ -415,7 +435,15 @@ def fit_vocab(
     )
 
 
-def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> CSRMatrix:
+def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> CSRMatrix:
+    """Raw counts of the vocabulary's n-grams: a slice of the table for rows
+    of the table `vocab` was fitted from, a direct lookup of every
+    document's n-grams for token lists."""
+    if isinstance(docs, TableRows):
+        columns = vocab.table_columns(docs.table)
+        if columns is None:
+            raise ValueError("table rows given for a vocabulary not fitted from that table")
+        return as_csr(docs.counts().columns(columns))
     data, indices, lengths = [], [], []
     for doc in docs:
         counts: dict[int, float] = {}
@@ -435,27 +463,13 @@ def _lookup_count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]]) -> CS
     )
 
 
-def _count_matrix(
-    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows
-) -> CSRMatrix:
-    """Raw counts of the vocabulary's n-grams: a slice of the table when
-    `vocab` was fitted from the table of `docs`, else a direct lookup of
-    every document's n-grams."""
-    if isinstance(docs, TableRows):
-        columns = vocab.table_columns(docs.table)
-        if columns is not None:
-            return as_csr(docs.counts().columns(columns))
-        docs = docs.documents()
-    return _lookup_count_matrix(vocab, docs)
-
-
 def transform_counts(
     vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows, block: str = "word-ngram"
 ) -> FeatureMatrix:
     """Raw term counts; unknown ngrams ignored."""
     return FeatureMatrix(
         matrix=_count_matrix(vocab, docs),
-        registry=[(block, t) for t in vocab.ordered_ngrams()],
+        registry=[(block, t) for t in vocab.ngrams],
     )
 
 
@@ -464,8 +478,7 @@ def transform_tfidf(
 ) -> FeatureMatrix:
     """tf * idf with smoothed idf, then exact row L2 normalization."""
     m = _count_matrix(vocab, docs)
-    idf = np.array([vocab.idf(t) for t in vocab.ordered_ngrams()], dtype=np.float64)
-    weighted = m.data * idf[m.indices]
+    weighted = m.data * vocab.idf[m.indices]
     # each row's squares are summed in column order by one reduceat, as
     # scipy.sparse sums a CSR row, so the norms equal the scipy form's bitwise
     filled = np.flatnonzero(np.diff(m.indptr))
@@ -473,7 +486,7 @@ def transform_tfidf(
     norms[filled] = np.sqrt(np.add.reduceat(weighted * weighted, m.indptr[filled]))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     m = CSRMatrix(weighted * scale[m.row_ids()], m.indices, m.indptr, m.shape)
-    return FeatureMatrix(matrix=m, registry=[(block, t) for t in vocab.ordered_ngrams()])
+    return FeatureMatrix(matrix=m, registry=[(block, t) for t in vocab.ngrams])
 
 
 @dataclass(frozen=True)
@@ -482,6 +495,17 @@ class Standardizer:
 
     means: tuple[float, ...]
     scales: tuple[float, ...]
+
+    def __post_init__(self):
+        # a loaded payload holds lists
+        object.__setattr__(self, "means", tuple(self.means))
+        object.__setattr__(self, "scales", tuple(self.scales))
+        if len(self.means) != len(self.scales):
+            raise ValueError(f"{len(self.means)} means but {len(self.scales)} scales")
+        if not all(math.isfinite(m) for m in self.means):
+            raise ValueError("means must be finite")
+        if not all(math.isfinite(s) and s > 0 for s in self.scales):
+            raise ValueError("scales must be finite and positive")
 
     def apply(self, scalars: np.ndarray) -> np.ndarray:
         means = np.array(self.means)
@@ -542,9 +566,7 @@ def assemble_features(
     registry = (
         [("word-ngram", name) for _, name in word_block.registry]
         + [("pos-ngram", name) for _, name in pos_block.registry]
-        + [("sentiment", n) for n in SENTIMENT_NAMES]
-        + [("readability", n) for n in READABILITY_NAMES]
-        + [("surface", n) for n in SURFACE_NAMES]
+        + list(SCALAR_REGISTRY)
     )
     matrix = CSRMatrix.hstack(
         [word_block.matrix, pos_block.matrix, CSRMatrix.from_dense(scalars)]

@@ -412,6 +412,21 @@ class TestErrorExits:
         assert "stage load: pipeline payload field 'registry'" in capsys.readouterr().err
         assert not dst.exists()
 
+    def test_malformed_vocabulary_fails_at_load(self, workspace, tmp_path, capsys):
+        data = (workspace["out"] / "model.bin").read_bytes()
+        payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        payload["word_vocab"]["df"].pop()
+        model = tmp_path / "model.bin"
+        model.write_bytes(dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload))
+        src = tmp_path / "in.txt"
+        src.write_text("fine line\n", encoding="utf-8")
+        dst = tmp_path / "pred.tsv"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
+        assert rc == 1
+        assert "stage load: pipeline payload field 'word_vocab'" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

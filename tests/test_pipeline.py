@@ -263,6 +263,25 @@ class TestFitFeatures:
         assert part.n_cols == full.n_cols
         assert part.n_rows == 1
 
+    def test_vocabulary_from_other_ingredients_takes_the_lookup(self):
+        """Rows of a count table the vocabularies were not fitted from are
+        transformed as token lists: the result equals that for ingredients
+        that were never counted."""
+        fs = FeatureSettings(
+            word_ngram_hi=2, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select=False
+        )
+        fitted = fit_features(neutral_ingredients([["a", "b"], ["b", "c"], ["a"]]), [0, 1, 0], fs)
+        docs = [["c", "a", "b"], ["b", "b"], ["z"], []]
+        counted = neutral_ingredients(docs)
+        counted.ngram_table("word-ngram", 1, 2)
+        counted.ngram_table("pos-ngram", 1, 1)
+        for build in (feature_matrix, count_matrix):
+            got, want = build(fitted, counted), build(fitted, neutral_ingredients(docs))
+            assert got.registry == want.registry
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got.matrix, name).tobytes() == getattr(want.matrix, name).tobytes()
+        assert feature_matrix(fitted, counted).matrix.nnz > 0
+
     def test_registry_covers_all_blocks(self):
         docs = [["a", "b"], ["b", "c"], ["a", "c"]]
         ing = neutral_ingredients(docs)
@@ -515,8 +534,16 @@ class TestPipelineArtifact:
             ("logreg", "selected-column-negative", "selected_columns"),
             ("logreg", "selected-columns-unsorted", "selected_columns"),
             ("logreg", "registry-truncated", "registry"),
+            ("logreg", "registry-entry-renamed", "registry"),
             ("logreg", "standardizer-dropped", "standardizer"),
             ("logreg", "standardizer-short", "standardizer"),
+            ("logreg", "standardizer-scale-zero", "standardizer"),
+            ("logreg", "standardizer-scale-nan", "standardizer"),
+            ("logreg", "standardizer-scale-string", "standardizer"),
+            ("logreg", "word-vocab-df-short", "word_vocab"),
+            ("logreg", "word-vocab-df-negative", "word_vocab"),
+            ("logreg", "word-vocab-df-string", "word_vocab"),
+            ("logreg", "pos-vocab-ngrams-unordered", "pos_vocab"),
         ],
     )
     def test_inconsistent_fields_rejected(self, tagger, kind, edit, field):
@@ -537,10 +564,24 @@ class TestPipelineArtifact:
             cols[0], cols[1] = cols[1], cols[0]
         elif edit == "registry-truncated":
             payload["registry"] = payload["registry"][:-1]
+        elif edit == "registry-entry-renamed":
+            payload["registry"][0][1] += "!"
         elif edit == "standardizer-dropped":
             payload["standardizer"] = None
-        else:
+        elif edit == "standardizer-short":
             payload["standardizer"]["means"].pop()
+        elif edit.startswith("standardizer-scale-"):
+            bad = {"zero": 0.0, "nan": float("nan"), "string": "1.0"}
+            payload["standardizer"]["scales"][0] = bad[edit.rsplit("-", 1)[1]]
+        elif edit == "word-vocab-df-short":
+            payload["word_vocab"]["df"].pop()
+        elif edit == "word-vocab-df-negative":
+            payload["word_vocab"]["df"][0] = -1
+        elif edit == "word-vocab-df-string":
+            payload["word_vocab"]["df"][0] = str(payload["word_vocab"]["df"][0])
+        else:
+            ngrams = payload["pos_vocab"]["ngrams"]
+            ngrams[0], ngrams[1] = ngrams[1], ngrams[0]
         blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
         with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
             load_pipeline(blob)

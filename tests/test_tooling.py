@@ -113,6 +113,39 @@ def test_assembled_matrix_has_what_the_tracer_reads():
     assert tracer.counts["matrix_cols"] == dense.shape[1] == 3 + 17
 
 
+def test_fitted_state_has_what_the_tracer_reads():
+    """perfbench/tracing.py _observe_fitted records len() of both
+    vocabularies of fit_features' result as vectorize.word_vocab_size and
+    pos_vocab_size; _observe_load records the same of load_pipeline's result
+    and the artifact's length as pipeline.artifact_bytes."""
+    tracing = _tracing_module()
+    tagger, lexicon, texts, y = _toy_corpus()
+    ingredients = pipeline.extract_ingredients(texts, tagger, lexicon)
+    fitted = pipeline.fit_features(ingredients, y, FeatureSettings(min_df=2, select=False))
+    config = ModelConfig("logreg", "l2", 1.0)
+    model = pipeline.fit_config_model(config, fitted.train_matrix, y)
+    data = pipeline.save_pipeline(PipelineModel(tagger, lexicon, fitted, model, config))
+    fit_tracer, load_tracer = tracing.Tracer(), tracing.Tracer()
+    tracing._observe_fitted(fit_tracer, None, (ingredients, y), {}, fitted)
+    tracing._observe_load(load_tracer, None, (data,), {}, pipeline.load_pipeline(data))
+    for tracer in (fit_tracer, load_tracer):
+        assert tracer.counts["word_vocab_size"] == len(fitted.word_vocab.ngrams) > 0
+        assert tracer.counts["pos_vocab_size"] == len(fitted.pos_vocab.ngrams) > 0
+    assert load_tracer.counts["artifact_bytes"] == len(data)
+
+
+def _toy_corpus():
+    """The bundled tagger and lexicon, and the toy corpus's texts and labels."""
+    data = importlib.resources.files("hatetriage.data")
+    tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
+    lexicon = SentimentLexicon.from_text(
+        data.joinpath("sentiment_lexicon.tsv").read_text(encoding="utf-8")
+    )
+    with data.joinpath("toy_corpus.csv").open(encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return tagger, lexicon, [r["tweet"] for r in rows], [int(r["class"]) for r in rows]
+
+
 def _calls_below(spans, name):
     """For each span called name, how often each traced function ran
     below it."""
@@ -135,15 +168,7 @@ def test_pipeline_calls_traced_vectorize_functions():
     """The benchmark's vectorize.fit_vocab_s and transform_tfidf_*/counts
     metrics time these functions through the bindings pipeline imports;
     each pipeline entry point must still reach them there."""
-    data = importlib.resources.files("hatetriage.data")
-    tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
-    lexicon = SentimentLexicon.from_text(
-        data.joinpath("sentiment_lexicon.tsv").read_text(encoding="utf-8")
-    )
-    with data.joinpath("toy_corpus.csv").open(encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    texts = [r["tweet"] for r in rows]
-    y = [int(r["class"]) for r in rows]
+    tagger, lexicon, texts, y = _toy_corpus()
     ingredients = pipeline.extract_ingredients(texts, tagger, lexicon)
     settings = FeatureSettings(min_df=2, select=False)
 

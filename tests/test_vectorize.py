@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from hatetriage.linmodel import LinearModel, decision_margins
+from hatetriage.pipeline import _vocab_from_payload, _vocab_payload
 from hatetriage.vectorize import (
     CSRMatrix,
     FeatureMatrix,
     NgramTable,
     Standardizer,
+    Vocabulary,
     _count_matrix,
     assemble_features,
     fit_vocab,
@@ -24,6 +26,7 @@ from vectorize_reference import (
     reference_assemble,
     reference_count_matrix,
     reference_fit_vocab,
+    reference_idf,
     reference_margins,
     reference_tfidf_matrix,
 )
@@ -45,7 +48,8 @@ class TestFitVocab:
     def test_enumeration_with_bigrams(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 2, min_df=1, max_df_ratio=1.0)
         assert v.index == {"a": 0, "a b": 1, "b": 2}
-        assert v.df == {"a": 2, "a b": 1, "b": 1}
+        assert v.ngrams == ("a", "a b", "b")
+        assert v.df == (2, 1, 1)
 
     def test_min_df_filter(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 2, min_df=2, max_df_ratio=1.0)
@@ -81,8 +85,7 @@ class TestFitVocab:
             v = fit_vocab(docs, 1, 2, min_df=1, max_df_ratio=1.0)
         except ValueError:
             return  # corpus was all-empty docs
-        ordered = v.ordered_ngrams()
-        assert sorted(ordered) == ordered
+        assert sorted(v.ngrams) == list(v.ngrams)
         assert sorted(v.index.values()) == list(range(len(v.index)))
 
     @given(docs_strategy)
@@ -91,18 +94,61 @@ class TestFitVocab:
             v = fit_vocab(docs, 1, 2, min_df=1, max_df_ratio=0.9)
         except ValueError:
             return
-        for ngram, d in v.df.items():
+        for d in v.df:
             assert 1 <= d <= 0.9 * v.n_docs
+
+
+class TestVocabulary:
+    GOOD = dict(ngrams=("a", "b"), df=(1, 2), n_docs=2, n_lo=1, n_hi=1, min_df=1, max_df_ratio=1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("df", (1,)),
+            ("ngrams", ("b", "a")),
+            ("ngrams", ("a", "a")),
+            ("ngrams", ("a", 3)),
+            ("df", (1, True)),
+            ("df", (1, 2.0)),
+            ("df", (0, 2)),
+            ("df", (1, 3)),
+            ("n_lo", 0),
+            ("n_hi", 0),
+            ("min_df", 0),
+            ("max_df_ratio", 0.0),
+            ("max_df_ratio", 1.5),
+        ],
+    )
+    def test_malformed_field_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            Vocabulary(**{**self.GOOD, name: value})
+
+    def test_lists_taken_as_tuples(self):
+        v = Vocabulary(**{**self.GOOD, "ngrams": ["a", "b"], "df": [1, 2]})
+        assert v == Vocabulary(**self.GOOD)
+        assert (v.ngrams, v.df, v.index) == (("a", "b"), (1, 2), {"a": 0, "b": 1})
 
 
 class TestTransformTfidf:
     def test_term_in_all_docs_has_idf_one(self):
         v = fit_vocab([["a"], ["a"]], 1, 1, 1, 1.0)
-        assert v.idf("a") == pytest.approx(1.0)
+        assert v.idf[v.index["a"]] == pytest.approx(1.0)
 
     def test_term_in_one_of_two(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 1, 1, 1.0)
-        assert v.idf("b") == pytest.approx(math.log(3 / 2) + 1, abs=1e-9)
+        assert v.idf[v.index["b"]] == pytest.approx(math.log(3 / 2) + 1, abs=1e-9)
+
+    def test_idf_is_the_per_term_log(self):
+        """idf is math.log term by term, the expression saved models were
+        weighted with; numpy's vectorized log can differ from it in the last
+        bit, for a few of these document frequencies among others."""
+        n = 25000
+        v = Vocabulary(
+            ngrams=tuple(f"t{d:05d}" for d in range(1, n + 1)),
+            df=tuple(range(1, n + 1)),
+            n_docs=n, n_lo=1, n_hi=1, min_df=1, max_df_ratio=1.0,
+        )
+        assert v.idf.tobytes() == reference_idf(v).tobytes()
 
     def test_two_doc_hand_computed_values(self):
         # doc1 = [a, b], doc2 = [a]: idf(a)=1, idf(b)=ln(3/2)+1;
@@ -199,13 +245,15 @@ class TestNgramTable:
         assert got.df == want.df
         assert got.n_docs == want.n_docs
         assert got.table_columns(table) is not None
+        assert _vocab_from_payload(_vocab_payload(got)) == got
+        assert got.idf.tobytes() == reference_idf(want).tobytes()
 
         rows = table.rows(case["transform_rows"])
         lists = [docs[i] for i in case["transform_rows"]]
         want_counts = reference_count_matrix(want, lists)
         want_tfidf = reference_tfidf_matrix(want, lists)
         assert_same_csr(_count_matrix(got, rows), want_counts)
-        registry = [("word-ngram", t) for t in want.ordered_ngrams()]
+        registry = [("word-ngram", t) for t in want.ngrams]
         assert_same_csr(
             transform_counts(got, rows).matrix, FeatureMatrix(want_counts, registry).matrix
         )
@@ -218,15 +266,13 @@ class TestNgramTable:
             transform_tfidf(got, lists).matrix, FeatureMatrix(want_tfidf, registry).matrix
         )
 
-    def test_foreign_vocabulary_falls_back_to_lookup(self):
+    def test_rows_of_a_foreign_table_refused(self):
         docs = [["a", "b"], ["b", "c"], ["a", "a"]]
         vocab = fit_vocab(docs, 1, 2, 1, 1.0)
         other = NgramTable.build(docs, 1, 2)
         assert vocab.table_columns(other) is None
-        assert_same_csr(
-            transform_counts(vocab, other.rows([2, 0])).matrix,
-            transform_counts(vocab, [docs[2], docs[0]]).matrix,
-        )
+        with pytest.raises(ValueError, match="not fitted from that table"):
+            _count_matrix(vocab, other.rows([2, 0]))
 
     def test_vocabulary_does_not_keep_table_alive(self):
         docs = [["a", "b"], ["b", "c"]]
@@ -299,7 +345,7 @@ class TestCSRMatrixAgainstScipy:
         """Rows of up to a hundred terms, so the norm's summation order shows."""
         assume(any(docs))
         vocab = fit_vocab(docs, 1, n_hi, 1, 1.0)
-        registry = [("word-ngram", t) for t in vocab.ordered_ngrams()]
+        registry = [("word-ngram", t) for t in vocab.ngrams]
         assert_same_csr(
             transform_tfidf(vocab, docs).matrix,
             FeatureMatrix(reference_tfidf_matrix(vocab, docs), registry).matrix,
@@ -509,6 +555,22 @@ class TestStandardizer:
         out = std.apply(data)
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.std(axis=0) - 1).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "means, scales",
+        [
+            ((0.0,), (1.0, 1.0)),
+            ((math.nan,), (1.0,)),
+            ((math.inf,), (1.0,)),
+            ((0.0,), (0.0,)),
+            ((0.0,), (-1.0,)),
+            ((0.0,), (math.nan,)),
+            ((0.0,), (math.inf,)),
+        ],
+    )
+    def test_malformed_transform_rejected(self, means, scales):
+        with pytest.raises(ValueError):
+            Standardizer(means, scales)
 
     def test_width_mismatch(self):
         std = Standardizer.fit(np.random.default_rng(0).random((5, 3)))

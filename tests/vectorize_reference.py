@@ -35,8 +35,8 @@ def reference_fit_vocab(docs, n_lo, n_hi, min_df, max_df_ratio) -> Vocabulary:
     if not kept:
         raise ValueError("document-frequency bounds left an empty vocabulary")
     return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        df={t: df[t] for t in kept},
+        ngrams=tuple(kept),
+        df=tuple(df[t] for t in kept),
         n_docs=len(docs),
         n_lo=n_lo,
         n_hi=n_hi,
@@ -46,11 +46,12 @@ def reference_fit_vocab(docs, n_lo, n_hi, min_df, max_df_ratio) -> Vocabulary:
 
 
 def reference_count_matrix(vocab: Vocabulary, docs) -> sparse.csr_matrix:
+    index = {t: i for i, t in enumerate(vocab.ngrams)}
     data, indices, indptr = [], [], [0]
     for doc in docs:
         counts: dict[int, float] = {}
         for ngram in _ngrams(doc, vocab.n_lo, vocab.n_hi):
-            col = vocab.index.get(ngram)
+            col = index.get(ngram)
             if col is not None:
                 counts[col] = counts.get(col, 0.0) + 1.0
         for col in sorted(counts):
@@ -63,13 +64,16 @@ def reference_count_matrix(vocab: Vocabulary, docs) -> sparse.csr_matrix:
     )
 
 
+def reference_idf(vocab: Vocabulary) -> np.ndarray:
+    """Each column's idf, computed term by term from its df."""
+    return np.array(
+        [math.log((1 + vocab.n_docs) / (1 + d)) + 1.0 for d in vocab.df], dtype=np.float64
+    )
+
+
 def reference_tfidf_matrix(vocab: Vocabulary, docs) -> sparse.csr_matrix:
     m = reference_count_matrix(vocab, docs)
-    ordered = vocab.ordered_ngrams()
-    idf = np.array(
-        [math.log((1 + vocab.n_docs) / (1 + vocab.df[t])) + 1.0 for t in ordered],
-        dtype=np.float64,
-    )
+    idf = reference_idf(vocab)
     if len(vocab):
         m = m.multiply(sparse.csr_matrix(idf)).tocsr()
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())

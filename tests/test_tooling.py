@@ -15,6 +15,7 @@ import hashlib
 import importlib
 import importlib.resources
 import importlib.util
+import os
 import pathlib
 import re
 import subprocess
@@ -266,21 +267,32 @@ def test_grid_search_builds_each_fold_input_once(kinds):
     assert below["pipeline.fit_config_model"] == len(grid) * k
 
 
+def _artifact_digests(env=None) -> str:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py"), "--seed", "1"],
+        capture_output=True, text=True, check=True, timeout=300, env=env,
+    )
+    return done.stdout
+
+
 def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):
     """The script prints `name sha256` for every artifact of train,
-    evaluate, predict and report on both toy-corpus setups, and the digest
-    of model.bin is that of the file train writes."""
+    evaluate, predict and report on both toy-corpus setups and on bench-1,
+    the digest of model.bin is that of the file train writes, and every
+    line equals the committed one in tests/data/artifact_digests.txt, also
+    with BLAS on two threads. A change that moves an artifact on purpose
+    updates that file."""
     from hatetriage.cli import main
 
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py")],
-        capture_output=True, text=True, check=True, timeout=300,
-    )
-    lines = done.stdout.splitlines()
+    expected = (ROOT / "tests" / "data" / "artifact_digests.txt").read_text(encoding="utf-8")
+    output = _artifact_digests()
+    assert output == expected
+    assert _artifact_digests(env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}) == expected
+    lines = output.splitlines()
     digests = dict(line.split(" ") for line in lines)
     assert len(digests) == len(lines) and sorted(digests) == list(digests)
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
-    for name in ("toy", "toy-raw"):
+    for name in ("toy", "toy-raw", "bench-1"):
         names = {key.split("/", 1)[1] for key in digests if key.split("/", 1)[0] == name}
         assert names == {
             "model.bin", "train_report.txt", "selected_features.csv",

@@ -54,5 +54,6 @@ best = result.best
 fitted = fit_features(ingredients, y, settings)
 X = model_input_matrix(best.kind, fitted, ingredients)
 model = fit_config_model(best, X, y)
-report = error_report(model, X, records, top_n=3)
+names = [fitted.registry[c] for c in fitted.input_columns(best.kind)]
+report = error_report(model, X, names, records, top_n=3)
 print(error_report_text(report))

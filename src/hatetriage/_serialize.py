@@ -21,7 +21,8 @@ def dump_artifact(magic: str, version: int, payload: dict) -> bytes:
     return header + body
 
 
-def load_artifact(data: bytes, magic: str, version: int) -> dict:
+def load_artifact(data: bytes, magic: str, versions: tuple[int, ...]) -> tuple[int, dict]:
+    """The format version and payload of an artifact of one of `versions`."""
     if not data:
         raise ArtifactFormatError("empty artifact stream")
     newline = data.find(b"\n")
@@ -41,9 +42,10 @@ def load_artifact(data: bytes, magic: str, version: int) -> dict:
         length = int(got_length)
     except ValueError:
         raise ArtifactFormatError("corrupt artifact header") from None
-    if version_num != version:
+    if version_num not in versions:
+        expected = " or ".join(str(v) for v in versions)
         raise ArtifactFormatError(
-            f"unsupported {magic} format version {version_num} (expected {version})"
+            f"unsupported {magic} format version {version_num} (expected {expected})"
         )
     body = data[newline + 1 :]
     if len(body) != length:
@@ -58,4 +60,4 @@ def load_artifact(data: bytes, magic: str, version: int) -> dict:
         raise ArtifactFormatError("artifact payload nested too deeply") from None
     if not isinstance(payload, dict):
         raise ArtifactFormatError("artifact payload must be a JSON object")
-    return payload
+    return version_num, payload

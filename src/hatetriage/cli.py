@@ -360,7 +360,8 @@ def cmd_report(args) -> int:
     texts = [r.text for r in records]
     ingredients = _stage("features", extract_ingredients, texts, pm.tagger, pm.lexicon)
     fm = _stage("assemble", model_input_matrix, pm.config.kind, pm.fitted, ingredients)
-    report = _stage("report", error_report, pm.model, fm, records, config.report_top_n)
+    names = [pm.fitted.registry[c] for c in pm.fitted.input_columns(pm.config.kind)]
+    report = _stage("report", error_report, pm.model, fm, names, records, config.report_top_n)
     out = _out_dir(config)
     _write(out / "error_report.txt", error_report_text(report))
     _write(out / "error_report.json", error_report_json(report))

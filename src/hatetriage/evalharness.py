@@ -357,23 +357,25 @@ class ErrorReport:
         raise KeyError(key)
 
 
-def _registry_name(entry: tuple[str, str]) -> str:
-    return f"{entry[0]}:{entry[1]}"
-
-
 def error_report(
     model: LinearModel,
     features: FeatureMatrix,
+    names,
     tweets,
     top_n: int = 10,
 ) -> ErrorReport:
     """Rank each confusion cell's examples by the predicted class's score
-    and attach each example's strongest weight*value contributions."""
+    and attach each example's strongest weight*value contributions. names
+    holds the (block, name) of each column of features, as
+    FittedFeatures.input_columns picks them from the registry."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     tweets = list(tweets)
     if features.n_rows != len(tweets):
         raise ValueError("feature rows and tweets disagree on count")
+    if len(names) != features.n_cols:
+        raise ValueError(f"{len(names)} column names for {features.n_cols} feature columns")
+    labels = [f"{block}:{name}" for block, name in names]
     y_true = []
     for t in tweets:
         if t.label is None:
@@ -403,7 +405,7 @@ def error_report(
                 contrib = X.data[row] * model.weights[kpos, cols]
                 order = np.argsort(-np.abs(contrib))[:5]
                 top_feats = tuple(
-                    (_registry_name(features.registry[int(cols[j])]), float(contrib[j]))
+                    (labels[int(cols[j])], float(contrib[j]))
                     for j in order
                 )
                 entries.append(
@@ -427,7 +429,7 @@ def error_report(
         w = model.weights[kpos]
         order = np.argsort(-np.abs(w))[:top_n]
         pairs = tuple(
-            (_registry_name(features.registry[int(j)]), float(w[j]))
+            (labels[int(j)], float(w[j]))
             for j in order
             if w[j] != 0.0
         )

@@ -50,8 +50,9 @@ Bayes fit, loading a model and predicting never import it.
 
 A model is saved only inside the pipeline artifact: model_payload gives
 the JSON object it embeds (classes, loss, penalty, C, weights, bias and
-per-class training metadata), and model_from_payload reads it back with
-predictions bit-exact.
+per-class training metadata, and nothing else: the columns the model reads
+and their standardization are the pipeline's), and model_from_payload reads
+it back with predictions bit-exact.
 """
 
 from __future__ import annotations
@@ -572,9 +573,9 @@ def predict(model: LinearModel, X) -> np.ndarray:
 
 
 def model_payload(model: LinearModel) -> dict:
-    """The JSON object the pipeline artifact embeds. The selected_columns and
-    standardizer keys are always null: the pipeline's feature state holds
-    both, and they stay in the payload so saved artifacts keep their bytes."""
+    """The JSON object the pipeline artifact embeds: the model's fields and
+    per-class training metadata. Column selection and standardization belong
+    to the pipeline's fitted features, which the artifact stores beside it."""
     return {
         "classes": list(model.classes),
         "loss": model.loss,
@@ -582,8 +583,6 @@ def model_payload(model: LinearModel) -> dict:
         "C": model.C,
         "weights": [[float(v) for v in row] for row in model.weights],
         "bias": [float(v) for v in model.bias],
-        "selected_columns": None,
-        "standardizer": None,
         "train_meta": [
             {"iterations": m.iterations, "objective": m.objective, "converged": m.converged}
             for m in model.train_meta

@@ -58,7 +58,7 @@ from .vectorize import (
 )
 
 PIPELINE_MAGIC = "pipeline"
-PIPELINE_FORMAT_VERSION = 1
+PIPELINE_FORMAT_VERSION = 2
 
 MODEL_KINDS = ("logreg", "svm", "nb")
 
@@ -289,18 +289,16 @@ def extract_ingredients(
 
 @dataclass(frozen=True)
 class FittedFeatures:
-    """Everything corpus-dependent that transform-time needs.
+    """Everything corpus-dependent that transform-time needs, each fact
+    once: the vocabularies hold their n-gram orders and df bounds, and
+    standardizer and selected_columns are None exactly when standardization
+    and selection are off. registry names every column of the assembled
+    matrix as (block, name); it is derived from the vocabularies once, beside
+    the fields. train_matrix is what feature_matrix would return for the
+    rows fit_features fitted on, and selection_meta is the selection fit's
+    per-class TrainMeta; neither is compared or saved, so a loaded pipeline
+    has None in both."""
 
-    selected_columns is None when selection is off. registry names every
-    column of the assembled matrix before selection; it is derived from the
-    vocabularies once, beside the fields. train_matrix is what feature_matrix
-    would return for the rows fit_features fitted on, kept from the fit, and
-    selection_meta is the selection fit's per-class TrainMeta (None when
-    selection is off). Neither is compared or saved, so a loaded pipeline
-    has None in both.
-    """
-
-    settings: FeatureSettings
     word_vocab: Vocabulary
     pos_vocab: Vocabulary
     standardizer: Standardizer | None
@@ -315,9 +313,14 @@ class FittedFeatures:
             + SCALAR_REGISTRY
         ))
 
-    @property
-    def n_ngram_columns(self) -> int:
-        return len(self.word_vocab) + len(self.pos_vocab)
+    def input_columns(self, kind: str) -> tuple[int, ...]:
+        """The registry column of each column a model of `kind` reads: the
+        selected columns (all when selection is off) of the assembled matrix,
+        or of its leading n-gram span for raw counts (naive Bayes)."""
+        counts = _MATRIX_READ[kind] == "counts"
+        width = len(self.word_vocab) + len(self.pos_vocab) if counts else len(self.registry)
+        cols = range(width) if self.selected_columns is None else self.selected_columns
+        return tuple(c for c in cols if c < width)
 
 
 def _scalar_rows(ingredients: Ingredients, indices) -> tuple[list, list, list]:
@@ -351,8 +354,8 @@ def fit_features(
     word_vocab = fit_vocab(wdocs, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
     pos_vocab = fit_vocab(pdocs, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
     assembled, standardizer = assemble_features(
-        transform_tfidf(word_vocab, wdocs, block="word-ngram"),
-        transform_tfidf(pos_vocab, pdocs, block="pos-ngram"),
+        transform_tfidf(word_vocab, wdocs),
+        transform_tfidf(pos_vocab, pdocs),
         sent,
         read,
         surf,
@@ -367,7 +370,6 @@ def fit_features(
         selection_meta = selection.train_meta
         assembled = assembled.project(selection)
     return FittedFeatures(
-        settings=settings,
         word_vocab=word_vocab,
         pos_vocab=pos_vocab,
         standardizer=standardizer,
@@ -392,42 +394,40 @@ def feature_matrix(
     fitted: FittedFeatures, ingredients: Ingredients, indices=None
 ) -> FeatureMatrix:
     """Assembled TF-IDF + scalar matrix for the given rows, projected onto
-    the selected columns when selection is active."""
+    the columns logreg and svm read when selection is active."""
     indices, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
     sent, read, surf = _scalar_rows(ingredients, indices)
     assembled, _ = assemble_features(
-        transform_tfidf(fitted.word_vocab, wdocs, block="word-ngram"),
-        transform_tfidf(fitted.pos_vocab, pdocs, block="pos-ngram"),
+        transform_tfidf(fitted.word_vocab, wdocs),
+        transform_tfidf(fitted.pos_vocab, pdocs),
         sent,
         read,
         surf,
         standardizer=fitted.standardizer,
-        standardize=fitted.settings.standardize,
+        standardize=fitted.standardizer is not None,
     )
     if fitted.selected_columns is None:
         return assembled
-    return assembled.project(list(fitted.selected_columns))
+    return assembled.project(fitted.input_columns("logreg"))
 
 
 def count_matrix(
     fitted: FittedFeatures, ingredients: Ingredients, indices=None
 ) -> FeatureMatrix:
-    """Raw n-gram count matrix for count-based models.
+    """Raw n-gram count matrix for count-based models (naive Bayes).
 
     Scalar blocks are excluded (they can be negative); the L1 selection is
     intersected with the n-gram column span, which aligns one-to-one with
     the leading columns of the assembled matrix.
     """
     _, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
-    word_block = transform_counts(fitted.word_vocab, wdocs, block="word-ngram")
-    pos_block = transform_counts(fitted.pos_vocab, pdocs, block="pos-ngram")
-    combined = FeatureMatrix(
-        matrix=CSRMatrix.hstack([word_block.matrix, pos_block.matrix]),
-        registry=word_block.registry + pos_block.registry,
-    )
+    combined = FeatureMatrix(CSRMatrix.hstack([
+        transform_counts(fitted.word_vocab, wdocs).matrix,
+        transform_counts(fitted.pos_vocab, pdocs).matrix,
+    ]))
     if fitted.selected_columns is None:
         return combined
-    kept = [c for c in fitted.selected_columns if c < fitted.n_ngram_columns]
+    kept = fitted.input_columns("nb")
     if not kept:
         raise ValueError(
             "L1 selection kept no n-gram columns; count-based models need at "
@@ -581,7 +581,13 @@ def _vocab_payload(v: Vocabulary) -> dict:
 
 
 def _vocab_from_payload(d: dict) -> Vocabulary:
-    return Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
+    vocab = Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
+    # fitted n-grams join n_lo..n_hi tokens, which never hold whitespace
+    for tokens in (ngram.split(" ") for ngram in vocab.ngrams):
+        if not vocab.n_lo <= len(tokens) <= vocab.n_hi or "" in tokens:
+            raise ValueError(f"n-gram {' '.join(tokens)!r} is not {vocab.n_lo} to "
+                             f"{vocab.n_hi} non-empty tokens joined by single spaces")
+    return vocab
 
 
 def save_pipeline(pm: PipelineModel) -> bytes:
@@ -594,8 +600,6 @@ def save_pipeline(pm: PipelineModel) -> bytes:
         # tuples serialize as JSON arrays
         "standardizer": None if fitted.standardizer is None else asdict(fitted.standardizer),
         "selected_columns": fitted.selected_columns,
-        "registry": fitted.registry,
-        "settings": asdict(fitted.settings),
         "config": asdict(pm.config),
         "model": model_payload(pm.model),
     }
@@ -618,24 +622,14 @@ def _require(ok: bool, name: str, why: str) -> None:
         raise ArtifactFormatError(f"pipeline payload field {name!r} is malformed: {why}")
 
 
-def _check_consistent(pm: PipelineModel, registry: tuple) -> None:
-    """The saved registry, selected columns, standardizer and model weights
-    must agree with the vocabularies and each other, or prediction would read
-    the wrong columns, standardize each batch by its own statistics, or fail."""
+def _check_consistent(pm: PipelineModel) -> None:
+    """The selected columns, standardizer and model weights must agree with
+    the vocabularies and each other, or prediction would fail or misread."""
     fitted = pm.fitted
     std = fitted.standardizer
-    _require(
-        (std is None) != fitted.settings.standardize
-        and (std is None or len(std.means) == SCALAR_WIDTH),
-        "standardizer",
-        f"needs {SCALAR_WIDTH} means and scales exactly when settings.standardize is set",
-    )
+    _require(std is None or len(std.means) == SCALAR_WIDTH, "standardizer",
+             f"needs {SCALAR_WIDTH} means and scales")
     width = len(fitted.registry)
-    _require(
-        registry == fitted.registry,
-        "registry",
-        f"does not name the {width} columns of the vocabularies and scalar blocks in order",
-    )
     cols = fitted.selected_columns
     _require(
         cols is None
@@ -646,11 +640,7 @@ def _check_consistent(pm: PipelineModel, registry: tuple) -> None:
         "selected_columns",
         f"not strictly increasing column numbers below {width}",
     )
-    if _MATRIX_READ[pm.config.kind] == "counts":
-        n = fitted.n_ngram_columns
-        expected = n if cols is None else sum(c < n for c in cols)
-    else:
-        expected = width if cols is None else len(cols)
+    expected = len(fitted.input_columns(pm.config.kind))
     _require(
         pm.model.n_features == expected,
         "model",
@@ -658,12 +648,34 @@ def _check_consistent(pm: PipelineModel, registry: tuple) -> None:
     )
 
 
+def _check_format_1(payload: dict, fitted: FittedFeatures) -> None:
+    """Format 1 also saved the registry, the feature settings and two null
+    model keys, repeats that format 2 dropped; each must agree with what it
+    repeats, so that reading the file as format 2 loses nothing."""
+    registry = _payload_field(payload, "registry", lambda reg: tuple((b, n) for b, n in reg))
+    _require(registry == fitted.registry, "registry",
+             "does not name the columns of the vocabularies and scalar blocks in order")
+    s = _payload_field(payload, "settings", lambda d: FeatureSettings(**d))
+    w, p = fitted.word_vocab, fitted.pos_vocab
+    _require(
+        (s.word_ngram_lo, s.word_ngram_hi, s.pos_ngram_lo, s.pos_ngram_hi, s.standardize, s.select)
+        == (w.n_lo, w.n_hi, p.n_lo, p.n_hi,
+            fitted.standardizer is not None, fitted.selected_columns is not None)
+        and all((v.min_df, v.max_df_ratio) == (s.min_df, s.max_df_ratio) for v in (w, p)),
+        "settings",
+        "disagrees with the vocabularies' n-gram orders or df bounds, or with "
+        "whether a standardizer and selected columns are saved",
+    )
+    model = payload["model"]
+    _require(model.get("selected_columns") is None and model.get("standardizer") is None,
+             "model", "format 1 keys selected_columns and standardizer must be null")
+
+
 def load_pipeline(data: bytes) -> PipelineModel:
-    """Read a saved pipeline; a missing, malformed or inconsistent field
-    raises ArtifactFormatError naming it."""
-    payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+    """Read a saved pipeline of format 2, or of format 1; a missing,
+    malformed or inconsistent field raises ArtifactFormatError naming it."""
+    version, payload = load_artifact(data, PIPELINE_MAGIC, (1, PIPELINE_FORMAT_VERSION))
     fitted = FittedFeatures(
-        settings=_payload_field(payload, "settings", lambda d: FeatureSettings(**d)),
         word_vocab=_payload_field(payload, "word_vocab", _vocab_from_payload),
         pos_vocab=_payload_field(payload, "pos_vocab", _vocab_from_payload),
         standardizer=_payload_field(
@@ -673,7 +685,6 @@ def load_pipeline(data: bytes) -> PipelineModel:
             payload, "selected_columns", lambda cols: None if cols is None else tuple(cols)
         ),
     )
-    registry = _payload_field(payload, "registry", lambda reg: tuple((b, n) for b, n in reg))
     pm = PipelineModel(
         tagger=_payload_field(payload, "tagger", lambda t: load_tag_model(t.encode("utf-8"))),
         lexicon=_payload_field(
@@ -683,5 +694,7 @@ def load_pipeline(data: bytes) -> PipelineModel:
         model=_payload_field(payload, "model", model_from_payload),
         config=_payload_field(payload, "config", lambda cfg: ModelConfig(**cfg)),
     )
-    _check_consistent(pm, registry)
+    _check_consistent(pm)
+    if version == 1:
+        _check_format_1(payload, fitted)
     return pm

@@ -432,7 +432,7 @@ def save_model(model: TagModel) -> bytes:
 
 
 def load_model(data: bytes) -> TagModel:
-    payload = load_artifact(data, MAGIC, FORMAT_VERSION)
+    _, payload = load_artifact(data, MAGIC, (FORMAT_VERSION,))
     for name, kind in (("tagset", list), ("tagdict", dict), ("weights", dict)):
         if name not in payload:
             raise ArtifactFormatError(f"tagger payload missing field {name!r}")

@@ -258,15 +258,12 @@ def as_csr(X) -> CSRMatrix:
 
 @dataclass
 class FeatureMatrix:
+    """A model input; pipeline.FittedFeatures names its columns."""
+
     matrix: CSRMatrix
-    registry: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self):
         self.matrix = as_csr(self.matrix)
-        if len(self.registry) != self.matrix.shape[1]:
-            raise ValueError(
-                f"registry length {len(self.registry)} != n_cols {self.matrix.shape[1]}"
-            )
 
     @property
     def n_rows(self) -> int:
@@ -276,17 +273,14 @@ class FeatureMatrix:
     def n_cols(self) -> int:
         return self.matrix.shape[1]
 
-    def project(self, columns: list[int]) -> "FeatureMatrix":
-        """Restrict to the given columns, keeping registry names aligned."""
+    def project(self, columns: Sequence[int]) -> "FeatureMatrix":
+        """Restrict to the given columns, in the given order."""
         cols = list(columns)
         if any(c < 0 or c >= self.n_cols for c in cols):
             raise ValueError("projection column out of range")
         if len(set(cols)) != len(cols):
             raise ValueError("projection columns repeat")
-        return FeatureMatrix(
-            matrix=self.matrix.columns(cols),
-            registry=[self.registry[c] for c in cols],
-        )
+        return FeatureMatrix(self.matrix.columns(cols))
 
 
 def _ngrams(doc: Sequence[str], n_lo: int, n_hi: int):
@@ -463,19 +457,12 @@ def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) 
     )
 
 
-def transform_counts(
-    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows, block: str = "word-ngram"
-) -> FeatureMatrix:
+def transform_counts(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> FeatureMatrix:
     """Raw term counts; unknown ngrams ignored."""
-    return FeatureMatrix(
-        matrix=_count_matrix(vocab, docs),
-        registry=[(block, t) for t in vocab.ngrams],
-    )
+    return FeatureMatrix(_count_matrix(vocab, docs))
 
 
-def transform_tfidf(
-    vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows, block: str = "word-ngram"
-) -> FeatureMatrix:
+def transform_tfidf(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> FeatureMatrix:
     """tf * idf with smoothed idf, then exact row L2 normalization."""
     m = _count_matrix(vocab, docs)
     weighted = m.data * vocab.idf[m.indices]
@@ -485,8 +472,7 @@ def transform_tfidf(
     norms = np.zeros(m.shape[0])
     norms[filled] = np.sqrt(np.add.reduceat(weighted * weighted, m.indptr[filled]))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    m = CSRMatrix(weighted * scale[m.row_ids()], m.indices, m.indptr, m.shape)
-    return FeatureMatrix(matrix=m, registry=[(block, t) for t in vocab.ngrams])
+    return FeatureMatrix(CSRMatrix(weighted * scale[m.row_ids()], m.indices, m.indptr, m.shape))
 
 
 @dataclass(frozen=True)
@@ -563,15 +549,10 @@ def assemble_features(
         scalars = standardizer.apply(scalars)
     else:
         standardizer = None
-    registry = (
-        [("word-ngram", name) for _, name in word_block.registry]
-        + [("pos-ngram", name) for _, name in pos_block.registry]
-        + list(SCALAR_REGISTRY)
-    )
     matrix = CSRMatrix.hstack(
         [word_block.matrix, pos_block.matrix, CSRMatrix.from_dense(scalars)]
     )
-    return FeatureMatrix(matrix=matrix, registry=registry), standardizer
+    return FeatureMatrix(matrix), standardizer
 
 
 class Selection(list):

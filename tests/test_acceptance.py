@@ -257,7 +257,7 @@ def test_a6_feature_oracles(golden_dir):
     docs = [["a", "b"], ["a"]]
     vocab = fit_vocab(docs, 1, 2, 1, 1.0)
     assert list(vocab.index) == ["a", "a b", "b"]
-    fm = transform_tfidf(vocab, docs, block="word-ngram")
+    fm = transform_tfidf(vocab, docs)
     idf_all = math.log(3 / 3) + 1.0
     idf_one = math.log(3 / 2) + 1.0
     row0 = np.array([idf_all, idf_one, idf_one])

@@ -397,12 +397,14 @@ class TestErrorExits:
         assert rc == 2
         assert "absent.bin" in capsys.readouterr().err
 
-    def test_inconsistent_model_fails_at_load(self, workspace, tmp_path, capsys):
-        data = (workspace["out"] / "model.bin").read_bytes()
-        payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+    def test_inconsistent_model_fails_at_load(self, tmp_path, capsys):
+        # a format-1 model (the toy model as format 1 wrote it) whose saved
+        # registry no longer names the columns of its vocabularies
+        data = (pathlib.Path(__file__).parent / "data" / "toy_model_format1.bin").read_bytes()
+        version, payload = load_artifact(data, PIPELINE_MAGIC, (1,))
         payload["registry"] = payload["registry"][:-1]
         model = tmp_path / "model.bin"
-        model.write_bytes(dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload))
+        model.write_bytes(dump_artifact(PIPELINE_MAGIC, version, payload))
         src = tmp_path / "in.txt"
         src.write_text("fine line\n", encoding="utf-8")
         dst = tmp_path / "pred.tsv"
@@ -414,7 +416,7 @@ class TestErrorExits:
 
     def test_malformed_vocabulary_fails_at_load(self, workspace, tmp_path, capsys):
         data = (workspace["out"] / "model.bin").read_bytes()
-        payload = load_artifact(data, PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        _, payload = load_artifact(data, PIPELINE_MAGIC, (PIPELINE_FORMAT_VERSION,))
         payload["word_vocab"]["df"].pop()
         model = tmp_path / "model.bin"
         model.write_bytes(dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload))

@@ -543,6 +543,11 @@ def build_fitted(docs, y, settings=SMALL):
     return ing, fitted, feature_matrix(fitted, ing)
 
 
+def column_names(fitted, kind):
+    """The registry entry of each column a model of `kind` reads."""
+    return [fitted.registry[c] for c in fitted.input_columns(kind)]
+
+
 def make_tweets(docs, y):
     out = []
     for i, (doc, cls) in enumerate(zip(docs, y)):
@@ -565,27 +570,28 @@ class TestErrorReport:
         self.docs, self.y = separable_corpus(n_per=10, words_per_doc=4)
         self.tweets = make_tweets(self.docs, self.y)
         _, self.fitted, self.fm = build_fitted(self.docs, self.y)
+        self.names = column_names(self.fitted, "logreg")
         self.model = fit_config_model(ModelConfig("logreg", "l2", 1.0), self.fm, self.y)
 
     def test_perfect_predictor_empty_off_diagonal(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=5)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=5)
         for a in (H, O, N):
             for b in (H, O, N):
                 if a != b:
                     assert rep.bucket(a, b) == ()
 
     def test_buckets_sorted_descending(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=10)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=10)
         for _, entries in rep.buckets:
             scores = [e.score for e in entries]
             assert scores == sorted(scores, reverse=True)
 
     def test_top_n_caps_bucket_size(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=3)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=3)
         assert len(rep.bucket(H, H)) == 3
 
     def test_top_weight_is_construction_keyword(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=5)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=5)
         hate_names = [name for name, _ in rep.top_weights[H][1]]
         assert any(
             name.split(":")[1].split()[0] in {"alpha", "beta", "gamma"}
@@ -593,7 +599,7 @@ class TestErrorReport:
         )
 
     def test_entry_carries_contributions(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=1)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=1)
         entry = rep.bucket(H, H)[0]
         assert isinstance(entry, BucketEntry)
         assert entry.top_features
@@ -606,14 +612,18 @@ class TestErrorReport:
         broken[0] = dataclasses.replace(broken[0], label=None, count_total=0,
                                         count_hate=0, count_offensive=0, count_neither=0)
         with pytest.raises(ValueError, match="labeled"):
-            error_report(self.model, self.fm, broken, top_n=1)
+            error_report(self.model, self.fm, self.names, broken, top_n=1)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            error_report(self.model, self.fm, self.tweets[:-1], top_n=1)
+            error_report(self.model, self.fm, self.names, self.tweets[:-1], top_n=1)
+
+    def test_column_name_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="column names"):
+            error_report(self.model, self.fm, self.names[:-1], self.tweets, top_n=1)
 
     def test_unknown_bucket_key_rejected(self):
-        rep = error_report(self.model, self.fm, self.tweets, top_n=1)
+        rep = error_report(self.model, self.fm, self.names, self.tweets, top_n=1)
         with pytest.raises(KeyError):
             rep.bucket(0, 7)
 
@@ -662,9 +672,9 @@ class TestReportFormats:
     def test_error_report_formats_deterministic(self):
         docs, y = separable_corpus(n_per=8, words_per_doc=3)
         tweets = make_tweets(docs, y)
-        _, _, fm = build_fitted(docs, y)
+        _, fitted, fm = build_fitted(docs, y)
         model = fit_config_model(ModelConfig("logreg", "l2", 1.0), fm, y)
-        rep = error_report(model, fm, tweets, top_n=2)
+        rep = error_report(model, fm, column_names(fitted, "logreg"), tweets, top_n=2)
         assert error_report_text(rep) == error_report_text(rep)
         blob = error_report_json(rep)
         assert blob == error_report_json(rep)

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.resources
+import pathlib
 
 import numpy as np
 import pytest
@@ -277,7 +279,7 @@ class TestFitFeatures:
         counted.ngram_table("pos-ngram", 1, 1)
         for build in (feature_matrix, count_matrix):
             got, want = build(fitted, counted), build(fitted, neutral_ingredients(docs))
-            assert got.registry == want.registry
+            assert got.matrix.shape == want.matrix.shape
             for name in ("data", "indices", "indptr"):
                 assert getattr(got.matrix, name).tobytes() == getattr(want.matrix, name).tobytes()
         assert feature_matrix(fitted, counted).matrix.nnz > 0
@@ -327,8 +329,11 @@ class TestFitFeatures:
         )
         fitted = fit_features(ing, y, fs)
         cm = count_matrix(fitted, ing)
-        assert all(block in ("word-ngram", "pos-ngram") for block, _ in cm.registry)
-        assert cm.n_cols <= fitted.n_ngram_columns
+        kept = fitted.input_columns("nb")
+        n_ngrams = len(fitted.word_vocab) + len(fitted.pos_vocab)
+        assert kept == tuple(c for c in fitted.selected_columns if c < n_ngrams)
+        assert cm.n_cols == len(kept) <= n_ngrams
+        assert all(fitted.registry[c][0] in ("word-ngram", "pos-ngram") for c in kept)
         dense = cm.matrix.toarray()
         assert (dense >= 0).all()
         assert (dense == dense.astype(int)).all()
@@ -373,8 +378,7 @@ class TestModelInputs:
             assert train_input_matrix(kind, fitted, ing, rows) is fitted.train_matrix
         counts = train_input_matrix("nb", fitted, ing, rows)
         want = count_matrix(fitted, ing, rows)
-        assert counts.registry == want.registry
-        assert (counts.matrix.toarray() == want.matrix.toarray()).all()
+        assert np.array_equal(counts.matrix.toarray(), want.matrix.toarray())
 
     @pytest.mark.parametrize("select", [False, True])
     def test_split_inputs_build_each_matrix_once(self, select, monkeypatch):
@@ -400,7 +404,7 @@ class TestModelInputs:
 
     def test_split_inputs_count_failure_fails_count_kinds_only(self, monkeypatch):
         ing, y, fitted = scalar_only_fit()
-        assert all(c >= fitted.n_ngram_columns for c in fitted.selected_columns)
+        assert fitted.input_columns("nb") == ()
         calls = []
         original = pipeline.count_matrix
         monkeypatch.setattr(
@@ -419,13 +423,25 @@ PAYLOAD_FIELDS = (
     "lexicon",
     "model",
     "pos_vocab",
-    "registry",
     "selected_columns",
-    "settings",
     "standardizer",
     "tagger",
     "word_vocab",
 )
+# the fields only format 1 stored, as repeats of the others
+FORMAT_1_FIELDS = ("registry", "settings")
+# the toy corpus's model.bin as format 1 wrote it (default configuration)
+FORMAT_1_TOY = pathlib.Path(__file__).parent / "data" / "toy_model_format1.bin"
+
+
+def payload_of(blob: bytes) -> dict:
+    _, payload = load_artifact(blob, PIPELINE_MAGIC, (PIPELINE_FORMAT_VERSION,))
+    return payload
+
+
+def format_1_payload() -> dict:
+    _, payload = load_artifact(FORMAT_1_TOY.read_bytes(), PIPELINE_MAGIC, (1,))
+    return payload
 
 
 class TestPipelineArtifact:
@@ -489,7 +505,7 @@ class TestPipelineArtifact:
 
     def test_version_mismatch_rejected(self, tagger):
         pm, _, _ = self.build(tagger)
-        blob = save_pipeline(pm).replace(b"pipeline 1 ", b"pipeline 3 ", 1)
+        blob = save_pipeline(pm).replace(b"pipeline 2 ", b"pipeline 3 ", 1)
         with pytest.raises(ArtifactFormatError, match="version"):
             load_pipeline(blob)
 
@@ -498,30 +514,37 @@ class TestPipelineArtifact:
         with pytest.raises(ArtifactFormatError):
             load_pipeline(save_pipeline(pm)[:-7])
 
-    @pytest.mark.parametrize("field", PAYLOAD_FIELDS)
+    def payload(self, tagger, field):
+        """(version, payload) of a saved pipeline that has `field`: a
+        format-1 file for the fields only format 1 stored."""
+        if field in FORMAT_1_FIELDS:
+            return 1, format_1_payload()
+        return PIPELINE_FORMAT_VERSION, payload_of(save_pipeline(self.build(tagger)[0]))
+
+    @pytest.mark.parametrize("field", PAYLOAD_FIELDS + FORMAT_1_FIELDS)
     def test_missing_payload_field_rejected(self, tagger, field):
-        pm, _, _ = self.build(tagger)
-        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        version, payload = self.payload(tagger, field)
         assert field in payload
         del payload[field]
-        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
+        blob = dump_artifact(PIPELINE_MAGIC, version, payload)
         with pytest.raises(ArtifactFormatError, match=f"missing field '{field}'"):
             load_pipeline(blob)
 
     def test_payload_covers_every_field_tested(self, tagger):
         pm, _, _ = self.build(tagger)
-        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        payload = payload_of(save_pipeline(pm))
         assert sorted(payload) == list(PAYLOAD_FIELDS)
+        assert None not in payload["model"].values()
+        assert sorted(format_1_payload()) == sorted(PAYLOAD_FIELDS + FORMAT_1_FIELDS)
 
     @pytest.mark.parametrize(
         "field, value",
         [("settings", 3), ("standardizer", {"means": []}), ("tagger", None), ("config", [])],
     )
     def test_mistyped_payload_field_rejected(self, tagger, field, value):
-        pm, _, _ = self.build(tagger)
-        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        version, payload = self.payload(tagger, field)
         payload[field] = value
-        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
+        blob = dump_artifact(PIPELINE_MAGIC, version, payload)
         with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
             load_pipeline(blob)
 
@@ -533,9 +556,6 @@ class TestPipelineArtifact:
             ("logreg", "selected-column-beyond-registry", "selected_columns"),
             ("logreg", "selected-column-negative", "selected_columns"),
             ("logreg", "selected-columns-unsorted", "selected_columns"),
-            ("logreg", "registry-truncated", "registry"),
-            ("logreg", "registry-entry-renamed", "registry"),
-            ("logreg", "standardizer-dropped", "standardizer"),
             ("logreg", "standardizer-short", "standardizer"),
             ("logreg", "standardizer-scale-zero", "standardizer"),
             ("logreg", "standardizer-scale-nan", "standardizer"),
@@ -544,6 +564,9 @@ class TestPipelineArtifact:
             ("logreg", "word-vocab-df-negative", "word_vocab"),
             ("logreg", "word-vocab-df-string", "word_vocab"),
             ("logreg", "pos-vocab-ngrams-unordered", "pos_vocab"),
+            ("logreg", "word-vocab-ngram-over-n-hi", "word_vocab"),
+            ("logreg", "word-vocab-ngram-empty-token", "word_vocab"),
+            ("logreg", "pos-vocab-ngram-under-n-lo", "pos_vocab"),
         ],
     )
     def test_inconsistent_fields_rejected(self, tagger, kind, edit, field):
@@ -551,7 +574,7 @@ class TestPipelineArtifact:
         # fail on the field, not predict from bad columns (or, without the
         # stored standardizer, standardize each batch by its own statistics)
         pm, texts, _ = self.build(tagger, kind, select=True)
-        payload = load_artifact(save_pipeline(pm), PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION)
+        payload = payload_of(save_pipeline(pm))
         cols = payload["selected_columns"]
         assert len(cols) >= 2
         if edit == "weights-column-dropped":
@@ -562,12 +585,6 @@ class TestPipelineArtifact:
             cols[0] = -1
         elif edit == "selected-columns-unsorted":
             cols[0], cols[1] = cols[1], cols[0]
-        elif edit == "registry-truncated":
-            payload["registry"] = payload["registry"][:-1]
-        elif edit == "registry-entry-renamed":
-            payload["registry"][0][1] += "!"
-        elif edit == "standardizer-dropped":
-            payload["standardizer"] = None
         elif edit == "standardizer-short":
             payload["standardizer"]["means"].pop()
         elif edit.startswith("standardizer-scale-"):
@@ -579,6 +596,15 @@ class TestPipelineArtifact:
             payload["word_vocab"]["df"][0] = -1
         elif edit == "word-vocab-df-string":
             payload["word_vocab"]["df"][0] = str(payload["word_vocab"]["df"][0])
+        elif edit == "word-vocab-ngram-over-n-hi":
+            # the vocabulary holds bigrams; the orders say unigrams only
+            assert any(" " in t for t in payload["word_vocab"]["ngrams"])
+            payload["word_vocab"]["n_hi"] = 1
+        elif edit == "word-vocab-ngram-empty-token":
+            # still the last n-gram in order, now ending in an empty token
+            payload["word_vocab"]["ngrams"][-1] += " "
+        elif edit == "pos-vocab-ngram-under-n-lo":
+            payload["pos_vocab"].update(n_lo=2, n_hi=2)
         else:
             ngrams = payload["pos_vocab"]["ngrams"]
             ngrams[0], ngrams[1] = ngrams[1], ngrams[0]
@@ -599,3 +625,70 @@ class TestPipelineArtifact:
             one_label, one_score = pipeline_predict(pm, [text])
             assert one_label[0] == batch_labels[i]
             assert one_score[0] == pytest.approx(batch_scores[i], abs=1e-12)
+
+
+class TestFormat1Artifact:
+    """A model.bin of format 1 also stored the registry, the feature
+    settings, and null selected_columns and standardizer keys in its model.
+    It loads when each of them agrees with the fields format 2 keeps."""
+
+    def test_loads_and_predicts_as_its_format_2_resave(self):
+        data = FORMAT_1_TOY.read_bytes()
+        assert data.startswith(b"pipeline 1 ")
+        pm = load_pipeline(data)
+        resaved = save_pipeline(pm)
+        # the re-save is what train now writes for the toy corpus
+        digests = (FORMAT_1_TOY.parent / "artifact_digests.txt").read_text(encoding="utf-8")
+        assert f"toy/model.bin {hashlib.sha256(resaved).hexdigest()}\n" in digests
+        assert resaved.startswith(b"pipeline 2 ") and len(resaved) < len(data)
+        with open(CORPUS, encoding="utf-8") as f:
+            texts = [row["tweet"] for row in csv.DictReader(f)]
+        labels, scores = pipeline_predict(pm, texts)
+        labels2, scores2 = pipeline_predict(load_pipeline(resaved), texts)
+        assert labels.tobytes() == labels2.tobytes()
+        assert scores.tobytes() == scores2.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ("settings-word-ngram-hi", "settings"),
+            ("settings-min-df", "settings"),
+            ("pos-vocab-n-lo", "pos_vocab"),
+            ("registry-truncated", "registry"),
+            ("registry-entry-renamed", "registry"),
+            ("settings-standardize-flipped", "settings"),
+            ("standardizer-dropped", "settings"),
+            ("settings-select-flipped", "settings"),
+            ("model-standardizer-set", "model"),
+            ("model-selected-columns-set", "model"),
+        ],
+    )
+    def test_disagreeing_fields_rejected(self, edit, field):
+        payload = format_1_payload()
+        settings_ = payload["settings"]
+        if edit == "settings-word-ngram-hi":
+            assert settings_["word_ngram_hi"] == 3
+            settings_["word_ngram_hi"] = 1
+        elif edit == "settings-min-df":
+            assert settings_["min_df"] == 5
+            settings_["min_df"] = 1
+        elif edit == "pos-vocab-n-lo":
+            # the vocabulary's unigrams are then shorter than its orders
+            assert payload["pos_vocab"]["n_lo"] == 1
+            payload["pos_vocab"]["n_lo"] = 2
+        elif edit == "registry-truncated":
+            payload["registry"] = payload["registry"][:-1]
+        elif edit == "registry-entry-renamed":
+            payload["registry"][0][1] += "!"
+        elif edit == "settings-standardize-flipped":
+            settings_["standardize"] = False
+        elif edit == "standardizer-dropped":
+            payload["standardizer"] = None
+        elif edit == "settings-select-flipped":
+            settings_["select"] = False
+        elif edit == "model-standardizer-set":
+            payload["model"]["standardizer"] = payload["standardizer"]
+        else:
+            payload["model"]["selected_columns"] = payload["selected_columns"]
+        with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
+            load_pipeline(dump_artifact(PIPELINE_MAGIC, 1, payload))

@@ -28,7 +28,7 @@ def loads_or_format_error(data: bytes):
     """load_artifact's result, or None when it raised ArtifactFormatError;
     any other exception propagates and fails the test."""
     try:
-        return load_artifact(data, MAGIC, VERSION)
+        return load_artifact(data, MAGIC, (VERSION,))[1]
     except ArtifactFormatError:
         return None
 
@@ -40,7 +40,9 @@ def framed(body: bytes) -> bytes:
 class TestArtifactProperties:
     @given(payload=json_objects)
     def test_dump_then_load_is_identity(self, payload):
-        assert load_artifact(dump_artifact(MAGIC, VERSION, payload), MAGIC, VERSION) == payload
+        assert load_artifact(dump_artifact(MAGIC, VERSION, payload), MAGIC, (VERSION,)) == (
+            VERSION, payload
+        )
 
     @settings(max_examples=50)
     @given(payload=json_objects, extra=st.binary(min_size=1, max_size=3))
@@ -48,9 +50,9 @@ class TestArtifactProperties:
         data = dump_artifact(MAGIC, VERSION, payload)
         for end in range(len(data)):
             with pytest.raises(ArtifactFormatError):
-                load_artifact(data[:end], MAGIC, VERSION)
+                load_artifact(data[:end], MAGIC, (VERSION,))
         with pytest.raises(ArtifactFormatError):
-            load_artifact(data + extra, MAGIC, VERSION)
+            load_artifact(data + extra, MAGIC, (VERSION,))
 
     @pytest.mark.parametrize("depth", [5000, 100000])
     @pytest.mark.parametrize(
@@ -61,7 +63,7 @@ class TestArtifactProperties:
         decoder recurses."""
         body = b'{"a":' + opener * depth + b"0" + closer * depth + b"}"
         with pytest.raises(ArtifactFormatError, match="nested too deeply"):
-            load_artifact(framed(body), MAGIC, VERSION)
+            load_artifact(framed(body), MAGIC, (VERSION,))
 
     @given(
         payload=json_objects,
@@ -91,6 +93,15 @@ class TestArtifactProperties:
         result = loads_or_format_error(data)
         assert result is None or isinstance(result, dict)
 
+    def test_each_accepted_version_loads_as_itself(self):
+        for version in (1, VERSION):
+            data = dump_artifact(MAGIC, version, {"v": version})
+            assert load_artifact(data, MAGIC, (1, VERSION)) == (version, {"v": version})
+        with pytest.raises(ArtifactFormatError, match=f"version 2 \\(expected 1 or {VERSION}\\)"):
+            load_artifact(dump_artifact(MAGIC, 2, {}), MAGIC, (1, VERSION))
+
     def test_deep_but_bounded_nesting_still_loads(self):
         payload = {"a": json.loads("[" * 100 + "]" * 100)}
-        assert load_artifact(dump_artifact(MAGIC, VERSION, payload), MAGIC, VERSION) == payload
+        assert load_artifact(dump_artifact(MAGIC, VERSION, payload), MAGIC, (VERSION,)) == (
+            VERSION, payload
+        )

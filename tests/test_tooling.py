@@ -101,8 +101,8 @@ def test_assembled_matrix_has_what_the_tracer_reads():
     `.shape[1]` of the matrix in assemble_features' result as
     vectorize.matrix_nnz and matrix_cols."""
     tracing = _tracing_module()
-    word = FeatureMatrix(np.eye(2), [("word-ngram", "a"), ("word-ngram", "b")])
-    pos = FeatureMatrix(np.zeros((2, 1)), [("pos-ngram", "N")])
+    word = FeatureMatrix(np.eye(2))
+    pos = FeatureMatrix(np.zeros((2, 1)))
     sent = [[0.5, 0.0, 0.5, 0.1], [0.0, 0.5, 0.5, -0.1]]
     read = [[1.0, 80.0], [2.0, 60.0]]
     surf = [[0.0] * 11, [1.0] * 11]

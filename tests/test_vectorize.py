@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from hatetriage.linmodel import LinearModel, decision_margins
-from hatetriage.pipeline import _vocab_from_payload, _vocab_payload
+from hatetriage.pipeline import FittedFeatures, _vocab_from_payload, _vocab_payload
 from hatetriage.vectorize import (
     CSRMatrix,
     FeatureMatrix,
@@ -36,8 +36,8 @@ docs_strategy = st.lists(st.lists(token, max_size=6), min_size=1, max_size=10)
 
 
 def tiny_blocks(n_rows: int):
-    word = FeatureMatrix(np.zeros((n_rows, 3)), [("word-ngram", f"w{i}") for i in range(3)])
-    pos = FeatureMatrix(np.zeros((n_rows, 2)), [("pos-ngram", f"p{i}") for i in range(2)])
+    word = FeatureMatrix(np.zeros((n_rows, 3)))
+    pos = FeatureMatrix(np.zeros((n_rows, 2)))
     sent = np.tile([0.1, 0.2, 0.7, 0.0], (n_rows, 1))
     read = np.tile([1.0, 100.0], (n_rows, 1))
     surf = np.tile(np.arange(11, dtype=float), (n_rows, 1))
@@ -188,11 +188,6 @@ class TestTransformTfidf:
         for norm in norms:
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
-    def test_registry_block_tag(self):
-        v = fit_vocab([["a"]], 1, 1, 1, 1.0)
-        fm = transform_tfidf(v, [["a"]], block="pos-ngram")
-        assert fm.registry == [("pos-ngram", "a")]
-
 
 def assert_same_csr(got: sparse.csr_matrix, want: sparse.csr_matrix):
     assert got.shape == want.shape
@@ -245,7 +240,14 @@ class TestNgramTable:
         assert got.df == want.df
         assert got.n_docs == want.n_docs
         assert got.table_columns(table) is not None
-        assert _vocab_from_payload(_vocab_payload(got)) == got
+        try:
+            loaded = _vocab_from_payload(_vocab_payload(got))
+        except ValueError:
+            # load refuses an n-gram that is not n_lo..n_hi tokens joined by
+            # single spaces, which only a token that holds a space can make
+            assert any(" " in t for doc in docs for t in doc)
+        else:
+            assert loaded == got
         assert got.idf.tobytes() == reference_idf(want).tobytes()
 
         rows = table.rows(case["transform_rows"])
@@ -253,18 +255,11 @@ class TestNgramTable:
         want_counts = reference_count_matrix(want, lists)
         want_tfidf = reference_tfidf_matrix(want, lists)
         assert_same_csr(_count_matrix(got, rows), want_counts)
-        registry = [("word-ngram", t) for t in want.ngrams]
-        assert_same_csr(
-            transform_counts(got, rows).matrix, FeatureMatrix(want_counts, registry).matrix
-        )
-        assert_same_csr(
-            transform_tfidf(got, rows).matrix, FeatureMatrix(want_tfidf, registry).matrix
-        )
+        assert_same_csr(transform_counts(got, rows).matrix, FeatureMatrix(want_counts).matrix)
+        assert_same_csr(transform_tfidf(got, rows).matrix, FeatureMatrix(want_tfidf).matrix)
         # token lists take the direct lookup, to the same result
         assert_same_csr(_count_matrix(got, lists), want_counts)
-        assert_same_csr(
-            transform_tfidf(got, lists).matrix, FeatureMatrix(want_tfidf, registry).matrix
-        )
+        assert_same_csr(transform_tfidf(got, lists).matrix, FeatureMatrix(want_tfidf).matrix)
 
     def test_rows_of_a_foreign_table_refused(self):
         docs = [["a", "b"], ["b", "c"], ["a", "a"]]
@@ -345,10 +340,9 @@ class TestCSRMatrixAgainstScipy:
         """Rows of up to a hundred terms, so the norm's summation order shows."""
         assume(any(docs))
         vocab = fit_vocab(docs, 1, n_hi, 1, 1.0)
-        registry = [("word-ngram", t) for t in vocab.ngrams]
         assert_same_csr(
             transform_tfidf(vocab, docs).matrix,
-            FeatureMatrix(reference_tfidf_matrix(vocab, docs), registry).matrix,
+            FeatureMatrix(reference_tfidf_matrix(vocab, docs)).matrix,
         )
 
     @settings(max_examples=200, deadline=None)
@@ -360,11 +354,7 @@ class TestCSRMatrixAgainstScipy:
     ))))
     def test_assembly(self, blocks):
         word, pos, sent, read, surf = blocks
-        names = [("word-ngram", str(i)) for i in range(word.shape[1])]
-        pos_names = [("pos-ngram", str(i)) for i in range(pos.shape[1])]
-        fm, std = assemble_features(
-            FeatureMatrix(word, names), FeatureMatrix(pos, pos_names), sent, read, surf
-        )
+        fm, std = assemble_features(FeatureMatrix(word), FeatureMatrix(pos), sent, read, surf)
         scalars = std.apply(np.hstack([np.array(sent), np.array(read), np.array(surf)]))
         want = reference_assemble(sparse.csr_matrix(word), sparse.csr_matrix(pos), scalars)
         assert_same_csr(fm.matrix, want)
@@ -386,8 +376,8 @@ class TestCSRMatrixAgainstScipy:
 
 class TestAssembleFeatures:
     def test_column_arithmetic(self):
-        word = FeatureMatrix(np.zeros((2, 100)), [("word-ngram", f"w{i}") for i in range(100)])
-        pos = FeatureMatrix(np.zeros((2, 50)), [("pos-ngram", f"p{i}") for i in range(50)])
+        word = FeatureMatrix(np.zeros((2, 100)))
+        pos = FeatureMatrix(np.zeros((2, 50)))
         fm, _ = assemble_features(
             word, pos, np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 11))
         )
@@ -431,41 +421,59 @@ class TestAssembleFeatures:
 
     def test_row_mismatch_rejected(self):
         word, pos, sent, read, surf = tiny_blocks(4)
-        word_bad = FeatureMatrix(np.zeros((5, 3)), word.registry)
+        word_bad = FeatureMatrix(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="mismatch"):
             assemble_features(word_bad, pos, sent, read, surf)
 
+    @staticmethod
+    def tiny_fitted():
+        """Fitted features of three word and two POS unigrams, and their
+        assembled matrix over the fitted documents."""
+        words, tags = [["a", "b", "c"], ["c"]], [["N", "V"], ["N"]]
+        fitted = FittedFeatures(
+            word_vocab=fit_vocab(words, 1, 1, 1, 1.0),
+            pos_vocab=fit_vocab(tags, 1, 1, 1, 1.0),
+            standardizer=None,
+            selected_columns=None,
+        )
+        _, _, sent, read, surf = tiny_blocks(2)
+        fm, _ = assemble_features(
+            transform_tfidf(fitted.word_vocab, words),
+            transform_tfidf(fitted.pos_vocab, tags),
+            sent, read, surf,
+        )
+        return fitted, fm
+
     def test_registry_order_and_blocks(self):
-        word, pos, sent, read, surf = tiny_blocks(2)
-        fm, _ = assemble_features(word, pos, sent, read, surf)
-        blocks = [b for b, _ in fm.registry]
+        # the fitted registry names the assembled columns: word, POS, scalars
+        fitted, _ = self.tiny_fitted()
+        blocks = [b for b, _ in fitted.registry]
         assert blocks == (
             ["word-ngram"] * 3 + ["pos-ngram"] * 2 + ["sentiment"] * 4
             + ["readability"] * 2 + ["surface"] * 11
         )
-        assert fm.registry[5] == ("sentiment", "pos")
-        assert fm.registry[9] == ("readability", "fk_grade")
+        assert fitted.registry[:5] == (
+            ("word-ngram", "a"), ("word-ngram", "b"), ("word-ngram", "c"),
+            ("pos-ngram", "N"), ("pos-ngram", "V"),
+        )
+        assert fitted.registry[5] == ("sentiment", "pos")
+        assert fitted.registry[9] == ("readability", "fk_grade")
 
     def test_registry_is_bijection(self):
-        word, pos, sent, read, surf = tiny_blocks(2)
-        fm, _ = assemble_features(word, pos, sent, read, surf)
-        assert len(fm.registry) == fm.n_cols
+        fitted, fm = self.tiny_fitted()
+        assert len(fitted.registry) == fm.n_cols == len(set(fitted.registry))
 
 
 class TestFeatureMatrix:
-    def test_registry_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.zeros((2, 3)), [("word-ngram", "only-one")])
-
     def test_projection_preserves_values_and_names(self):
+        # a column keeps its values, and so its place in the registry order
         m = np.arange(12, dtype=float).reshape(3, 4)
-        fm = FeatureMatrix(m, [("word-ngram", f"w{i}") for i in range(4)])
-        sub = fm.project([1, 3])
-        assert np.allclose(sub.matrix.toarray(), m[:, [1, 3]])
-        assert sub.registry == [("word-ngram", "w1"), ("word-ngram", "w3")]
+        fm = FeatureMatrix(m)
+        assert np.array_equal(fm.project([1, 3]).matrix.toarray(), m[:, [1, 3]])
+        assert np.array_equal(fm.project([3, 0]).matrix.toarray(), m[:, [3, 0]])
 
     def test_projection_out_of_range(self):
-        fm = FeatureMatrix(np.zeros((1, 2)), [("word-ngram", "a"), ("word-ngram", "b")])
+        fm = FeatureMatrix(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             fm.project([2])
 
@@ -473,7 +481,7 @@ class TestFeatureMatrix:
         m = sparse.csr_matrix(
             (np.array([1.0, 2.0]), np.array([2, 0]), np.array([0, 2])), shape=(1, 3)
         )
-        fm = FeatureMatrix(m, [("word-ngram", c) for c in "abc"])
+        fm = FeatureMatrix(m)
         assert fm.matrix.indices.tolist() == [0, 2]
         assert fm.matrix.data.tolist() == [2.0, 1.0]
 
@@ -487,8 +495,7 @@ class TestSelectL1:
         separator = np.where(y == 0, -2.0, 2.0) + rng.normal(0, 0.1, n)
         noise = rng.normal(0, 1.0, (n, 20))
         X = np.column_stack([separator, noise])
-        names = [("word-ngram", f"f{i}") for i in range(21)]
-        return FeatureMatrix(X, names), y
+        return FeatureMatrix(X), y
 
     def test_keeps_separating_column(self):
         X, y = self.toy()
@@ -499,12 +506,6 @@ class TestSelectL1:
         X, y = self.toy()
         with pytest.raises(ValueError, match="increase C"):
             select_l1(X, y, C=1e-6, tol=1e-5)
-
-    def test_projection_keeps_registry_names(self):
-        X, y = self.toy()
-        keep = select_l1(X, y, C=1.0, tol=1e-5)
-        names_before = [X.registry[c] for c in keep]
-        assert X.project(keep).registry == names_before
 
     def test_selection_sorted_unique(self):
         X, y = self.toy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LABELS, Label
-from .linmodel import LinearModel, labels_from_scores, predict, predict_scores
+from .linmodel import LinearModel, predict
 from .pipeline import (
     MODEL_KINDS,
     FeatureSettings,
@@ -381,8 +381,7 @@ def error_report(
         if t.label is None:
             raise ValueError("error_report requires labeled tweets")
         y_true.append(int(t.label))
-    scores = predict_scores(model, features)
-    preds = labels_from_scores(model, scores)
+    preds, scores = predict(model, features, return_scores=True)
     class_pos = {int(c): i for i, c in enumerate(model.classes)}
     X = features.matrix
     buckets = []

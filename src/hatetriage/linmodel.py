@@ -552,24 +552,24 @@ def decision_margins(model: LinearModel, X) -> np.ndarray:
     return margins + model.bias
 
 
+def _scores(model: LinearModel, margins: np.ndarray) -> np.ndarray:
+    return logistic(margins) if model.loss == "logistic" else margins
+
+
 def predict_scores(model: LinearModel, X) -> np.ndarray:
     """Per-class scores: sigmoid margins (logistic), raw margins (hinge), or
     log-posteriors (nb). No cross-class normalization."""
+    return _scores(model, decision_margins(model, X))
+
+
+def predict(model: LinearModel, X, return_scores: bool = False):
+    """Row-wise argmax over the decision margins; ties go to the smallest
+    class code. The margins, not the scores, pick the label: logistic
+    scores saturate at exactly 0 and 1, so distinct margins can tie there.
+    With return_scores, also predict_scores' scores, from the same margins."""
     margins = decision_margins(model, X)
-    if model.loss == "logistic":
-        return logistic(margins)
-    return margins
-
-
-def labels_from_scores(model: LinearModel, scores: np.ndarray) -> np.ndarray:
-    """Row-wise argmax over predict_scores output; ties go to the smallest
-    class code."""
-    return np.asarray(model.classes)[np.argmax(scores, axis=1)]
-
-
-def predict(model: LinearModel, X) -> np.ndarray:
-    """Row-wise argmax over scores; ties go to the smallest class code."""
-    return labels_from_scores(model, predict_scores(model, X))
+    labels = np.asarray(model.classes)[np.argmax(margins, axis=1)]
+    return (labels, _scores(model, margins)) if return_scores else labels
 
 
 def model_payload(model: LinearModel) -> dict:

@@ -32,10 +32,9 @@ from .linmodel import (
     fit_linear_svm,
     fit_logreg,
     fit_multinomial_nb,
-    labels_from_scores,
     model_from_payload,
     model_payload,
-    predict_scores,
+    predict,
 )
 from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
@@ -569,8 +568,7 @@ def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.int64), np.zeros((0, len(pm.model.classes)))
     ingredients = extract_ingredients(texts, pm.tagger, pm.lexicon)
     fm = model_input_matrix(pm.config.kind, pm.fitted, ingredients)
-    scores = predict_scores(pm.model, fm)
-    return labels_from_scores(pm.model, scores), scores
+    return predict(pm.model, fm, return_scores=True)
 
 
 _VOCAB_FIELDS = ("ngrams", "df", "n_docs", "n_lo", "n_hi", "min_df", "max_df_ratio")

@@ -796,6 +796,34 @@ class TestPredict:
         assert (predict(model, X) == y).all()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(["logistic", "hinge", "nb"]),
+    )
+    def test_label_is_the_margin_argmax(self, margins, loss):
+        """Margins this large saturate logistic scores at exactly 0 or 1,
+        where distinct margins tie; the label still follows the margins."""
+        model = hand_model(
+            weights=np.eye(3), bias=np.zeros(3), classes=(0, 1, 2), loss=loss
+        )
+        X = np.array(margins)
+        labels, scores = predict(model, X, return_scores=True)
+        assert labels.tolist() == np.argmax(X, axis=1).tolist()
+        assert (predict(model, X) == labels).all()
+        assert scores.tobytes() == predict_scores(model, X).tobytes()
+
+    def test_saturated_scores_do_not_pick_the_label(self):
+        model = hand_model(weights=np.eye(3), bias=np.zeros(3), classes=(0, 1, 2))
+        X = np.array([[40.0, 50.0, 60.0], [-900.0, -750.0, -800.0]])
+        assert predict_scores(model, X).tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        assert predict(model, X).tolist() == [2, 1]
+
+
 class TestLinearModelType:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -20,11 +20,13 @@ from hatetriage.lexfeat import (
     sentiment_scores,
     surface_features,
 )
+from hatetriage.linmodel import LinearModel
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
     PIPELINE_MAGIC,
     MODEL_KINDS,
     FeatureSettings,
+    FittedFeatures,
     Ingredients,
     ModelConfig,
     PipelineModel,
@@ -42,6 +44,7 @@ from hatetriage.pipeline import (
 )
 from hatetriage.postag import load_model
 from hatetriage.textproc import tokenize, word_streams
+from hatetriage.vectorize import SCALAR_WIDTH, Vocabulary
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
@@ -240,6 +243,36 @@ class TestIngredients:
         alone = [extract_ingredients([t], tagger, LEX) for t in texts]
         for name in ("word_docs", "pos_docs", "sentiment", "readability", "surface"):
             assert getattr(ing, name) == tuple(getattr(a, name)[0] for a in alone)
+
+
+def hand_pipeline(tagger, word_weights) -> PipelineModel:
+    """A logistic pipeline over the word vocabulary ("rain", "trash"), one
+    POS column and the unscaled scalar columns, which weigh nothing; row k
+    of word_weights holds class k's weights of the two words."""
+    def vocab(ngrams):
+        return Vocabulary(ngrams=ngrams, df=(1,) * len(ngrams), n_docs=2, n_lo=1, n_hi=1,
+                          min_df=1, max_df_ratio=1.0)
+
+    fitted = FittedFeatures(word_vocab=vocab(("rain", "trash")), pos_vocab=vocab(("NN",)),
+                            standardizer=None, selected_columns=None)
+    weights = np.zeros((3, len(fitted.registry)))
+    weights[:, :2] = word_weights
+    model = LinearModel(weights=weights, bias=np.zeros(3), classes=(0, 1, 2),
+                        loss="logistic", penalty="l2", C=1.0)
+    return PipelineModel(tagger=tagger, lexicon=LEX, fitted=fitted, model=model,
+                         config=ModelConfig("logreg", "l2", 1.0))
+
+
+class TestPipelinePredict:
+    def test_label_from_saturated_scores_follows_the_margins(self, tagger):
+        """Each text's TF-IDF row is one word at weight 1, so its margins are
+        that word's weights: far enough out that every score is exactly 1
+        ("rain") or exactly 0 ("trash"), a three-way tie of scores."""
+        pm = hand_pipeline(tagger, [[40.0, -900.0], [50.0, -750.0], [60.0, -800.0]])
+        assert len(pm.fitted.registry) == 3 + SCALAR_WIDTH
+        labels, scores = pipeline_predict(pm, ["rain", "trash"])
+        assert scores.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        assert labels.tolist() == [2, 1]
 
 
 class TestFitFeatures:

@@ -9,8 +9,9 @@ sorted by name; names are `<corpus>/<file>`. The corpora are the bundled
 toy corpus (`toy`), the toy corpus with standardization and selection off
 (`toy-raw`, whose unscaled scalar columns make the worst-conditioned solver
 problems), and for each --seed N a 600-row perfbench/corpusgen.py corpus of
-that seed (`bench-N`), with 200 unseen generated tweets to predict. Predict
-reads the toy corpus's own tweets.
+that seed (`bench-N`), with 600 unseen generated tweets to predict: three of
+predict's 256-line batches, so that state one batch leaves for the next
+shows in the digests. Predict reads the toy corpus's own tweets.
 
 The package is imported from this checkout's src/. Running the script in two
 checkouts and diffing the output shows which artifacts a change moved;
@@ -34,7 +35,7 @@ from hatetriage.cli import main as cli_main  # noqa: E402
 
 TOY = ROOT / "src" / "hatetriage" / "data" / "toy_corpus.csv"
 BENCH_ROWS = 600
-BENCH_UNSEEN = 200
+BENCH_UNSEEN = 600
 
 
 def _run(argv: list[str]) -> None:

@@ -194,12 +194,13 @@ def cmd_train(args) -> int:
 
     in_sample = model_predict(model, fm)
     cm = confusion(y, in_sample)
-    n_selected = len(fitted.selected_columns) if fitted.selected_columns is not None else fm.n_cols
+    # the registry columns the model reads: for naive Bayes only n-gram ones
+    columns = fitted.input_columns(model_config.kind)
     report = [
         f"model={model_config.describe()}",
         f"n_train={len(records)}",
         f"n_features_total={len(fitted.registry)}",
-        f"n_features_selected={n_selected}",
+        f"n_features_selected={len(columns)}",
         f"converged={model.converged}",
         f"iterations={_per_class(model.train_meta)}",
     ]
@@ -213,8 +214,6 @@ def cmd_train(args) -> int:
         confusion_report_text(cm).rstrip(),
     ]
     _write(out / "train_report.txt", "\n".join(report) + "\n")
-    columns = (fitted.selected_columns if fitted.selected_columns is not None
-               else tuple(range(len(fitted.registry))))
     names = [f"{i},{fitted.registry[c][0]},{fitted.registry[c][1]}"
              for i, c in enumerate(columns)]
     _write(out / "selected_features.csv", "index,block,name\n" + "\n".join(names) + "\n")

@@ -129,6 +129,24 @@ class TestTrain:
             assert idx.isdigit()
             assert block in {"word-ngram", "pos-ngram", "sentiment", "readability", "surface"}
 
+    def test_naive_bayes_lists_only_the_columns_it_reads(self, tmp_path):
+        """Naive Bayes reads the selected n-gram columns only: the report
+        counts and the CSV lists those, as many as the model has weights,
+        and no scalar column, though the selection keeps 11 of those."""
+        from hatetriage.pipeline import load_pipeline
+
+        cfg = write_config(tmp_path, model="nb", penalty="none")
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        report = (out / "train_report.txt").read_text()
+        assert "n_features_selected=5\n" in report
+        rows = (out / "selected_features.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "3", "4"]
+        assert {r.split(",")[1] for r in rows} <= {"word-ngram", "pos-ngram"}
+        pm = load_pipeline((out / "model.bin").read_bytes())
+        assert pm.model.n_features == 5
+        assert len(pm.fitted.selected_columns) == 16
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

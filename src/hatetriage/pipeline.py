@@ -197,32 +197,64 @@ class Ingredients:
         return [docs[i] for i in indices]
 
 
+# the most distinct whitespace chunks a loaded model's memo holds between
+# predict calls; at about 420 B a chunk, with the stems of its words, that
+# is about 3.5 MB
+MEMO_CHUNKS = 8192
+
+
+@dataclass(eq=False)
+class ChunkMemo:
+    """What extract_ingredients learns about each distinct whitespace chunk:
+    its tokens, stemmed and unstemmed words and surface counts (`chunks`),
+    the stem of each distinct word (`stems`), and one stored tuple for each
+    distinct counts tuple, as most chunks share one of a few (`counts`).
+    Every value depends on its key alone, so a memo can be shared by any
+    number of calls without changing a result, also by calls in several
+    threads: a write that one thread repeats or another's clear() drops is
+    recomputed to the same value."""
+
+    chunks: dict[str, tuple] = field(default_factory=dict)
+    stems: dict[str, str] = field(default_factory=dict)
+    counts: dict[tuple, tuple] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def clear(self) -> None:
+        self.chunks.clear()
+        self.stems.clear()
+        self.counts.clear()
+
+
 def extract_ingredients(
-    texts, tagger: TagModel, lexicon: SentimentLexicon
+    texts, tagger: TagModel, lexicon: SentimentLexicon, memo: ChunkMemo | None = None
 ) -> Ingredients:
     """Tokenize, stem, tag, and score every text once, up front.
 
     Tweets repeat their whitespace chunks, so each distinct chunk is
-    tokenized, stemmed and counted once, into a memo that lives for this
-    call only: a long stream of new chunks cannot grow it past one call.
-    For each chunk the memo holds its tokens, its stemmed and unstemmed
-    words, and its hashtag, mention, URL, word and syllable counts. A
-    tweet is its leading retweet marker, if any, followed by its chunks:
-    its tokens and word streams are the concatenation of theirs, and its
-    surface counts their sum, from which readability follows. Sentiment
-    walks the tweet's tokens, because negation and boosters look across
-    chunks. Stems are memoized per distinct word for the same call. All
-    texts are tagged in one batched call, which reads each text's unstemmed
-    words as the loop below makes them and keeps only their feature ids.
+    tokenized, stemmed and counted once, into `memo`: a fresh one that lives
+    for this call when none is given (training, evaluation, report), or a
+    loaded model's, which predict calls share. A given memo that holds more
+    than MEMO_CHUNKS chunks when the call ends is emptied, so a long stream
+    of new chunks cannot grow it past one call's worth. For each chunk the
+    memo holds its tokens, its stemmed and unstemmed words, and its
+    hashtag, mention, URL, word and syllable counts. A tweet is its leading
+    retweet marker, if any, followed by its chunks: its tokens and word
+    streams are the concatenation of theirs, and its surface counts their
+    sum, from which readability follows. Sentiment walks the tweet's
+    tokens, because negation and boosters look across chunks. Stems are
+    memoized per distinct word in the same memo. All texts are tagged in one
+    batched call, which reads each text's unstemmed words as the loop below
+    makes them and keeps only their feature ids.
     """
     word_docs = []
     sent = []
     read = []
     surf = []
-    stems: dict[str, str] = {}
-    memo: dict[str, tuple] = {}
-    # most chunks' counts are one of a few tuples; each is stored once
-    counts_seen: dict[tuple, tuple] = {}
+    if memo is None:
+        memo = ChunkMemo()
+    seen, stems, counts_seen = memo.chunks, memo.stems, memo.counts
 
     def chunk_value(chunk: str) -> tuple:
         tokens = tuple(classify_chunk(chunk))
@@ -231,7 +263,7 @@ def extract_ingredients(
         sf = surface_features(chunk, tokens)
         counts = (sf.count_hashtags, sf.count_mentions, sf.count_urls, sf.num_words,
                   sf.num_syllables)
-        value = memo[chunk] = (
+        value = seen[chunk] = (
             tokens,
             stemmed,
             # most words stem to themselves: keep one tuple for both streams
@@ -248,7 +280,7 @@ def extract_ingredients(
             words: list[str] = []
             hashtags = mentions = urls = num_words = syllables = 0
             for chunk in chunks:
-                value = memo.get(chunk) or chunk_value(chunk)
+                value = seen.get(chunk) or chunk_value(chunk)
                 tokens += value[0]
                 stemmed += value[1]
                 words += value[2]
@@ -277,6 +309,8 @@ def extract_ingredients(
             yield words
 
     pos_docs = tag_batch(tagger, unstemmed_words())
+    if len(memo) > MEMO_CHUNKS:
+        memo.clear()
     return Ingredients(
         word_docs=tuple(word_docs),
         pos_docs=tuple(pos_docs),
@@ -552,7 +586,9 @@ def build_grid(models, penalties, cs, class_weights) -> tuple[ModelConfig, ...]:
 @dataclass(frozen=True)
 class PipelineModel:
     """Self-contained trained pipeline: tagger, lexicon, feature state, and
-    the classifier, everything prediction needs in one artifact."""
+    the classifier, everything prediction needs in one artifact. Beside the
+    fields, `memo` is the ChunkMemo every pipeline_predict call on this
+    model shares; it lives as long as the model."""
 
     tagger: TagModel
     lexicon: SentimentLexicon
@@ -560,13 +596,17 @@ class PipelineModel:
     model: LinearModel
     config: ModelConfig
 
+    def __post_init__(self):
+        # a cache, not a field
+        object.__setattr__(self, "memo", ChunkMemo())
+
 
 def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
     """Labels (class codes) and per-class scores for raw texts."""
     texts = list(texts)
     if not texts:
         return np.zeros(0, dtype=np.int64), np.zeros((0, len(pm.model.classes)))
-    ingredients = extract_ingredients(texts, pm.tagger, pm.lexicon)
+    ingredients = extract_ingredients(texts, pm.tagger, pm.lexicon, pm.memo)
     fm = model_input_matrix(pm.config.kind, pm.fitted, ingredients)
     return predict(pm.model, fm, return_scores=True)
 

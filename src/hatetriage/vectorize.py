@@ -8,8 +8,9 @@ stored for predict time; a zero-variance column is centered to all zeros
 without dividing.
 
 A fitted `Vocabulary` is its column list, the n-grams in column order with
-their document frequencies; it derives its index and idf vector from them
-once, when built, and every transform and the saved artifact read them.
+their document frequencies; it derives its idf vector from them once, when
+built, and its n-gram keys on first use; every transform and the saved
+artifact read them.
 
 A corpus that is fitted on is counted once: `NgramTable.build` enumerates
 every document's n-grams into a documents x distinct-n-grams count table.
@@ -17,8 +18,10 @@ A vocabulary fitted on some of its rows takes its document frequencies from
 the table, and the count and TF-IDF blocks of any of its rows are slices of
 the table with the columns mapped to the vocabulary's order, so folds that
 refit on different rows never enumerate the n-grams again. Token lists (new
-tweets at predict time) are enumerated and looked up in the vocabulary
-directly; rows of a table the vocabulary was not fitted from are refused.
+tweets at predict time) are looked up by integer keys: the vocabulary packs
+each of its n-grams into one key once (`NgramKeys`), and a batch's n-grams
+are keyed and found with a few numpy operations; rows of a table the
+vocabulary was not fitted from are refused.
 
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
@@ -36,6 +39,8 @@ import weakref
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -69,8 +74,11 @@ SCALAR_WIDTH = len(SCALAR_REGISTRY)
 class Vocabulary:
     """The columns of one n-gram block: column i is ngrams[i], seen in df[i]
     of the n_docs fitted documents. The fields are checked once when built
-    (lists are taken as tuples), and `index` (n-gram -> column) and `idf`
-    (float64, one per column) are built from them then, beside the fields."""
+    (lists are taken as tuples), and `idf` (float64, one per column) is
+    built from them then, beside the fields. The integer keys that token
+    lists are looked up by (`NgramKeys`) are derived on the first token-list
+    transform, so loading a model or slicing a count table never pays for
+    them."""
 
     ngrams: tuple[str, ...]
     df: tuple[int, ...]
@@ -104,7 +112,6 @@ class Vocabulary:
         n, max_df = self.n_docs, self.max_df_ratio * self.n_docs
         if not all(type(d) is int and self.min_df <= d <= max_df for d in self.df):
             raise ValueError(f"document frequencies must be ints from min_df to {max_df}")
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.ngrams)})
         idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in self.df]
         object.__setattr__(self, "idf", np.array(idf, dtype=np.float64))
 
@@ -118,13 +125,90 @@ class Vocabulary:
             return None
         return self.source[1]
 
+    @cached_property
+    def ngram_keys(self) -> "NgramKeys":
+        """The vocabulary's n-grams as integer keys, derived on first use."""
+        return NgramKeys(self)
+
+
+class NgramKeys:
+    """A vocabulary's n-grams as integer keys, to look token lists up by.
+
+    Each token of the vocabulary's n-grams (split at single spaces) gets an
+    id from 1 to V; any other token, and the end of each document, is 0.
+    With base B = V + 1, the n-gram of token ids d_1..d_n has the key
+
+        K(d_1) = d_1,    K(d_1..d_n) = B * K(d_1..d_{n-1}) + d_n + B,
+
+    its ids as base-B digits plus B + B^2 + ... + B^(n-1). The keys of
+    order n therefore fill a range of their own, and a run of n tokens that
+    holds a 0 has a 0 digit, which no vocabulary key has: it matches
+    nothing, so no n-gram spans an unknown token or two documents. A token
+    that holds a space is unknown, as no vocabulary token does: the
+    vocabulary n-gram "a b" is the two tokens "a" and "b", never the one
+    token "a b". (A vocabulary fitted on such tokens may hold an n-gram whose
+    token count lies outside n_lo..n_hi; it gets no key and matches nothing.)
+
+    `sorted_keys` holds the keys ascending, then one key above every key a
+    document can make, so that `np.searchsorted` never runs off the end;
+    `columns` holds each sorted key's column. Keys are int64 while that top
+    key, B + B^2 + ... + B^n_hi, fits; beyond that, the same arithmetic runs
+    on Python ints in object arrays, which is slower but exact.
+    """
+
+    __slots__ = ("n_lo", "n_hi", "token_ids", "base", "dtype", "sorted_keys", "columns")
+
+    def __init__(self, vocab: Vocabulary):
+        self.n_lo, self.n_hi = vocab.n_lo, vocab.n_hi
+        grams = [ngram.split(" ") for ngram in vocab.ngrams]
+        tokens = dict.fromkeys(t for gram in grams for t in gram)
+        self.token_ids = dict(zip(tokens, range(1, len(tokens) + 1)))
+        self.base = len(tokens) + 1
+        top = sum(self.base**m for m in range(1, self.n_hi + 1))
+        self.dtype = np.int64 if top <= np.iinfo(np.int64).max else object
+        # each n-gram, read as a document, starts a run of its own length
+        lengths = np.fromiter(map(len, grams), np.int64, len(grams))
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        columns = ((lengths >= self.n_lo) & (lengths <= self.n_hi)).nonzero()[0]
+        keys, n = self.run_keys(grams)
+        keys = keys[(lengths[columns] - self.n_lo) * n + starts[columns]]
+        order = keys.argsort()
+        self.sorted_keys = np.append(keys[order], np.array([top], dtype=self.dtype))
+        self.columns = columns[order]
+
+    def run_keys(self, docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, int]:
+        """The key of every run of n_lo..n_hi tokens in docs, each document
+        followed by its end: for each order, ascending, one key for each of
+        the n token positions, so key j is that of the run that starts at
+        position j % n. Returns the keys and n."""
+        tokens: list = []
+        for doc in docs:
+            tokens += doc
+            tokens.append(None)  # the document's end, id 0 like an unknown token
+        n = len(tokens)
+        # ends of runs that start near the last position, so every order has n keys
+        tokens += [None] * (self.n_hi - 1)
+        ids = np.fromiter(map(self.token_ids.get, tokens, repeat(0)), self.dtype, len(tokens))
+        key, digits = ids, ids + self.base
+        keys = [key[:n]] if self.n_lo == 1 else []
+        for order in range(2, self.n_hi + 1):
+            key = key[:-1] * self.base + digits[order - 1 :]
+            if order >= self.n_lo:
+                keys.append(key[:n])
+        return np.concatenate(keys), n
+
+
+_INT32_MAX = np.iinfo(np.int32).max
+# below every (row, column) pair a token-list lookup counts
+_BEFORE_ALL = np.array([-1])
+
 
 def _indptr(lengths) -> np.ndarray:
     """Row pointers for rows of the given lengths: int32, as scipy.sparse
     chooses, unless the entries outgrow it."""
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    return indptr.astype(np.int32) if indptr[-1] <= np.iinfo(np.int32).max else indptr
+    return indptr.astype(np.int32) if indptr[-1] <= _INT32_MAX else indptr
 
 
 class CSRMatrix:
@@ -276,7 +360,7 @@ class FeatureMatrix:
     def project(self, columns: Sequence[int]) -> "FeatureMatrix":
         """Restrict to the given columns, in the given order."""
         cols = list(columns)
-        if any(c < 0 or c >= self.n_cols for c in cols):
+        if cols and (min(cols) < 0 or max(cols) >= self.n_cols):
             raise ValueError("projection column out of range")
         if len(set(cols)) != len(cols):
             raise ValueError("projection columns repeat")
@@ -431,29 +515,40 @@ def fit_vocab(
 
 def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> CSRMatrix:
     """Raw counts of the vocabulary's n-grams: a slice of the table for rows
-    of the table `vocab` was fitted from, a direct lookup of every
-    document's n-grams for token lists."""
+    of the table `vocab` was fitted from, else a keyed lookup of the token
+    lists, one numpy pass over the whole batch.
+
+    The lookup keys every run of n_lo..n_hi tokens of the batch from
+    shifted views of its token ids (`NgramKeys.run_keys`), finds all of
+    them in the sorted vocabulary keys with one `searchsorted`, and counts
+    the (row, column) pairs that hit. A token that holds a space matches
+    nothing (`NgramKeys`)."""
     if isinstance(docs, TableRows):
         columns = vocab.table_columns(docs.table)
         if columns is None:
             raise ValueError("table rows given for a vocabulary not fitted from that table")
         return as_csr(docs.counts().columns(columns))
-    data, indices, lengths = [], [], []
-    for doc in docs:
-        counts: dict[int, float] = {}
-        for ngram in _ngrams(doc, vocab.n_lo, vocab.n_hi):
-            col = vocab.index.get(ngram)
-            if col is not None:
-                counts[col] = counts.get(col, 0.0) + 1.0
-        for col in sorted(counts):
-            indices.append(col)
-            data.append(counts[col])
-        lengths.append(len(counts))
+    known = vocab.ngram_keys
+    n_docs, n_cols = len(docs), len(vocab)
+    keys, n = known.run_keys(docs)
+    # each token position's row, times n_cols: a (row, column) pair is one int
+    row_base: list[int] = []
+    for row, doc in enumerate(docs):
+        row_base += [row * n_cols] * (len(doc) + 1)
+    at = known.sorted_keys.searchsorted(keys)
+    hit = (known.sorted_keys[at] == keys).nonzero()[0]
+    pairs = known.columns[at[hit]] + np.array(row_base, dtype=np.int64)[hit % n]
+    pairs.sort()
+    # the first of each run of equal pairs, and len(pairs) after the last
+    edges = np.concatenate((_BEFORE_ALL, pairs, _BEFORE_ALL))
+    first = (edges[1:] != edges[:-1]).nonzero()[0]
+    pairs = pairs[first[:-1]]
+    indptr = pairs.searchsorted(np.arange(0, (n_docs + 1) * n_cols, n_cols))
     return CSRMatrix(
-        np.array(data, dtype=np.float64),
-        np.array(indices, dtype=np.int32),
-        _indptr(lengths),
-        (len(docs), len(vocab)),
+        np.subtract(first[1:], first[:-1], dtype=np.float64),
+        (pairs % n_cols).astype(np.int32),
+        indptr if len(pairs) > _INT32_MAX else indptr.astype(np.int32),
+        (n_docs, n_cols),
     )
 
 

@@ -256,7 +256,7 @@ def test_a6_feature_oracles(golden_dir):
     # TF-IDF on the two-document corpus, against hand arithmetic
     docs = [["a", "b"], ["a"]]
     vocab = fit_vocab(docs, 1, 2, 1, 1.0)
-    assert list(vocab.index) == ["a", "a b", "b"]
+    assert list(vocab.ngrams) == ["a", "a b", "b"]
     fm = transform_tfidf(vocab, docs)
     idf_all = math.log(3 / 3) + 1.0
     idf_one = math.log(3 / 2) + 1.0
@@ -346,7 +346,7 @@ def test_a7_harness_oracles():
                 doc = docs[j]
                 train_ngrams.update(doc)
                 train_ngrams.update(" ".join(doc[i : i + 2]) for i in range(len(doc) - 1))
-            assert set(pf.fitted.word_vocab.index) <= train_ngrams
+            assert set(pf.fitted.word_vocab.ngrams) <= train_ngrams
     print("A7: six-point metrics exact, fold bounds hold, no vocabulary leakage in 10 trials")
 
 

@@ -323,7 +323,7 @@ class TestCrossValidate:
                     train_ngrams.update(
                         " ".join(doc[i : i + 2]) for i in range(len(doc) - 1)
                     )
-                assert set(pf.fitted.word_vocab.index) <= train_ngrams
+                assert set(pf.fitted.word_vocab.ngrams) <= train_ngrams
 
 
 class TestGridSearch:

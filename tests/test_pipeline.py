@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.resources
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from hatetriage.linmodel import LinearModel
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
     PIPELINE_MAGIC,
+    MEMO_CHUNKS,
     MODEL_KINDS,
+    ChunkMemo,
     FeatureSettings,
     FittedFeatures,
     Ingredients,
@@ -239,10 +242,13 @@ class TestIngredients:
     def test_chunk_memo_matches_per_tweet_path(self, tagger, texts):
         ing = extract_ingredients(texts, tagger, LEX)
         assert ing == per_tweet_ingredients(texts, tagger, LEX)
-        # one call per text shares no memo across texts, and gives the same
-        alone = [extract_ingredients([t], tagger, LEX) for t in texts]
-        for name in ("word_docs", "pos_docs", "sentiment", "readability", "surface"):
-            assert getattr(ing, name) == tuple(getattr(a, name)[0] for a in alone)
+        # a call given no memo gets a fresh one, so one call per text shares
+        # nothing across texts; one memo shared by those calls, as a loaded
+        # model's is by its predict calls, gives the same too
+        for memo in (None, ChunkMemo()):
+            alone = [extract_ingredients([t], tagger, LEX, memo) for t in texts]
+            for name in ("word_docs", "pos_docs", "sentiment", "readability", "surface"):
+                assert getattr(ing, name) == tuple(getattr(a, name)[0] for a in alone)
 
 
 def hand_pipeline(tagger, word_weights) -> PipelineModel:
@@ -275,6 +281,63 @@ class TestPipelinePredict:
         assert labels.tolist() == [2, 1]
 
 
+@pytest.fixture(scope="module")
+def saved_pipeline(tagger) -> bytes:
+    return save_pipeline(built_pipeline(tagger)[0])
+
+
+def split_at(texts, cuts):
+    bounds = [0, *sorted(cuts), len(texts)]
+    return [texts[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestModelMemo:
+    """A loaded model keeps one chunk memo for all its predict calls."""
+
+    @pytest.mark.parametrize("bound", [MEMO_CHUNKS, 4, 0])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        texts=st.lists(TEXTS_OF_REPEATED_CHUNKS | st.sampled_from(["awful meh", "lovely sunny"]),
+                       min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_stream_equals_calls_on_fresh_models(self, saved_pipeline, bound, texts, data):
+        """However a stream is cut into calls, each call's labels and scores
+        equal, bit for bit, those of the same call on a freshly loaded
+        model: with the memo cold (first pass), warm (second pass), and
+        emptied between calls (a bound of 4 or 0 chunks)."""
+        batches = split_at(texts, data.draw(st.lists(st.integers(0, len(texts)), max_size=4)))
+        pm = load_pipeline(saved_pipeline)
+        with mock.patch.object(pipeline, "MEMO_CHUNKS", bound):
+            for _ in range(2):
+                for batch in batches:
+                    labels, scores = pipeline_predict(pm, batch)
+                    assert len(pm.memo) <= bound
+                    want_labels, want_scores = pipeline_predict(load_pipeline(saved_pipeline), batch)
+                    assert labels.tolist() == want_labels.tolist()
+                    assert scores.tobytes() == want_scores.tobytes()
+
+    def test_memo_never_left_above_its_bound(self, saved_pipeline):
+        """Three calls of 4,000 new chunks each: the memo holds 4,000, then
+        8,000, and is emptied once the third call takes it past the bound."""
+        pm = load_pipeline(saved_pipeline)
+        sizes = []
+        for call in range(3):
+            texts = [" ".join(f"w{call}x{i}x{j}" for j in range(4)) for i in range(1000)]
+            pipeline_predict(pm, texts)
+            sizes.append(len(pm.memo))
+        assert MEMO_CHUNKS == 8192
+        assert sizes == [4000, 8000, 0]
+        assert not pm.memo.stems and not pm.memo.counts
+
+    def test_memo_lives_with_the_model(self, saved_pipeline):
+        pm = load_pipeline(saved_pipeline)
+        assert len(pm.memo) == 0
+        pipeline_predict(pm, ["lovely sunny day"])
+        assert set(pm.memo.chunks) == {"lovely", "sunny", "day"}
+        assert len(load_pipeline(saved_pipeline).memo) == 0
+
+
 class TestFitFeatures:
     def test_subset_rows_only_shape_vocab(self):
         docs = [["common", "common"], ["common", "rare"], ["other", "other"]]
@@ -283,8 +346,8 @@ class TestFitFeatures:
             word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select=False
         )
         fitted = fit_features(ing, [0, 1, 0], fs, indices=[0, 1])
-        assert "other" not in fitted.word_vocab.index
-        assert "common" in fitted.word_vocab.index
+        assert "other" not in fitted.word_vocab.ngrams
+        assert "common" in fitted.word_vocab.ngrams
 
     def test_transform_width_constant_across_subsets(self):
         docs = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b"]]
@@ -477,31 +540,37 @@ def format_1_payload() -> dict:
     return payload
 
 
+def built_pipeline(tagger, kind="logreg", select=False):
+    """A pipeline trained on 36 texts of four words each, a pair of words
+    per class, with the texts and their labels."""
+    rng = np.random.default_rng(1)
+    words = {0: ["awful", "trash"], 1: ["mediocre", "meh"], 2: ["lovely", "sunny"]}
+    texts, y = [], []
+    for cls in (0, 1, 2):
+        for _ in range(12):
+            texts.append(" ".join(str(rng.choice(words[cls])) for _ in range(4)))
+            y.append(cls)
+    ing = extract_ingredients(texts, tagger, LEX)
+    fs = FeatureSettings(
+        word_ngram_hi=2, pos_ngram_hi=1, min_df=2, max_df_ratio=1.0, select=select
+    )
+    fitted = fit_features(ing, y, fs)
+    config = (
+        ModelConfig(kind, "none" if kind == "nb" else "l2", 1.0)
+    )
+    fm = (
+        count_matrix(fitted, ing) if kind == "nb" else feature_matrix(fitted, ing)
+    )
+    model = fit_config_model(config, fm, y)
+    pm = PipelineModel(
+        tagger=tagger, lexicon=LEX, fitted=fitted, model=model, config=config
+    )
+    return pm, texts, y
+
+
 class TestPipelineArtifact:
     def build(self, tagger, kind="logreg", select=False):
-        rng = np.random.default_rng(1)
-        words = {0: ["awful", "trash"], 1: ["mediocre", "meh"], 2: ["lovely", "sunny"]}
-        texts, y = [], []
-        for cls in (0, 1, 2):
-            for _ in range(12):
-                texts.append(" ".join(str(rng.choice(words[cls])) for _ in range(4)))
-                y.append(cls)
-        ing = extract_ingredients(texts, tagger, LEX)
-        fs = FeatureSettings(
-            word_ngram_hi=2, pos_ngram_hi=1, min_df=2, max_df_ratio=1.0, select=select
-        )
-        fitted = fit_features(ing, y, fs)
-        config = (
-            ModelConfig(kind, "none" if kind == "nb" else "l2", 1.0)
-        )
-        fm = (
-            count_matrix(fitted, ing) if kind == "nb" else feature_matrix(fitted, ing)
-        )
-        model = fit_config_model(config, fm, y)
-        pm = PipelineModel(
-            tagger=tagger, lexicon=LEX, fitted=fitted, model=model, config=config
-        )
-        return pm, texts, y
+        return built_pipeline(tagger, kind, select)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_roundtrip_reproduces_predictions(self, tagger, kind):

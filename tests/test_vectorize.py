@@ -47,23 +47,22 @@ def tiny_blocks(n_rows: int):
 class TestFitVocab:
     def test_enumeration_with_bigrams(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 2, min_df=1, max_df_ratio=1.0)
-        assert v.index == {"a": 0, "a b": 1, "b": 2}
         assert v.ngrams == ("a", "a b", "b")
         assert v.df == (2, 1, 1)
 
     def test_min_df_filter(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 2, min_df=2, max_df_ratio=1.0)
-        assert v.index == {"a": 0}
+        assert v.ngrams == ("a",)
 
     def test_empty_doc_plus_word(self):
         v = fit_vocab([[], ["x"]], 1, 1, min_df=1, max_df_ratio=1.0)
-        assert v.index == {"x": 0}
+        assert v.ngrams == ("x",)
 
     def test_max_df_drops_ubiquitous(self):
         docs = [["a", "b"], ["a", "c"], ["a", "d"], ["a", "e"]]
         v = fit_vocab(docs, 1, 1, min_df=1, max_df_ratio=0.75)
-        assert "a" not in v.index  # df 4 > 3
-        assert set(v.index) == {"b", "c", "d", "e"}
+        assert "a" not in v.ngrams  # df 4 > 3
+        assert set(v.ngrams) == {"b", "c", "d", "e"}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestFitVocab:
         except ValueError:
             return  # corpus was all-empty docs
         assert sorted(v.ngrams) == list(v.ngrams)
-        assert sorted(v.index.values()) == list(range(len(v.index)))
+        assert len(set(v.ngrams)) == len(v.ngrams)
 
     @given(docs_strategy)
     def test_df_bounds_hold(self, docs):
@@ -126,17 +125,17 @@ class TestVocabulary:
     def test_lists_taken_as_tuples(self):
         v = Vocabulary(**{**self.GOOD, "ngrams": ["a", "b"], "df": [1, 2]})
         assert v == Vocabulary(**self.GOOD)
-        assert (v.ngrams, v.df, v.index) == (("a", "b"), (1, 2), {"a": 0, "b": 1})
+        assert (v.ngrams, v.df) == (("a", "b"), (1, 2))
 
 
 class TestTransformTfidf:
     def test_term_in_all_docs_has_idf_one(self):
         v = fit_vocab([["a"], ["a"]], 1, 1, 1, 1.0)
-        assert v.idf[v.index["a"]] == pytest.approx(1.0)
+        assert v.idf[v.ngrams.index("a")] == pytest.approx(1.0)
 
     def test_term_in_one_of_two(self):
         v = fit_vocab([["a", "b"], ["a"]], 1, 1, 1, 1.0)
-        assert v.idf[v.index["b"]] == pytest.approx(math.log(3 / 2) + 1, abs=1e-9)
+        assert v.idf[v.ngrams.index("b")] == pytest.approx(math.log(3 / 2) + 1, abs=1e-9)
 
     def test_idf_is_the_per_term_log(self):
         """idf is math.log term by term, the expression saved models were
@@ -197,7 +196,9 @@ def assert_same_csr(got: sparse.csr_matrix, want: sparse.csr_matrix):
         assert a.tobytes() == b.tobytes(), name
 
 
-# "a b" as one token spells the same n-gram as the bigram of "a" and "b"
+# "a b" as one token spells the same n-gram as the bigram of "a" and "b": the
+# table, keyed by n-gram strings, counts both in one column, while the keyed
+# lookup of token lists reads the token "a b" as unknown
 table_token = st.sampled_from(["a", "b", "c", "d", "a b"])
 
 
@@ -236,7 +237,7 @@ class TestNgramTable:
                 fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
             return
         got = fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
-        assert got.index == want.index
+        assert got.ngrams == want.ngrams
         assert got.df == want.df
         assert got.n_docs == want.n_docs
         assert got.table_columns(table) is not None
@@ -257,9 +258,15 @@ class TestNgramTable:
         assert_same_csr(_count_matrix(got, rows), want_counts)
         assert_same_csr(transform_counts(got, rows).matrix, FeatureMatrix(want_counts).matrix)
         assert_same_csr(transform_tfidf(got, rows).matrix, FeatureMatrix(want_tfidf).matrix)
-        # token lists take the direct lookup, to the same result
-        assert_same_csr(_count_matrix(got, lists), want_counts)
-        assert_same_csr(transform_tfidf(got, lists).matrix, FeatureMatrix(want_tfidf).matrix)
+        # token lists take the keyed lookup, which reads a token that holds a
+        # space as unknown: it equals the reference on the same lists with
+        # each such token replaced by one that no vocabulary holds
+        plain = [[t if " " not in t else "z" for t in doc] for doc in lists]
+        assert_same_csr(_count_matrix(got, lists), reference_count_matrix(want, plain))
+        assert_same_csr(
+            transform_tfidf(got, lists).matrix,
+            FeatureMatrix(reference_tfidf_matrix(want, plain)).matrix,
+        )
 
     def test_rows_of_a_foreign_table_refused(self):
         docs = [["a", "b"], ["b", "c"], ["a", "a"]]
@@ -290,6 +297,103 @@ class TestNgramTable:
             [0, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 1, 1],
         ]
+
+
+lookup_token = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def lookup_case(draw):
+    """A vocabulary fitted on whitespace-free tokens and a batch to look up:
+    its documents may be empty, repeat n-grams, or hold tokens ("f", "g")
+    that no fitted n-gram holds."""
+    n_lo = draw(st.integers(1, 3))
+    return {
+        "fit_docs": draw(st.lists(st.lists(lookup_token, max_size=7), min_size=1, max_size=8)),
+        "n_lo": n_lo,
+        "n_hi": draw(st.integers(n_lo, 3)),
+        "min_df": draw(st.integers(1, 2)),
+        "docs": draw(st.lists(
+            st.lists(lookup_token | st.sampled_from(["f", "g"]), max_size=9),
+            min_size=1, max_size=6,
+        )),
+    }
+
+
+def assert_lookup_equals_reference(vocab, docs):
+    want_counts = reference_count_matrix(vocab, docs)
+    assert_same_csr(_count_matrix(vocab, docs), want_counts)
+    assert_same_csr(transform_counts(vocab, docs).matrix, FeatureMatrix(want_counts).matrix)
+    assert_same_csr(
+        transform_tfidf(vocab, docs).matrix,
+        FeatureMatrix(reference_tfidf_matrix(vocab, docs)).matrix,
+    )
+
+
+class TestKeyedLookup:
+    """Token lists are looked up by packed integer n-gram keys, to the same
+    counts and TF-IDF, bit for bit, as the string-keyed reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookup_case())
+    def test_batches_and_single_documents_equal_reference(self, case):
+        try:
+            vocab = fit_vocab(case["fit_docs"], case["n_lo"], case["n_hi"], case["min_df"], 1.0)
+        except ValueError:
+            assume(False)
+        docs = case["docs"]
+        assert_lookup_equals_reference(vocab, docs)
+        for doc in docs:
+            assert_lookup_equals_reference(vocab, [doc])
+        # a loaded vocabulary derives its keys afresh, to the same result
+        assert_lookup_equals_reference(_vocab_from_payload(_vocab_payload(vocab)), docs)
+
+    def test_no_documents(self):
+        vocab = fit_vocab([["a", "b"]], 1, 2, 1, 1.0)
+        assert_lookup_equals_reference(vocab, [])
+        assert _count_matrix(vocab, []).shape == (0, 3)
+
+    def test_keys_are_derived_on_the_first_token_list_lookup(self):
+        vocab = _vocab_from_payload(_vocab_payload(fit_vocab([["a", "b"]], 1, 2, 1, 1.0)))
+        assert "ngram_keys" not in vars(vocab)
+        transform_tfidf(vocab, [["a"]])
+        assert vars(vocab)["ngram_keys"] is vocab.ngram_keys
+
+    def test_token_with_a_space_is_unknown(self):
+        """A fitted n-gram is tokens joined by single spaces, so the n-gram
+        "a b" is the tokens "a" and "b"; the token "a b" matches nothing,
+        where the string-keyed reference counts it as that bigram."""
+        vocab = fit_vocab([["a", "b"]], 1, 2, 1, 1.0)
+        assert vocab.ngrams == ("a", "a b", "b")
+        docs = [["a b"], ["a", "b"], ["b", "a b", "a"]]
+        assert _count_matrix(vocab, docs).toarray().tolist() == [
+            [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]
+        ]
+        assert reference_count_matrix(vocab, [["a b"]]).toarray().tolist() == [[0.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("n_hi, dtype", [(7, np.int64), (8, object)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_both_sides_of_the_int64_key_limit(self, n_hi, dtype, data):
+        """With 300 distinct tokens the base is 301: keys of up to 7 tokens
+        fit int64 (301 + 301^2 + ... + 301^7 < 2^63) and keys of up to 8 do
+        not, so they are Python ints. Either way the counts equal the
+        reference's, for documents made of pieces of the fitted ones (so
+        that long n-grams hit) and of unknown tokens."""
+        tokens = [f"t{i}" for i in range(300)]
+        rng = np.random.default_rng(n_hi)
+        fit_docs = [tokens] + [list(rng.choice(tokens[:12], size=14)) for _ in range(8)]
+        vocab = fit_vocab(fit_docs, 1, n_hi, 1, 1.0)
+        keys = vocab.ngram_keys
+        assert (keys.base, keys.dtype) == (301, dtype)
+        piece = st.builds(
+            lambda doc, start, width: doc[start : start + width],
+            st.sampled_from(fit_docs), st.integers(0, 299), st.integers(0, n_hi + 2),
+        )
+        doc = st.lists(piece | st.just(["unknown"]), max_size=4).map(
+            lambda pieces: [t for p in pieces for t in p]
+        )
+        assert_lookup_equals_reference(vocab, data.draw(st.lists(doc, min_size=1, max_size=4)))
 
 
 value = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False) | st.just(0.0)

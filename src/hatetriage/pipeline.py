@@ -619,13 +619,7 @@ def _vocab_payload(v: Vocabulary) -> dict:
 
 
 def _vocab_from_payload(d: dict) -> Vocabulary:
-    vocab = Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
-    # fitted n-grams join n_lo..n_hi tokens, which never hold whitespace
-    for tokens in (ngram.split(" ") for ngram in vocab.ngrams):
-        if not vocab.n_lo <= len(tokens) <= vocab.n_hi or "" in tokens:
-            raise ValueError(f"n-gram {' '.join(tokens)!r} is not {vocab.n_lo} to "
-                             f"{vocab.n_hi} non-empty tokens joined by single spaces")
-    return vocab
+    return Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
 
 
 def save_pipeline(pm: PipelineModel) -> bytes:

@@ -8,20 +8,26 @@ stored for predict time; a zero-variance column is centered to all zeros
 without dividing.
 
 A fitted `Vocabulary` is its column list, the n-grams in column order with
-their document frequencies; it derives its idf vector from them once, when
-built, and its n-gram keys on first use; every transform and the saved
-artifact read them.
+their document frequencies, each n-gram n_lo..n_hi non-empty tokens joined
+by single spaces; it derives its idf vector from them once, when built, and
+its n-gram keys on first use; every transform and the saved artifact read
+them.
 
-A corpus that is fitted on is counted once: `NgramTable.build` enumerates
-every document's n-grams into a documents x distinct-n-grams count table.
-A vocabulary fitted on some of its rows takes its document frequencies from
-the table, and the count and TF-IDF blocks of any of its rows are slices of
-the table with the columns mapped to the vocabulary's order, so folds that
-refit on different rows never enumerate the n-grams again. Token lists (new
-tweets at predict time) are looked up by integer keys: the vocabulary packs
-each of its n-grams into one key once (`NgramKeys`), and a batch's n-grams
-are keyed and found with a few numpy operations; rows of a table the
-vocabulary was not fitted from are refused.
+Fitting and lookup share one token rule and one key rule (`KeyRule`): a
+token that is empty or holds a space is unknown, and every run of known
+tokens inside one document is packed into one integer key by Horner's rule.
+A corpus that is fitted on is counted once: `NgramTable.build` keys every
+document's n-grams and counts them into a documents x distinct-n-grams
+table, with a few numpy operations and no n-gram strings. A vocabulary
+fitted on some of its rows takes its document frequencies from the table,
+and the count and TF-IDF blocks of any of its rows are slices of the table
+with the columns mapped to the vocabulary's order, so folds that refit on
+different rows never enumerate the n-grams again. Token lists (new tweets
+at predict time) are looked up by the same keys: the vocabulary packs each
+of its n-grams into one key once (`NgramKeys`), and a batch's n-grams are
+keyed and found with a few numpy operations, so a document is counted alike
+as a table row and as a token list; rows of a table the vocabulary was not
+fitted from are refused.
 
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
@@ -36,11 +42,10 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -105,6 +110,11 @@ class Vocabulary:
             raise ValueError("n-grams must be strings in strictly increasing order")
         if not 1 <= self.n_lo <= self.n_hi:
             raise ValueError("require 1 <= n_lo <= n_hi")
+        # the one form a fit makes, and the one token lists are keyed by
+        for tokens in (ngram.split(" ") for ngram in self.ngrams):
+            if not self.n_lo <= len(tokens) <= self.n_hi or "" in tokens:
+                raise ValueError(f"n-gram {' '.join(tokens)!r} is not {self.n_lo} to "
+                                 f"{self.n_hi} non-empty tokens joined by single spaces")
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
         if not 0.0 < self.max_df_ratio <= 1.0:
@@ -131,71 +141,90 @@ class Vocabulary:
         return NgramKeys(self)
 
 
-class NgramKeys:
-    """A vocabulary's n-grams as integer keys, to look token lists up by.
+class KeyRule:
+    """Token ids and n-gram keys: the one rule by which a corpus is counted
+    (`NgramTable`) and token lists are looked up (`NgramKeys`).
 
-    Each token of the vocabulary's n-grams (split at single spaces) gets an
-    id from 1 to V; any other token, and the end of each document, is 0.
-    With base B = V + 1, the n-gram of token ids d_1..d_n has the key
+    The given tokens get ids from 1 to V in order of first appearance,
+    except an empty token and one that holds a space, which no fitted
+    n-gram holds (a fitted n-gram is non-empty tokens joined by single
+    spaces: "a b" is the tokens "a" and "b", never the one token "a b").
+    Those, any token not given, and the end of each document are 0. With
+    base B = V + 1, the n-gram of token ids d_1..d_n has the key
 
         K(d_1) = d_1,    K(d_1..d_n) = B * K(d_1..d_{n-1}) + d_n + B,
 
     its ids as base-B digits plus B + B^2 + ... + B^(n-1). The keys of
-    order n therefore fill a range of their own, and a run of n tokens that
-    holds a 0 has a 0 digit, which no vocabulary key has: it matches
-    nothing, so no n-gram spans an unknown token or two documents. A token
-    that holds a space is unknown, as no vocabulary token does: the
-    vocabulary n-gram "a b" is the two tokens "a" and "b", never the one
-    token "a b". (A vocabulary fitted on such tokens may hold an n-gram whose
-    token count lies outside n_lo..n_hi; it gets no key and matches nothing.)
-
-    `sorted_keys` holds the keys ascending, then one key above every key a
-    document can make, so that `np.searchsorted` never runs off the end;
-    `columns` holds each sorted key's column. Keys are int64 while that top
-    key, B + B^2 + ... + B^n_hi, fits; beyond that, the same arithmetic runs
-    on Python ints in object arrays, which is slower but exact.
+    order n therefore fill a range of their own, all below `top` = B + B^2
+    + ... + B^n_hi, and a run of n tokens that holds a 0 has a 0 digit,
+    which the key of no n-gram of known tokens has. Keys are int64 while
+    `top` fits; beyond that, the same arithmetic runs on Python ints in
+    object arrays, which is slower but exact.
     """
 
-    __slots__ = ("n_lo", "n_hi", "token_ids", "base", "dtype", "sorted_keys", "columns")
+    __slots__ = ("n_lo", "n_hi", "token_ids", "base", "top", "dtype")
 
-    def __init__(self, vocab: Vocabulary):
-        self.n_lo, self.n_hi = vocab.n_lo, vocab.n_hi
-        grams = [ngram.split(" ") for ngram in vocab.ngrams]
-        tokens = dict.fromkeys(t for gram in grams for t in gram)
-        self.token_ids = dict(zip(tokens, range(1, len(tokens) + 1)))
-        self.base = len(tokens) + 1
-        top = sum(self.base**m for m in range(1, self.n_hi + 1))
-        self.dtype = np.int64 if top <= np.iinfo(np.int64).max else object
-        # each n-gram, read as a document, starts a run of its own length
-        lengths = np.fromiter(map(len, grams), np.int64, len(grams))
-        starts = np.cumsum(lengths + 1) - (lengths + 1)
-        columns = ((lengths >= self.n_lo) & (lengths <= self.n_hi)).nonzero()[0]
-        keys, n = self.run_keys(grams)
-        keys = keys[(lengths[columns] - self.n_lo) * n + starts[columns]]
-        order = keys.argsort()
-        self.sorted_keys = np.append(keys[order], np.array([top], dtype=self.dtype))
-        self.columns = columns[order]
+    def __init__(self, tokens: Iterable[str], n_lo: int, n_hi: int):
+        self.n_lo, self.n_hi = n_lo, n_hi
+        known = [t for t in dict.fromkeys(tokens) if t and " " not in t]
+        self.token_ids = dict(zip(known, range(1, len(known) + 1)))
+        self.base = len(known) + 1
+        self.top = sum(self.base**m for m in range(1, n_hi + 1))
+        self.dtype = np.int64 if self.top <= np.iinfo(np.int64).max else object
 
-    def run_keys(self, docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, int]:
-        """The key of every run of n_lo..n_hi tokens in docs, each document
-        followed by its end: for each order, ascending, one key for each of
-        the n token positions, so key j is that of the run that starts at
-        position j % n. Returns the keys and n."""
+    def ids(self, docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """The id of every token of docs, each document followed by its
+        end, and the document of each of these n positions. The ids go on
+        past position n, so that a run of every order starts at each of
+        them."""
         tokens: list = []
         for doc in docs:
             tokens += doc
             tokens.append(None)  # the document's end, id 0 like an unknown token
-        n = len(tokens)
+        lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+        rows = np.repeat(np.arange(len(docs)), lengths + 1)
         # ends of runs that start near the last position, so every order has n keys
         tokens += [None] * (self.n_hi - 1)
         ids = np.fromiter(map(self.token_ids.get, tokens, repeat(0)), self.dtype, len(tokens))
+        return ids, rows
+
+    def run_keys(self, ids: np.ndarray, n: int) -> np.ndarray:
+        """The key of every run of n_lo..n_hi ids that starts at one of the
+        first n positions: for each order, ascending, one key for each
+        position, so key j is that of the run of order n_lo + j // n that
+        starts at position j % n."""
         key, digits = ids, ids + self.base
         keys = [key[:n]] if self.n_lo == 1 else []
         for order in range(2, self.n_hi + 1):
             key = key[:-1] * self.base + digits[order - 1 :]
             if order >= self.n_lo:
                 keys.append(key[:n])
-        return np.concatenate(keys), n
+        return np.concatenate(keys)
+
+
+class NgramKeys(KeyRule):
+    """A vocabulary's n-grams as integer keys, to look token lists up by.
+
+    The key rule is over the tokens of the vocabulary's n-grams (split at
+    single spaces), so a run of a document that holds any other token, or
+    spans two documents, matches nothing. `sorted_keys` holds the keys
+    ascending, then `top`, which is above every key a document can make, so
+    that `np.searchsorted` never runs off the end; `columns` holds each
+    sorted key's column.
+    """
+
+    __slots__ = ("sorted_keys", "columns")
+
+    def __init__(self, vocab: Vocabulary):
+        grams = [ngram.split(" ") for ngram in vocab.ngrams]
+        super().__init__(chain.from_iterable(grams), vocab.n_lo, vocab.n_hi)
+        ids, rows = self.ids(grams)
+        # each n-gram, read as a document, starts a run of its own length
+        lengths = np.fromiter(map(len, grams), np.int64, len(grams))
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        keys = self.run_keys(ids, len(rows))[(lengths - self.n_lo) * len(rows) + starts]
+        self.columns = keys.argsort()
+        self.sorted_keys = np.append(keys[self.columns], np.array([self.top], dtype=self.dtype))
 
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -367,27 +396,22 @@ class FeatureMatrix:
         return FeatureMatrix(self.matrix.columns(cols))
 
 
-def _ngrams(doc: Sequence[str], n_lo: int, n_hi: int):
-    """Every n-gram of orders n_lo..n_hi, by order, then by start position."""
-    for n in range(n_lo, n_hi + 1):
-        for i in range(len(doc) - n + 1):
-            yield " ".join(doc[i : i + n])
-
-
-def _ngram_at(doc: Sequence[str], n_lo: int, n_hi: int, step: int) -> str:
-    """The n-gram that `_ngrams` yields at position `step`."""
-    for n in range(n_lo, n_hi + 1):
-        width = max(0, len(doc) - n + 1)
-        if step < width:
-            return " ".join(doc[step : step + n])
-        step -= width
-    raise IndexError("step beyond the document's n-grams")
-
-
-def _narrowest(values: array) -> np.ndarray:
-    """Non-negative integers in the narrowest unsigned type that holds them."""
-    out = np.frombuffer(values, dtype=np.intc)
-    return out.astype(np.min_scalar_type(out.max(initial=0)))
+def _count_pairs(pairs: np.ndarray, n_rows: int, n_cols: int) -> CSRMatrix:
+    """How often each (row, column) pair occurs, each given as the one int
+    row * n_cols + column: an n_rows x n_cols matrix of the counts, in the
+    narrowest unsigned type that holds them. Sorts `pairs` in place."""
+    pairs.sort()
+    # the first of each run of equal pairs, and len(pairs) after the last
+    edges = np.concatenate((_BEFORE_ALL, pairs, _BEFORE_ALL))
+    first = (edges[1:] != edges[:-1]).nonzero()[0]
+    pairs, counts = pairs[first[:-1]], np.diff(first)
+    indptr = pairs.searchsorted(np.arange(n_rows + 1) * n_cols)
+    return CSRMatrix(
+        counts.astype(np.min_scalar_type(counts.max(initial=0))),
+        (pairs % n_cols).astype(np.int32),
+        indptr if len(pairs) > _INT32_MAX else indptr.astype(np.int32),
+        (n_rows, n_cols),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,58 +419,49 @@ class NgramTable:
     """Counts of the n-grams of orders n_lo..n_hi in every document of a
     corpus: a documents x distinct-n-grams CSR matrix with sorted indices.
 
-    Columns are numbered in order of first appearance. Only integer arrays
-    are kept: a column's n-gram is rebuilt from `docs` at its first
-    occurrence (the row, and the step of that row's `_ngrams` walk), and only
-    for the columns a vocabulary keeps.
+    The n-grams are keyed by the same token and key rule (`KeyRule`) as a
+    token-list lookup, over the corpus's own tokens, so a token that is
+    empty or holds a space ends runs there too, and a document is counted
+    alike as a table row and as a token list. Columns are numbered in key
+    order. Only integer arrays are kept: a column's n-gram is rebuilt from
+    `docs` at its first occurrence, and only for the columns a vocabulary
+    keeps. Row c of `first` locates column c's first occurrence: its row,
+    the position of its first token there, and its length, in the narrowest
+    unsigned type that holds them.
     """
 
     docs: Sequence[Sequence[str]]
     n_lo: int
     n_hi: int
     counts: CSRMatrix
-    first_row: np.ndarray
-    first_step: np.ndarray
+    first: np.ndarray
 
     @classmethod
     def build(cls, docs: Sequence[Sequence[str]], n_lo: int, n_hi: int) -> "NgramTable":
         if not 1 <= n_lo <= n_hi:
             raise ValueError("require 1 <= n_lo <= n_hi")
-        ids: dict[str, int] = {}
-        first_row, first_step = array("i"), array("i")
-        data, indices, rows = array("i"), array("i"), array("i")
-        for row, doc in enumerate(docs):
-            row_counts: dict[int, int] = {}
-            for step, ngram in enumerate(_ngrams(doc, n_lo, n_hi)):
-                col = ids.get(ngram)
-                if col is None:
-                    col = ids[ngram] = len(ids)
-                    first_row.append(row)
-                    first_step.append(step)
-                row_counts[col] = row_counts.get(col, 0) + 1
-            indices.extend(row_counts)
-            data.extend(row_counts.values())
-            rows.extend([row] * len(row_counts))
-        n_cols = len(ids)
-        del ids  # free the strings before the arrays are converted: a lower peak
-        counts = CSRMatrix.from_entries(
-            np.frombuffer(rows, dtype=np.intc),
-            np.frombuffer(indices, dtype=np.intc),
-            _narrowest(data),
-            (len(docs), n_cols),
+        rule = KeyRule(chain.from_iterable(docs), n_lo, n_hi)
+        ids, rows = rule.ids(docs)
+        n = len(rows)
+        # drop the runs that hold a 0: they span an unknown token or two documents
+        zeros = np.concatenate(([0], np.cumsum(ids == 0)))
+        runs = np.concatenate(
+            [zeros[order : order + n] == zeros[:n] for order in range(n_lo, n_hi + 1)]
+        ).nonzero()[0]
+        keys, at, cols = np.unique(
+            rule.run_keys(ids, n)[runs], return_index=True, return_inverse=True
         )
-        return cls(
-            docs=docs,
-            n_lo=n_lo,
-            n_hi=n_hi,
-            counts=counts,
-            first_row=_narrowest(first_row),
-            first_step=_narrowest(first_step),
-        )
+        counts = _count_pairs(rows[runs % n] * len(keys) + cols, len(docs), len(keys))
+        # run j is of order n_lo + j // n and starts at position j % n
+        order, position = np.divmod(runs[at], n)
+        row = rows[position]
+        first = np.stack((row, position - rows.searchsorted(row), order + n_lo), axis=1)
+        first = first.astype(np.min_scalar_type(first.max(initial=0)))
+        return cls(docs=docs, n_lo=n_lo, n_hi=n_hi, counts=counts, first=first)
 
     def ngram(self, col: int) -> str:
-        doc = self.docs[int(self.first_row[col])]
-        return _ngram_at(doc, self.n_lo, self.n_hi, int(self.first_step[col]))
+        row, start, length = self.first[col].tolist()
+        return " ".join(self.docs[row][start : start + length])
 
     def rows(self, indices) -> "TableRows":
         return TableRows(self, np.asarray(list(indices), dtype=np.int64))
@@ -521,35 +536,23 @@ def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) 
     The lookup keys every run of n_lo..n_hi tokens of the batch from
     shifted views of its token ids (`NgramKeys.run_keys`), finds all of
     them in the sorted vocabulary keys with one `searchsorted`, and counts
-    the (row, column) pairs that hit. A token that holds a space matches
-    nothing (`NgramKeys`)."""
+    the (row, column) pairs that hit, as a table build counts its own. A
+    token that is empty or holds a space is unknown in both (`KeyRule`)."""
     if isinstance(docs, TableRows):
         columns = vocab.table_columns(docs.table)
         if columns is None:
             raise ValueError("table rows given for a vocabulary not fitted from that table")
-        return as_csr(docs.counts().columns(columns))
-    known = vocab.ngram_keys
-    n_docs, n_cols = len(docs), len(vocab)
-    keys, n = known.run_keys(docs)
-    # each token position's row, times n_cols: a (row, column) pair is one int
-    row_base: list[int] = []
-    for row, doc in enumerate(docs):
-        row_base += [row * n_cols] * (len(doc) + 1)
-    at = known.sorted_keys.searchsorted(keys)
-    hit = (known.sorted_keys[at] == keys).nonzero()[0]
-    pairs = known.columns[at[hit]] + np.array(row_base, dtype=np.int64)[hit % n]
-    pairs.sort()
-    # the first of each run of equal pairs, and len(pairs) after the last
-    edges = np.concatenate((_BEFORE_ALL, pairs, _BEFORE_ALL))
-    first = (edges[1:] != edges[:-1]).nonzero()[0]
-    pairs = pairs[first[:-1]]
-    indptr = pairs.searchsorted(np.arange(0, (n_docs + 1) * n_cols, n_cols))
-    return CSRMatrix(
-        np.subtract(first[1:], first[:-1], dtype=np.float64),
-        (pairs % n_cols).astype(np.int32),
-        indptr if len(pairs) > _INT32_MAX else indptr.astype(np.int32),
-        (n_docs, n_cols),
-    )
+        counts = docs.counts().columns(columns)
+    else:
+        known = vocab.ngram_keys
+        ids, rows = known.ids(docs)
+        n = len(rows)
+        keys = known.run_keys(ids, n)
+        at = known.sorted_keys.searchsorted(keys)
+        hit = (known.sorted_keys[at] == keys).nonzero()[0]
+        pairs = rows[hit % n] * len(vocab) + known.columns[at[hit]]
+        counts = _count_pairs(pairs, len(docs), len(vocab))
+    return as_csr(counts)
 
 
 def transform_counts(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> FeatureMatrix:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -98,7 +99,7 @@ class TestFitVocab:
 
 
 class TestVocabulary:
-    GOOD = dict(ngrams=("a", "b"), df=(1, 2), n_docs=2, n_lo=1, n_hi=1, min_df=1, max_df_ratio=1.0)
+    GOOD = dict(ngrams=("a", "b"), df=(1, 2), n_docs=2, n_lo=1, n_hi=2, min_df=1, max_df_ratio=1.0)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -116,6 +117,11 @@ class TestVocabulary:
             ("min_df", 0),
             ("max_df_ratio", 0.0),
             ("max_df_ratio", 1.5),
+            # each n-gram is n_lo..n_hi non-empty tokens joined by single spaces
+            ("ngrams", ("a  b", "b")),
+            ("ngrams", (" a", "b")),
+            ("ngrams", ("a", "b c d")),
+            ("n_lo", 2),
         ],
     )
     def test_malformed_field_rejected(self, name, value):
@@ -196,10 +202,28 @@ def assert_same_csr(got: sparse.csr_matrix, want: sparse.csr_matrix):
         assert a.tobytes() == b.tobytes(), name
 
 
-# "a b" as one token spells the same n-gram as the bigram of "a" and "b": the
-# table, keyed by n-gram strings, counts both in one column, while the keyed
-# lookup of token lists reads the token "a b" as unknown
-table_token = st.sampled_from(["a", "b", "c", "d", "a b"])
+# an empty token, and one that holds a space, are unknown to the table as to
+# the keyed lookup: "a b" as one token is not the bigram of "a" and "b"
+table_token = st.sampled_from(["a", "b", "c", "d", "a b", ""])
+
+
+def known_tokens_only(docs):
+    """docs with each token that is empty or holds a space replaced by "z",
+    which table_token does not draw."""
+    return [[t if t and " " not in t else "z" for t in doc] for doc in docs]
+
+
+def reference_fit_known(docs, n_lo, n_hi, min_df, max_df_ratio):
+    """The reference vocabulary of docs' known tokens: reference_fit_vocab on
+    known_tokens_only(docs), without the n-grams that hold "z". Raises
+    ValueError when no n-gram is left."""
+    ref = reference_fit_vocab(known_tokens_only(docs), n_lo, n_hi, min_df, max_df_ratio)
+    kept = [i for i, ngram in enumerate(ref.ngrams) if "z" not in ngram.split(" ")]
+    if not kept:
+        raise ValueError("document-frequency bounds left an empty vocabulary")
+    return dataclasses.replace(
+        ref, ngrams=[ref.ngrams[i] for i in kept], df=[ref.df[i] for i in kept]
+    )
 
 
 @st.composite
@@ -231,42 +255,27 @@ class TestNgramTable:
         fit_docs = [docs[i] for i in case["fit_rows"]]
         bounds = (case["min_df"], case["max_df_ratio"])
         try:
-            want = reference_fit_vocab(fit_docs, n_lo, n_hi, *bounds)
+            want = reference_fit_known(fit_docs, n_lo, n_hi, *bounds)
         except ValueError:
             with pytest.raises(ValueError, match="empty vocabulary"):
                 fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
             return
         got = fit_vocab(table.rows(case["fit_rows"]), n_lo, n_hi, *bounds)
-        assert got.ngrams == want.ngrams
-        assert got.df == want.df
-        assert got.n_docs == want.n_docs
+        assert got == want
         assert got.table_columns(table) is not None
-        try:
-            loaded = _vocab_from_payload(_vocab_payload(got))
-        except ValueError:
-            # load refuses an n-gram that is not n_lo..n_hi tokens joined by
-            # single spaces, which only a token that holds a space can make
-            assert any(" " in t for doc in docs for t in doc)
-        else:
-            assert loaded == got
+        assert _vocab_from_payload(_vocab_payload(got)) == got
         assert got.idf.tobytes() == reference_idf(want).tobytes()
 
-        rows = table.rows(case["transform_rows"])
-        lists = [docs[i] for i in case["transform_rows"]]
-        want_counts = reference_count_matrix(want, lists)
-        want_tfidf = reference_tfidf_matrix(want, lists)
-        assert_same_csr(_count_matrix(got, rows), want_counts)
-        assert_same_csr(transform_counts(got, rows).matrix, FeatureMatrix(want_counts).matrix)
-        assert_same_csr(transform_tfidf(got, rows).matrix, FeatureMatrix(want_tfidf).matrix)
-        # token lists take the keyed lookup, which reads a token that holds a
-        # space as unknown: it equals the reference on the same lists with
-        # each such token replaced by one that no vocabulary holds
-        plain = [[t if " " not in t else "z" for t in doc] for doc in lists]
-        assert_same_csr(_count_matrix(got, lists), reference_count_matrix(want, plain))
-        assert_same_csr(
-            transform_tfidf(got, lists).matrix,
-            FeatureMatrix(reference_tfidf_matrix(want, plain)).matrix,
-        )
+        # table rows and the same token lists both equal the reference on
+        # the lists' known tokens
+        idx = case["transform_rows"]
+        plain = known_tokens_only(docs[i] for i in idx)
+        want_counts = FeatureMatrix(reference_count_matrix(want, plain)).matrix
+        want_tfidf = FeatureMatrix(reference_tfidf_matrix(want, plain)).matrix
+        for rows in (table.rows(idx), [docs[i] for i in idx]):
+            assert_same_csr(_count_matrix(got, rows), want_counts)
+            assert_same_csr(transform_counts(got, rows).matrix, want_counts)
+            assert_same_csr(transform_tfidf(got, rows).matrix, want_tfidf)
 
     def test_rows_of_a_foreign_table_refused(self):
         docs = [["a", "b"], ["b", "c"], ["a", "a"]]
@@ -288,15 +297,42 @@ class TestNgramTable:
         with pytest.raises(ValueError, match="orders 1..2"):
             fit_vocab(table.rows([0]), 1, 3, 1, 1.0)
 
-    def test_columns_in_first_appearance_order(self):
+    def test_counts_of_each_ngram(self):
         table = NgramTable.build([["b", "a", "b"], [], ["c", "a"]], 1, 2)
-        names = [table.ngram(c) for c in range(table.counts.shape[1])]
-        assert names == ["b", "a", "b a", "a b", "c", "c a"]
-        assert table.counts.toarray().tolist() == [
-            [2, 1, 1, 1, 0, 0],
-            [0, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 1, 1],
-        ]
+        columns = table.counts.toarray().T.tolist()
+        by_ngram = {table.ngram(c): columns[c] for c in range(table.counts.shape[1])}
+        assert by_ngram == {
+            "b": [2, 0, 0],
+            "a": [1, 0, 1],
+            "b a": [1, 0, 0],
+            "a b": [1, 0, 0],
+            "c": [0, 0, 1],
+            "c a": [0, 0, 1],
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_case())
+    @example({
+        "docs": [["a b"], ["a", "b"]], "fit_rows": [0, 1], "transform_rows": [0, 1],
+        "n_lo": 1, "n_hi": 2, "min_df": 1, "max_df_ratio": 1.0,
+    })
+    def test_table_rows_and_token_lists_agree(self, case):
+        """A document is counted alike as a table row and as a token list,
+        even where a token is empty or holds a space."""
+        docs = case["docs"]
+        table = NgramTable.build(docs, case["n_lo"], case["n_hi"])
+        try:
+            vocab = fit_vocab(
+                table.rows(case["fit_rows"]), case["n_lo"], case["n_hi"], 1, 1.0
+            )
+        except ValueError:
+            assume(False)
+        rows = case["transform_rows"]
+        for transform in (transform_counts, transform_tfidf):
+            assert_same_csr(
+                transform(vocab, table.rows(rows)).matrix,
+                transform(vocab, [docs[i] for i in rows]).matrix,
+            )
 
 
 lookup_token = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -377,13 +413,17 @@ class TestKeyedLookup:
     def test_both_sides_of_the_int64_key_limit(self, n_hi, dtype, data):
         """With 300 distinct tokens the base is 301: keys of up to 7 tokens
         fit int64 (301 + 301^2 + ... + 301^7 < 2^63) and keys of up to 8 do
-        not, so they are Python ints. Either way the counts equal the
-        reference's, for documents made of pieces of the fitted ones (so
-        that long n-grams hit) and of unknown tokens."""
+        not, so they are Python ints. The table built from the fitted
+        documents keys them over the same 300 tokens. Either way the
+        vocabulary fitted on its rows equals the reference's, and the counts
+        equal the reference's, for documents made of pieces of the fitted
+        ones (so that long n-grams hit) and of unknown tokens."""
         tokens = [f"t{i}" for i in range(300)]
         rng = np.random.default_rng(n_hi)
         fit_docs = [tokens] + [list(rng.choice(tokens[:12], size=14)) for _ in range(8)]
-        vocab = fit_vocab(fit_docs, 1, n_hi, 1, 1.0)
+        table = NgramTable.build(fit_docs, 1, n_hi)
+        vocab = fit_vocab(table.rows(range(len(fit_docs))), 1, n_hi, 1, 1.0)
+        assert vocab == reference_fit_vocab(fit_docs, 1, n_hi, 1, 1.0)
         keys = vocab.ngram_keys
         assert (keys.base, keys.dtype) == (301, dtype)
         piece = st.builds(

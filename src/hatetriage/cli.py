@@ -332,7 +332,9 @@ def cmd_predict(args) -> int:
     try:
         for lineno, raw in enumerate(stream, start=1):
             try:
-                batch.append(raw.decode("utf-8").rstrip("\r\n"))
+                # a byte-order mark that starts the input is not part of its first tweet
+                text = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+                batch.append(text.rstrip("\r\n"))
             except UnicodeDecodeError as exc:
                 # the lines before the bad one are still answered
                 _write_predictions(sink, pm, batch)

@@ -176,4 +176,5 @@ def serialize_config(config: PipelineConfig) -> str:
 
 
 def load_config(path) -> PipelineConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops a byte-order mark that starts the file, as parse_corpus does
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .textproc import Token, TokenKind, count_syllables
 
@@ -74,8 +75,11 @@ class SentimentScores:
     neu: float
     compound: float
 
+    # the scalar column names, in as_tuple order
+    NAMES = ("pos", "neg", "neu", "compound")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.pos, self.neg, self.neu, self.compound)
+        return _SENTIMENT_VALUES(self)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,10 @@ class ReadabilityScores:
     fk_grade: float
     reading_ease: float
 
+    NAMES = ("fk_grade", "reading_ease")
+
     def as_tuple(self) -> tuple[float, float]:
-        return (self.fk_grade, self.reading_ease)
+        return _READABILITY_VALUES(self)
 
 
 @dataclass(frozen=True)
@@ -113,21 +119,41 @@ class SurfaceFeatures:
     def has_url(self) -> int:
         return int(self.count_urls > 0)
 
+    # counts, then binaries, then size metrics
+    NAMES = (
+        "count_hashtags",
+        "count_mentions",
+        "count_retweets",
+        "count_urls",
+        "has_hashtag",
+        "has_mention",
+        "has_retweet",
+        "has_url",
+        "num_chars",
+        "num_words",
+        "num_syllables",
+    )
+
     def as_tuple(self) -> tuple[int, ...]:
-        """Counts, then binaries, then size metrics."""
-        return (
-            self.count_hashtags,
-            self.count_mentions,
-            self.count_retweets,
-            self.count_urls,
-            self.has_hashtag,
-            self.has_mention,
-            self.has_retweet,
-            self.has_url,
-            self.num_chars,
-            self.num_words,
-            self.num_syllables,
-        )
+        return _SURFACE_VALUES(self)
+
+
+_SENTIMENT_VALUES = attrgetter(*SentimentScores.NAMES)
+_READABILITY_VALUES = attrgetter(*ReadabilityScores.NAMES)
+_SURFACE_VALUES = attrgetter(*SurfaceFeatures.NAMES)
+
+# the name of each scalar column, (block, name), in scalar_row order: the
+# only definition of the scalar columns' order and names
+SCALAR_COLUMNS = (
+    tuple(("sentiment", n) for n in SentimentScores.NAMES)
+    + tuple(("readability", n) for n in ReadabilityScores.NAMES)
+    + tuple(("surface", n) for n in SurfaceFeatures.NAMES)
+)
+
+
+def scalar_row(sent: SentimentScores, read: ReadabilityScores, surf: SurfaceFeatures) -> tuple:
+    """One document's scalar columns, in SCALAR_COLUMNS order."""
+    return sent.as_tuple() + read.as_tuple() + surf.as_tuple()
 
 
 def _is_negation(surface: str) -> bool:

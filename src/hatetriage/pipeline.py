@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from .lexfeat import (
-    ReadabilityScores,
+    SCALAR_COLUMNS,
     SentimentLexicon,
-    SentimentScores,
     SurfaceFeatures,
     readability,
+    scalar_row,
     sentiment_scores,
     surface_features,
 )
@@ -41,8 +42,6 @@ from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
 from .textproc import classify_chunk, split_retweet, word_streams
 from .vectorize import (
-    SCALAR_REGISTRY,
-    SCALAR_WIDTH,
     CSRMatrix,
     FeatureMatrix,
     NgramTable,
@@ -148,9 +147,12 @@ class ModelConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ingredients:
-    """Per-document raw material for every feature block.
+    """Per-document raw material for every feature block: the stemmed words,
+    the POS tags, and `scalars`, a float64 array with one row per document
+    and one column per lexfeat.SCALAR_COLUMNS entry (read-only as
+    extract_ingredients writes it).
 
     Extraction is row-independent, so any subset of rows can later be used
     to fit or transform without touching the other rows. The n-gram count
@@ -160,17 +162,15 @@ class Ingredients:
 
     word_docs: tuple[tuple[str, ...], ...]
     pos_docs: tuple[tuple[str, ...], ...]
-    sentiment: tuple[SentimentScores, ...]
-    readability: tuple[ReadabilityScores, ...]
-    surface: tuple[SurfaceFeatures, ...]
+    scalars: np.ndarray
 
     def __post_init__(self):
         n = len(self.word_docs)
-        if not all(
-            len(part) == n
-            for part in (self.pos_docs, self.sentiment, self.readability, self.surface)
-        ):
-            raise ValueError("ingredient blocks disagree on document count")
+        if len(self.pos_docs) != n or self.scalars.shape != (n, len(SCALAR_COLUMNS)):
+            raise ValueError(
+                f"ingredient blocks disagree on document count, or scalars are not "
+                f"{len(SCALAR_COLUMNS)} columns wide"
+            )
         # count tables by (block, n_lo, n_hi); a cache, not a field
         object.__setattr__(self, "_tables", {})
 
@@ -249,9 +249,7 @@ def extract_ingredients(
     makes them and keeps only their feature ids.
     """
     word_docs = []
-    sent = []
-    read = []
-    surf = []
+    scalars: list[float] = []
     if memo is None:
         memo = ChunkMemo()
     seen, stems, counts_seen = memo.chunks, memo.stems, memo.counts
@@ -291,33 +289,30 @@ def extract_ingredients(
                 num_words += w
                 syllables += s
             word_docs.append(tuple(stemmed))
-            sent.append(sentiment_scores(tokens, lexicon))
-            surf.append(
-                SurfaceFeatures(
-                    count_hashtags=hashtags,
-                    count_mentions=mentions,
-                    count_retweets=0 if marker is None else 1,
-                    count_urls=urls,
-                    num_chars=len(text),
-                    num_words=num_words,
-                    num_syllables=syllables,
-                )
+            surf = SurfaceFeatures(
+                count_hashtags=hashtags,
+                count_mentions=mentions,
+                count_retweets=0 if marker is None else 1,
+                count_urls=urls,
+                num_chars=len(text),
+                num_words=num_words,
+                num_syllables=syllables,
             )
-            # tweets with no countable words are scored as one empty word so
-            # the readability formulas stay defined
-            read.append(readability(max(1, num_words), max(1, syllables)))
+            scalars.extend(scalar_row(
+                sentiment_scores(tokens, lexicon),
+                # tweets with no countable words are scored as one empty word
+                # so the readability formulas stay defined
+                readability(max(1, num_words), max(1, syllables)),
+                surf,
+            ))
             yield words
 
     pos_docs = tag_batch(tagger, unstemmed_words())
     if len(memo) > MEMO_CHUNKS:
         memo.clear()
-    return Ingredients(
-        word_docs=tuple(word_docs),
-        pos_docs=tuple(pos_docs),
-        sentiment=tuple(sent),
-        readability=tuple(read),
-        surface=tuple(surf),
-    )
+    table = np.array(scalars, dtype=np.float64).reshape(len(word_docs), len(SCALAR_COLUMNS))
+    table.flags.writeable = False
+    return Ingredients(word_docs=tuple(word_docs), pos_docs=tuple(pos_docs), scalars=table)
 
 
 @dataclass(frozen=True)
@@ -326,11 +321,12 @@ class FittedFeatures:
     once: the vocabularies hold their n-gram orders and df bounds, and
     standardizer and selected_columns are None exactly when standardization
     and selection are off. registry names every column of the assembled
-    matrix as (block, name); it is derived from the vocabularies once, beside
-    the fields. train_matrix is what feature_matrix would return for the
-    rows fit_features fitted on, and selection_meta is the selection fit's
-    per-class TrainMeta; neither is compared or saved, so a loaded pipeline
-    has None in both."""
+    matrix as (block, name), the scalar ones by lexfeat.SCALAR_COLUMNS; it
+    is derived from the vocabularies once, beside the fields, and each
+    matrix's input columns once, on first use. train_matrix is what
+    feature_matrix would return for the rows fit_features fitted on, and
+    selection_meta is the selection fit's per-class TrainMeta; neither is
+    compared or saved, so a loaded pipeline has None in both."""
 
     word_vocab: Vocabulary
     pos_vocab: Vocabulary
@@ -343,24 +339,25 @@ class FittedFeatures:
         object.__setattr__(self, "registry", (
             tuple(("word-ngram", t) for t in self.word_vocab.ngrams)
             + tuple(("pos-ngram", t) for t in self.pos_vocab.ngrams)
-            + SCALAR_REGISTRY
+            + SCALAR_COLUMNS
         ))
+
+    @cached_property
+    def _input_columns(self) -> dict[str, tuple[int, ...]]:
+        # derived on first use, after load_pipeline has checked selected_columns
+        ngrams = len(self.word_vocab) + len(self.pos_vocab)
+        found = {}
+        for matrix, width in (("tfidf", len(self.registry)), ("counts", ngrams)):
+            cols = range(width) if self.selected_columns is None else self.selected_columns
+            found[matrix] = tuple(c for c in cols if c < width)
+        return found
 
     def input_columns(self, kind: str) -> tuple[int, ...]:
         """The registry column of each column a model of `kind` reads: the
         selected columns (all when selection is off) of the assembled matrix,
-        or of its leading n-gram span for raw counts (naive Bayes)."""
-        counts = _MATRIX_READ[kind] == "counts"
-        width = len(self.word_vocab) + len(self.pos_vocab) if counts else len(self.registry)
-        cols = range(width) if self.selected_columns is None else self.selected_columns
-        return tuple(c for c in cols if c < width)
-
-
-def _scalar_rows(ingredients: Ingredients, indices) -> tuple[list, list, list]:
-    sent = [ingredients.sentiment[i].as_tuple() for i in indices]
-    read = [ingredients.readability[i].as_tuple() for i in indices]
-    surf = [ingredients.surface[i].as_tuple() for i in indices]
-    return sent, read, surf
+        or of its leading n-gram span for raw counts (naive Bayes). Derived
+        once per matrix."""
+        return self._input_columns[_MATRIX_READ[kind]]
 
 
 def fit_features(
@@ -382,16 +379,13 @@ def fit_features(
     pdocs = ingredients.ngram_table(
         "pos-ngram", settings.pos_ngram_lo, settings.pos_ngram_hi
     ).rows(indices)
-    sent, read, surf = _scalar_rows(ingredients, indices)
     bounds = (settings.min_df, settings.max_df_ratio)
     word_vocab = fit_vocab(wdocs, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
     pos_vocab = fit_vocab(pdocs, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
     assembled, standardizer = assemble_features(
         transform_tfidf(word_vocab, wdocs),
         transform_tfidf(pos_vocab, pdocs),
-        sent,
-        read,
-        surf,
+        ingredients.scalars[indices],
         standardize=settings.standardize,
     )
     selected = None
@@ -429,13 +423,10 @@ def feature_matrix(
     """Assembled TF-IDF + scalar matrix for the given rows, projected onto
     the columns logreg and svm read when selection is active."""
     indices, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
-    sent, read, surf = _scalar_rows(ingredients, indices)
     assembled, _ = assemble_features(
         transform_tfidf(fitted.word_vocab, wdocs),
         transform_tfidf(fitted.pos_vocab, pdocs),
-        sent,
-        read,
-        surf,
+        ingredients.scalars[indices],
         standardizer=fitted.standardizer,
         standardize=fitted.standardizer is not None,
     )
@@ -659,8 +650,8 @@ def _check_consistent(pm: PipelineModel) -> None:
     the vocabularies and each other, or prediction would fail or misread."""
     fitted = pm.fitted
     std = fitted.standardizer
-    _require(std is None or len(std.means) == SCALAR_WIDTH, "standardizer",
-             f"needs {SCALAR_WIDTH} means and scales")
+    _require(std is None or len(std.means) == len(SCALAR_COLUMNS), "standardizer",
+             f"needs {len(SCALAR_COLUMNS)} means and scales")
     width = len(fitted.registry)
     cols = fitted.selected_columns
     _require(

@@ -51,29 +51,6 @@ import numpy as np
 
 COEF_KEEP_THRESHOLD = 1e-6
 
-SENTIMENT_NAMES = ("pos", "neg", "neu", "compound")
-READABILITY_NAMES = ("fk_grade", "reading_ease")
-SURFACE_NAMES = (
-    "count_hashtags",
-    "count_mentions",
-    "count_retweets",
-    "count_urls",
-    "has_hashtag",
-    "has_mention",
-    "has_retweet",
-    "has_url",
-    "num_chars",
-    "num_words",
-    "num_syllables",
-)
-# the scalar columns' registry entries, in assembled order
-SCALAR_REGISTRY = (
-    tuple(("sentiment", n) for n in SENTIMENT_NAMES)
-    + tuple(("readability", n) for n in READABILITY_NAMES)
-    + tuple(("surface", n) for n in SURFACE_NAMES)
-)
-SCALAR_WIDTH = len(SCALAR_REGISTRY)
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -388,10 +365,11 @@ class FeatureMatrix:
 
     def project(self, columns: Sequence[int]) -> "FeatureMatrix":
         """Restrict to the given columns, in the given order."""
-        cols = list(columns)
-        if cols and (min(cols) < 0 or max(cols) >= self.n_cols):
+        cols = np.asarray(columns, dtype=np.int64)
+        ordered = np.sort(cols)
+        if len(cols) and (ordered[0] < 0 or ordered[-1] >= self.n_cols):
             raise ValueError("projection column out of range")
-        if len(set(cols)) != len(cols):
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("projection columns repeat")
         return FeatureMatrix(self.matrix.columns(cols))
 
@@ -607,34 +585,21 @@ class Standardizer:
         return cls(means=tuple(float(v) for v in means), scales=tuple(float(v) for v in scales))
 
 
-def _scalar_rows(sentiment, readability, surface) -> np.ndarray:
-    s = np.asarray(sentiment, dtype=np.float64)
-    r = np.asarray(readability, dtype=np.float64)
-    f = np.asarray(surface, dtype=np.float64)
-    for arr, width, name in ((s, 4, "sentiment"), (r, 2, "readability"), (f, 11, "surface")):
-        if arr.ndim != 2 or arr.shape[1] != width:
-            raise ValueError(f"{name} rows must have width {width}")
-    if not (s.shape[0] == r.shape[0] == f.shape[0]):
-        raise ValueError("scalar blocks disagree on row count")
-    return np.hstack([s, r, f])
-
-
 def assemble_features(
     word_block: FeatureMatrix,
     pos_block: FeatureMatrix,
-    sentiment,
-    readability,
-    surface,
+    scalars,
     standardizer: Standardizer | None = None,
     standardize: bool = True,
 ) -> tuple[FeatureMatrix, Standardizer | None]:
-    """Concatenate [word | pos | sentiment | readability | surface].
+    """Concatenate [word | pos | scalars], the scalars one row per document
+    (lexfeat.SCALAR_COLUMNS names their columns).
 
     With standardize on and no stored transform, fits one on these rows
     (train mode); a provided transform is applied as-is (predict mode).
     Returns the matrix and the transform used (None when off).
     """
-    scalars = _scalar_rows(sentiment, readability, surface)
+    scalars = np.asarray(scalars, dtype=np.float64)
     n_rows = scalars.shape[0]
     if word_block.n_rows != n_rows or pos_block.n_rows != n_rows:
         raise ValueError(

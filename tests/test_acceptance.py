@@ -39,6 +39,7 @@ from hatetriage.lexfeat import (
     SentimentScores,
     SurfaceFeatures,
     readability,
+    scalar_row,
     sentiment_scores,
 )
 from hatetriage.linmodel import fit_logreg, predict
@@ -336,9 +337,11 @@ def test_a7_harness_oracles():
         ing = Ingredients(
             word_docs=tuple(tuple(d) for d in docs),
             pos_docs=tuple(("NN", "VBP") for _ in docs),
-            sentiment=tuple(SentimentScores(0.0, 0.0, 1.0, 0.0) for _ in docs),
-            readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
-            surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+            scalars=np.array([scalar_row(
+                SentimentScores(0.0, 0.0, 1.0, 0.0),
+                ReadabilityScores(1.0, 100.0),
+                SurfaceFeatures(0, 0, 0, 0, 10, 2, 3),
+            )] * len(docs)),
         )
         for pf in prepare_folds(ing, y, kfold_indices(y, 4, trial), settings):
             train_ngrams = set()

@@ -258,6 +258,20 @@ class TestPredict:
         pm = load_pipeline(model.read_bytes())
         assert dst.read_bytes() == one_call_line(pm, "fine line").encode("utf-8")
 
+    def test_leading_byte_order_mark_dropped(self, workspace, tmp_path):
+        # only the mark that starts the input goes: the first tweet keeps its
+        # retweet marker and character count, a later line keeps its mark
+        src = tmp_path / "in.txt"
+        src.write_text("\ufeffRT @a: so good\n\ufefffine line\n", encoding="utf-8")
+        dst = tmp_path / "pred.tsv"
+        model = workspace["out"] / "model.bin"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(dst)])
+        assert rc == 0
+        pm = load_pipeline(model.read_bytes())
+        expected = one_call_line(pm, "RT @a: so good") + one_call_line(pm, "\ufefffine line")
+        assert dst.read_bytes() == expected.encode("utf-8")
+
     def test_batches_match_one_call_per_line(self, workspace, corpus_rows, tmp_path):
         # two full batches, a partial last one, and an empty line among them
         n = 2 * PREDICT_BATCH + 1

@@ -251,3 +251,10 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.seed == 11
         assert cfg.min_df == 2
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffcorpus = tweets.csv\nseed = 11\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.corpus == "tweets.csv"
+        assert cfg.seed == 11

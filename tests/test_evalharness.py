@@ -23,7 +23,7 @@ from hatetriage.evalharness import (
     metrics_report_text,
     prepare_folds,
 )
-from hatetriage.lexfeat import ReadabilityScores, SentimentScores, SurfaceFeatures
+from hatetriage.lexfeat import ReadabilityScores, SentimentScores, SurfaceFeatures, scalar_row
 from hatetriage.pipeline import (
     FeatureSettings,
     Ingredients,
@@ -37,17 +37,20 @@ from hatetriage.pipeline import (
 H, O, N = 0, 1, 2
 
 
+def scalars_of(sentiment):
+    """One scalar row per sentiment, with fixed readability and surface."""
+    read, surf = ReadabilityScores(1.0, 100.0), SurfaceFeatures(0, 0, 0, 0, 10, 2, 3)
+    return np.array([scalar_row(s, read, surf) for s in sentiment])
+
+
 def neutral_ingredients(word_docs, sentiment=None):
     n = len(word_docs)
     return Ingredients(
         word_docs=tuple(tuple(d) for d in word_docs),
         pos_docs=tuple(("NN", "VBP") for _ in range(n)),
-        sentiment=tuple(
-            sentiment if sentiment is not None else SentimentScores(0.0, 0.0, 1.0, 0.0)
-            for _ in range(n)
+        scalars=scalars_of(
+            [sentiment if sentiment is not None else SentimentScores(0.0, 0.0, 1.0, 0.0)] * n
         ),
-        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in range(n)),
-        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in range(n)),
     )
 
 
@@ -391,9 +394,7 @@ class TestGridSearch:
         ing = Ingredients(
             word_docs=tuple(tuple(d) for d in docs),
             pos_docs=tuple(("NN",) for _ in docs),
-            sentiment=tuple(sent),
-            readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
-            surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+            scalars=scalars_of(sent),
         )
         fs = FeatureSettings(
             word_ngram_hi=1,
@@ -460,9 +461,7 @@ def noisy_ingredients(rng, n_per):
     ing = Ingredients(
         word_docs=tuple(tuple(d) for d in docs),
         pos_docs=tuple(("NN",) * len(d) for d in docs),
-        sentiment=tuple(sent),
-        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
-        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+        scalars=scalars_of(sent),
     )
     return ing, y
 

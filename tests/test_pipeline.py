@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from hatetriage import pipeline
 from hatetriage._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from hatetriage.lexfeat import (
+    SCALAR_COLUMNS,
     ReadabilityScores,
     SentimentLexicon,
     SentimentScores,
     SurfaceFeatures,
     readability,
+    scalar_row,
     sentiment_scores,
     surface_features,
 )
@@ -47,7 +49,7 @@ from hatetriage.pipeline import (
 )
 from hatetriage.postag import load_model
 from hatetriage.textproc import tokenize, word_streams
-from hatetriage.vectorize import SCALAR_WIDTH, Vocabulary
+from hatetriage.vectorize import Vocabulary
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
@@ -63,15 +65,31 @@ CORPUS = importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv")
 LEX = SentimentLexicon(valences={"good": 2.0, "love": 3.0, "bad": -2.5, "hate": -2.7})
 
 
+def scalars_of(sentiment):
+    """One scalar row per sentiment, with fixed readability and surface."""
+    read, surf = ReadabilityScores(1.0, 100.0), SurfaceFeatures(0, 0, 0, 0, 10, 2, 3)
+    rows = [scalar_row(s, read, surf) for s in sentiment]
+    return np.array(rows).reshape(-1, len(SCALAR_COLUMNS))
+
+
 def neutral_ingredients(word_docs):
     n = len(word_docs)
     return Ingredients(
         word_docs=tuple(tuple(d) for d in word_docs),
         pos_docs=tuple(("NN", "VBP") for _ in range(n)),
-        sentiment=tuple(SentimentScores(0.0, 0.0, 1.0, 0.0) for _ in range(n)),
-        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in range(n)),
-        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in range(n)),
+        scalars=scalars_of([SentimentScores(0.0, 0.0, 1.0, 0.0)] * n),
     )
+
+
+def column(block, name):
+    return SCALAR_COLUMNS.index((block, name))
+
+
+def assert_same_ingredients(got, want):
+    """Equal documents and bit-identical scalars."""
+    assert got.word_docs == want.word_docs
+    assert got.pos_docs == want.pos_docs
+    assert np.array_equal(got.scalars, want.scalars)
 
 
 # chunks that repeat within and across texts: the retweet marker in every
@@ -91,22 +109,19 @@ TEXTS_OF_REPEATED_CHUNKS = st.lists(
 def per_tweet_ingredients(texts, tagger, lexicon):
     """Ingredients built tweet by tweet from one token list each, as
     extraction did before it memoized chunks, with the dict-scorer tagger."""
-    word_docs, pos_docs, sent, read, surf = [], [], [], [], []
+    word_docs, pos_docs, scalars = [], [], []
     for text in texts:
         tokens = tokenize(text)
         stemmed, words = word_streams(tokens)
         word_docs.append(tuple(stemmed))
         pos_docs.append(tuple(reference_tag(tagger, words)))
-        sent.append(sentiment_scores(tokens, lexicon))
         sf = surface_features(text, tokens)
-        surf.append(sf)
-        read.append(readability(max(1, sf.num_words), max(1, sf.num_syllables)))
+        read = readability(max(1, sf.num_words), max(1, sf.num_syllables))
+        scalars.append(scalar_row(sentiment_scores(tokens, lexicon), read, sf))
     return Ingredients(
         word_docs=tuple(word_docs),
         pos_docs=tuple(pos_docs),
-        sentiment=tuple(sent),
-        readability=tuple(read),
-        surface=tuple(surf),
+        scalars=np.array(scalars, dtype=np.float64).reshape(-1, len(SCALAR_COLUMNS)),
     )
 
 
@@ -187,9 +202,9 @@ class TestIngredients:
             Ingredients(
                 word_docs=(("a",),),
                 pos_docs=(),
-                sentiment=(SentimentScores(0, 0, 1, 0),),
-                readability=(ReadabilityScores(1.0, 100.0),),
-                surface=(SurfaceFeatures(0, 0, 0, 0, 1, 1, 1),),
+                scalars=np.array([scalar_row(SentimentScores(0, 0, 1, 0),
+                                             ReadabilityScores(1.0, 100.0),
+                                             SurfaceFeatures(0, 0, 0, 0, 1, 1, 1))]),
             )
 
     def test_extract_on_real_texts(self, tagger):
@@ -203,14 +218,43 @@ class TestIngredients:
         assert ing.word_docs[0][0] != "rt"  # marker dropped
         assert "URLHERE" in ing.word_docs[1]
         assert len(ing.pos_docs[0]) > 0
-        assert ing.sentiment[0].compound > 0
-        assert ing.surface[1].count_urls == 1
+        assert ing.scalars[0, column("sentiment", "compound")] > 0
+        assert ing.scalars[1, column("surface", "count_urls")] == 1
 
     def test_wordless_text_still_scores(self, tagger):
         # readability is clamped to one empty word instead of erroring
         ing = extract_ingredients(["@someone !!"], tagger, LEX)
-        assert ing.readability[0].reading_ease == pytest.approx(121.22, abs=1e-2)
-        assert ing.surface[0].num_words == 0
+        assert ing.scalars[0, column("readability", "reading_ease")] == pytest.approx(
+            121.22, abs=1e-2
+        )
+        assert ing.scalars[0, column("surface", "num_words")] == 0
+
+    @pytest.mark.parametrize("text", [
+        "RT @a: so GOOD!! http://x.co/y #tag",  # retweet, mention, URL, hashtag
+        "not very good #one#two @m www.a.b",
+        "@someone !!",  # no words
+        "",
+    ])
+    def test_scalar_columns_hold_the_values_they_name(self, tagger, text):
+        """Each scalar column, found by its name alone, holds that value of
+        the tweet as the lexfeat functions score it from one token list."""
+        tokens = tokenize(text)
+        surf = surface_features(text, tokens)
+        scored = {
+            "sentiment": sentiment_scores(tokens, LEX),
+            "readability": readability(max(1, surf.num_words), max(1, surf.num_syllables)),
+            "surface": surf,
+        }
+        surface_names = {n for b, n in SCALAR_COLUMNS if b == "surface"}
+        assert surface_names == {f.name for f in dataclasses.fields(SurfaceFeatures)} | {
+            "has_hashtag", "has_mention", "has_retweet", "has_url"
+        }
+        (row,) = extract_ingredients([text], tagger, LEX).scalars
+        for (block, name), value in zip(SCALAR_COLUMNS, row.tolist(), strict=True):
+            assert value == getattr(scored[block], name), (block, name)
+        if text.startswith("RT"):
+            for name in ("has_retweet", "has_mention", "has_url", "has_hashtag"):
+                assert row[column("surface", name)] == 1
 
     def test_empty_text_ok(self, tagger):
         ing = extract_ingredients([""], tagger, LEX)
@@ -233,22 +277,22 @@ class TestIngredients:
         assert ing.word_docs == word_docs
         assert ing.pos_docs == tuple(pos_docs)
         per_tweet = per_tweet_ingredients(texts, tagger, LEX)
-        assert ing.sentiment == per_tweet.sentiment
-        assert ing.readability == per_tweet.readability
-        assert ing.surface == per_tweet.surface
+        assert np.array_equal(ing.scalars, per_tweet.scalars)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(TEXTS_OF_REPEATED_CHUNKS, max_size=6))
     def test_chunk_memo_matches_per_tweet_path(self, tagger, texts):
         ing = extract_ingredients(texts, tagger, LEX)
-        assert ing == per_tweet_ingredients(texts, tagger, LEX)
+        assert_same_ingredients(ing, per_tweet_ingredients(texts, tagger, LEX))
         # a call given no memo gets a fresh one, so one call per text shares
         # nothing across texts; one memo shared by those calls, as a loaded
         # model's is by its predict calls, gives the same too
         for memo in (None, ChunkMemo()):
             alone = [extract_ingredients([t], tagger, LEX, memo) for t in texts]
-            for name in ("word_docs", "pos_docs", "sentiment", "readability", "surface"):
+            for name in ("word_docs", "pos_docs"):
                 assert getattr(ing, name) == tuple(getattr(a, name)[0] for a in alone)
+            rows = np.array([a.scalars[0] for a in alone]).reshape(-1, len(SCALAR_COLUMNS))
+            assert np.array_equal(ing.scalars, rows)
 
 
 def hand_pipeline(tagger, word_weights) -> PipelineModel:
@@ -275,7 +319,7 @@ class TestPipelinePredict:
         that word's weights: far enough out that every score is exactly 1
         ("rain") or exactly 0 ("trash"), a three-way tie of scores."""
         pm = hand_pipeline(tagger, [[40.0, -900.0], [50.0, -750.0], [60.0, -800.0]])
-        assert len(pm.fitted.registry) == 3 + SCALAR_WIDTH
+        assert len(pm.fitted.registry) == 3 + len(SCALAR_COLUMNS)
         labels, scores = pipeline_predict(pm, ["rain", "trash"])
         assert scores.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
         assert labels.tolist() == [2, 1]
@@ -455,9 +499,7 @@ def scalar_only_fit():
     ing = Ingredients(
         word_docs=tuple(("pad", "pad") for _ in y),
         pos_docs=tuple(("NN",) for _ in y),
-        sentiment=tuple(sent),
-        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in y),
-        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in y),
+        scalars=scalars_of(sent),
     )
     fs = FeatureSettings(
         word_ngram_hi=1, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, standardize=False

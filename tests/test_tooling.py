@@ -2,14 +2,16 @@
 position, and a run of scripts/artifact_digests.py.
 
 The traced benchmark run re-binds each (module, function) pair listed in
-perfbench/tracing.py, and the worker imports textproc.unstemmed_words for
-its input descriptors. The worker's evaluate-grid workload reads grid.csv by
-field position. A refactor that breaks one of them would otherwise surface
+perfbench/tracing.py, and perfbench/worker.py imports names from the
+package, textproc.unstemmed_words among them for its input descriptors.
+The worker's evaluate-grid workload reads grid.csv by field position. A
+refactor that breaks one of them would otherwise surface
 only as a crash of a full benchmark run, as every grid cell counted failed,
 or as a per-layer time that silently reads 0 because the pipeline stopped
 calling the traced function.
 """
 
+import ast
 import csv
 import hashlib
 import importlib
@@ -32,6 +34,7 @@ from hatetriage.lexfeat import (
     SentimentLexicon,
     SentimentScores,
     SurfaceFeatures,
+    scalar_row,
 )
 from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
 from hatetriage.postag import load_model
@@ -39,6 +42,7 @@ from hatetriage.vectorize import FeatureMatrix, assemble_features
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def _tracing_module():
@@ -58,9 +62,20 @@ def _traced_pairs():
     return list(_tracing_module().TRACED)
 
 
+def _worker_imports():
+    """(module, name) of every `from hatetriage.<module> import <name>` in
+    perfbench/worker.py."""
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    return [
+        (node.module.split(".", 1)[1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hatetriage.")
+        for alias in node.names
+    ]
+
+
 @pytest.mark.parametrize(
-    "module_name, func_name",
-    list(dict.fromkeys(_traced_pairs() + [("textproc", "unstemmed_words")])),
+    "module_name, func_name", list(dict.fromkeys(_traced_pairs() + _worker_imports()))
 )
 def test_benchmark_names_resolve_on_package(module_name, func_name):
     module = importlib.import_module(f"hatetriage.{module_name}")
@@ -103,10 +118,9 @@ def test_assembled_matrix_has_what_the_tracer_reads():
     tracing = _tracing_module()
     word = FeatureMatrix(np.eye(2))
     pos = FeatureMatrix(np.zeros((2, 1)))
-    sent = [[0.5, 0.0, 0.5, 0.1], [0.0, 0.5, 0.5, -0.1]]
-    read = [[1.0, 80.0], [2.0, 60.0]]
-    surf = [[0.0] * 11, [1.0] * 11]
-    result = assemble_features(word, pos, sent, read, surf)
+    scalars = [[0.5, 0.0, 0.5, 0.1, 1.0, 80.0] + [0.0] * 11,
+               [0.0, 0.5, 0.5, -0.1, 2.0, 60.0] + [1.0] * 11]
+    result = assemble_features(word, pos, scalars)
     tracer = tracing.Tracer()
     tracing._observe_assemble(tracer, None, (), {}, result)
     dense = result[0].matrix.toarray()
@@ -240,9 +254,11 @@ def test_grid_search_builds_each_fold_input_once(kinds):
     ingredients = pipeline.Ingredients(
         word_docs=tuple(tuple(d) for d in docs),
         pos_docs=tuple(("N", "V") for _ in docs),
-        sentiment=tuple(SentimentScores(0.0, 0.0, 1.0, 0.0) for _ in docs),
-        readability=tuple(ReadabilityScores(1.0, 100.0) for _ in docs),
-        surface=tuple(SurfaceFeatures(0, 0, 0, 0, 10, 2, 3) for _ in docs),
+        scalars=np.array([scalar_row(
+            SentimentScores(0.0, 0.0, 1.0, 0.0),
+            ReadabilityScores(1.0, 100.0),
+            SurfaceFeatures(0, 0, 0, 0, 10, 2, 3),
+        )] * len(docs)),
     )
     settings = FeatureSettings(min_df=1, max_df_ratio=1.0, select=False)
     grid = pipeline.build_grid(kinds, ["l1", "l2"], [1.0], ["uniform"])

@@ -39,10 +39,9 @@ docs_strategy = st.lists(st.lists(token, max_size=6), min_size=1, max_size=10)
 def tiny_blocks(n_rows: int):
     word = FeatureMatrix(np.zeros((n_rows, 3)))
     pos = FeatureMatrix(np.zeros((n_rows, 2)))
-    sent = np.tile([0.1, 0.2, 0.7, 0.0], (n_rows, 1))
-    read = np.tile([1.0, 100.0], (n_rows, 1))
-    surf = np.tile(np.arange(11, dtype=float), (n_rows, 1))
-    return word, pos, sent, read, surf
+    # sentiment, readability, then surface columns
+    scalars = np.tile([0.1, 0.2, 0.7, 0.0, 1.0, 100.0, *range(11)], (n_rows, 1))
+    return word, pos, scalars
 
 
 class TestFitVocab:
@@ -492,14 +491,11 @@ class TestCSRMatrixAgainstScipy:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*(
         dense_block(n_rows=n, max_cols=c) for c in (6, 4)
-    ), *(
-        st.lists(st.lists(value, min_size=w, max_size=w), min_size=n, max_size=n)
-        for w in (4, 2, 11)
-    ))))
+    ), st.lists(st.lists(value, min_size=17, max_size=17), min_size=n, max_size=n))))
     def test_assembly(self, blocks):
-        word, pos, sent, read, surf = blocks
-        fm, std = assemble_features(FeatureMatrix(word), FeatureMatrix(pos), sent, read, surf)
-        scalars = std.apply(np.hstack([np.array(sent), np.array(read), np.array(surf)]))
+        word, pos, scalars = blocks
+        fm, std = assemble_features(FeatureMatrix(word), FeatureMatrix(pos), scalars)
+        scalars = std.apply(np.array(scalars))
         want = reference_assemble(sparse.csr_matrix(word), sparse.csr_matrix(pos), scalars)
         assert_same_csr(fm.matrix, want)
 
@@ -523,51 +519,49 @@ class TestAssembleFeatures:
         word = FeatureMatrix(np.zeros((2, 100)))
         pos = FeatureMatrix(np.zeros((2, 50)))
         fm, _ = assemble_features(
-            word, pos, np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 11))
+            word, pos, np.hstack([np.zeros((2, 4)), np.ones((2, 2)), np.zeros((2, 11))])
         )
         assert fm.n_cols == 100 + 50 + 4 + 2 + 11 == 167
 
     def test_standardized_columns_zero_mean(self):
         rng = np.random.default_rng(1)
-        word, pos, _, _, _ = tiny_blocks(30)
+        word, pos, _ = tiny_blocks(30)
         sent = rng.random((30, 4))
         read = rng.random((30, 2)) * 50
         surf = rng.integers(0, 9, (30, 11)).astype(float)
-        fm, std = assemble_features(word, pos, sent, read, surf)
+        fm, std = assemble_features(word, pos, np.hstack([sent, read, surf]))
         scalars = fm.matrix.toarray()[:, 5:]
         assert np.abs(scalars.mean(axis=0)).max() < 1e-9
         assert std is not None
 
     def test_zero_variance_column_passes_as_zeros(self):
-        word, pos, sent, read, surf = tiny_blocks(5)  # all rows identical
-        fm, _ = assemble_features(word, pos, sent, read, surf)
+        word, pos, scalars = tiny_blocks(5)  # all rows identical
+        fm, _ = assemble_features(word, pos, scalars)
         scalars = fm.matrix.toarray()[:, 5:]
         assert np.all(scalars == 0.0)
 
     def test_stored_transform_reapplies(self):
         rng = np.random.default_rng(2)
-        word, pos, _, _, _ = tiny_blocks(10)
-        sent, read, surf = rng.random((10, 4)), rng.random((10, 2)), rng.random((10, 11))
-        _, std = assemble_features(word, pos, sent, read, surf)
-        word2, pos2, _, _, _ = tiny_blocks(3)
-        fm2, std2 = assemble_features(
-            word2, pos2, sent[:3], read[:3], surf[:3], standardizer=std
-        )
+        word, pos, _ = tiny_blocks(10)
+        scalars = rng.random((10, 17))
+        _, std = assemble_features(word, pos, scalars)
+        word2, pos2, _ = tiny_blocks(3)
+        fm2, std2 = assemble_features(word2, pos2, scalars[:3], standardizer=std)
         assert std2 is std
-        expected = std.apply(np.hstack([sent[:3], read[:3], surf[:3]]))
+        expected = std.apply(scalars[:3])
         assert np.allclose(fm2.matrix.toarray()[:, 5:], expected)
 
     def test_standardize_off_keeps_raw(self):
-        word, pos, sent, read, surf = tiny_blocks(4)
-        fm, std = assemble_features(word, pos, sent, read, surf, standardize=False)
+        word, pos, scalars = tiny_blocks(4)
+        fm, std = assemble_features(word, pos, scalars, standardize=False)
         assert std is None
-        assert np.allclose(fm.matrix.toarray()[:, 5:9], sent)
+        assert np.allclose(fm.matrix.toarray()[:, 5:9], scalars[:, :4])
 
     def test_row_mismatch_rejected(self):
-        word, pos, sent, read, surf = tiny_blocks(4)
+        word, pos, scalars = tiny_blocks(4)
         word_bad = FeatureMatrix(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="mismatch"):
-            assemble_features(word_bad, pos, sent, read, surf)
+            assemble_features(word_bad, pos, scalars)
 
     @staticmethod
     def tiny_fitted():
@@ -580,11 +574,11 @@ class TestAssembleFeatures:
             standardizer=None,
             selected_columns=None,
         )
-        _, _, sent, read, surf = tiny_blocks(2)
+        _, _, scalars = tiny_blocks(2)
         fm, _ = assemble_features(
             transform_tfidf(fitted.word_vocab, words),
             transform_tfidf(fitted.pos_vocab, tags),
-            sent, read, surf,
+            scalars,
         )
         return fitted, fm
 
@@ -620,6 +614,14 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             fm.project([2])
+
+    def test_projection_negative_or_repeated_column_rejected(self):
+        fm = FeatureMatrix(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="out of range"):
+            fm.project([-1, 0])
+        with pytest.raises(ValueError, match="repeat"):
+            fm.project([2, 0, 2])
+        assert fm.project([]).n_cols == 0
 
     def test_indices_sorted_within_rows(self):
         m = sparse.csr_matrix(

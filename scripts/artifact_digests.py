@@ -8,10 +8,12 @@ default configuration, and prints one `name sha256` line per artifact,
 sorted by name; names are `<corpus>/<file>`. The corpora are the bundled
 toy corpus (`toy`), the toy corpus with standardization and selection off
 (`toy-raw`, whose unscaled scalar columns make the worst-conditioned solver
-problems), and for each --seed N a 600-row perfbench/corpusgen.py corpus of
-that seed (`bench-N`), with 600 unseen generated tweets to predict: three of
-predict's 256-line batches, so that state one batch leaves for the next
-shows in the digests. Predict reads the toy corpus's own tweets.
+problems), the toy corpus with a naive Bayes model (`toy-nb`, which reads
+the raw n-gram counts), and for each --seed N a 600-row
+perfbench/corpusgen.py corpus of that seed (`bench-N`), with 600 unseen
+generated tweets to predict: three of predict's 256-line batches, so that
+state one batch leaves for the next shows in the digests. Predict reads the
+toy corpus's own tweets.
 
 The package is imported from this checkout's src/. Running the script in two
 checkouts and diffing the output shows which artifacts a change moved;
@@ -73,6 +75,7 @@ def digests(work: Path, seeds=()) -> dict[str, str]:
     found = corpus_digests("toy", TOY, toy_tweets, work)
     found.update(corpus_digests("toy-raw", TOY, toy_tweets, work,
                                 "standardize = false\nselect = false\n"))
+    found.update(corpus_digests("toy-nb", TOY, toy_tweets, work, "model = nb\n"))
     for seed in seeds:
         import corpusgen
 

@@ -123,12 +123,24 @@ def _labeled(records):
 
 def _out_dir(config: PipelineConfig) -> Path:
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"output_dir cannot be created: {out} ({exc.strerror})") from None
     return out
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _open_output(path: Path, mode: str):
+    """`path` opened for writing; one that cannot be opened is a usage error."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise UsageError(f"output path cannot be opened: {path} ({exc.strerror})") from None
+
+
+def _write(path: Path, data: str | bytes) -> None:
+    with _open_output(path, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
 
 
 def _say(message: str) -> None:
@@ -153,7 +165,7 @@ def cmd_tagger_train(args) -> int:
         raise UsageError(f"tagged corpus path does not exist: {conll}")
     sentences = _stage("parse", parse_conll, conll.read_text(encoding="utf-8"))
     model = _stage("train", train_tagger, sentences, epochs=args.epochs, seed=args.seed)
-    Path(args.out).write_bytes(save_tag_model(model))
+    _write(Path(args.out), save_tag_model(model))
     _say(f"trained on {len(sentences)} sentences; wrote {args.out}")
     return 0
 
@@ -190,7 +202,7 @@ def cmd_train(args) -> int:
         tagger=tagger, lexicon=lexicon, fitted=fitted, model=model, config=model_config
     )
     out = _out_dir(config)
-    (out / "model.bin").write_bytes(save_pipeline(pm))
+    _write(out / "model.bin", save_pipeline(pm))
 
     in_sample = model_predict(model, fm)
     cm = confusion(y, in_sample)
@@ -324,10 +336,8 @@ def cmd_predict(args) -> int:
         in_path = Path(args.input)
         if not in_path.is_file():
             raise UsageError(f"input path does not exist: {in_path}")
-        stream = open(in_path, "rb")
-    else:
-        stream = sys.stdin.buffer
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    sink = _open_output(Path(args.output), "w") if args.output else sys.stdout
+    stream = open(in_path, "rb") if args.input else sys.stdin.buffer
     batch: list[str] = []
     try:
         for lineno, raw in enumerate(stream, start=1):

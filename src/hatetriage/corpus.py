@@ -91,6 +91,8 @@ def derive_label(count_hate: int, count_offensive: int, count_neither: int) -> L
 
 
 _REQUIRED = ("count", "hate_speech", "offensive_language", "neither", "tweet")
+# every column the parser reads by name
+_READ = _REQUIRED + ("id", "class")
 
 
 def parse_corpus(source: bytes | io.BufferedIOBase) -> list[LabeledTweet]:
@@ -98,9 +100,10 @@ def parse_corpus(source: bytes | io.BufferedIOBase) -> list[LabeledTweet]:
 
     Labels are recomputed from the count columns; an inconsistent row (counts
     not summing to the coder total) raises CorpusFormatError with its row
-    number. Undecodable bytes are a hard error so token counts stay
-    reproducible. A leading UTF-8 byte-order mark, as spreadsheet programs
-    write one, is dropped.
+    number, and a header that names a column the parser reads more than
+    once raises it at row 0. Undecodable bytes are a hard error so token
+    counts stay reproducible. A leading UTF-8 byte-order mark, as
+    spreadsheet programs write one, is dropped.
     """
     raw = source if isinstance(source, bytes) else source.read()
     text = raw.decode("utf-8-sig")  # strict: bad bytes must not be smoothed over
@@ -108,7 +111,11 @@ def parse_corpus(source: bytes | io.BufferedIOBase) -> list[LabeledTweet]:
         return []
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    cols = {name.strip(): i for i, name in enumerate(header)}
+    names = [name.strip() for name in header]
+    repeated = [c for c in _READ if names.count(c) > 1]
+    if repeated:
+        raise CorpusFormatError(0, f"header names columns {repeated} more than once")
+    cols = {name: i for i, name in enumerate(names)}
     missing = [c for c in _REQUIRED if c not in cols]
     if missing:
         raise CorpusFormatError(0, f"header is missing columns {missing}")

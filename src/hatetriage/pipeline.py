@@ -209,10 +209,12 @@ class ChunkMemo:
     its tokens, stemmed and unstemmed words and surface counts (`chunks`),
     the stem of each distinct word (`stems`), and one stored tuple for each
     distinct counts tuple, as most chunks share one of a few (`counts`).
-    Every value depends on its key alone, so a memo can be shared by any
-    number of calls without changing a result, also by calls in several
-    threads: a write that one thread repeats or another's clear() drops is
-    recomputed to the same value."""
+    Every value depends on its key alone, and the tokenizer, the stemmer
+    and the surface counts that compute them keep no state between calls,
+    so a memo can be shared by any number of calls without changing a
+    result, also by calls in several threads at once: a write that one
+    thread repeats or another's clear() drops is recomputed to the same
+    value."""
 
     chunks: dict[str, tuple] = field(default_factory=dict)
     stems: dict[str, str] = field(default_factory=dict)
@@ -579,7 +581,8 @@ class PipelineModel:
     """Self-contained trained pipeline: tagger, lexicon, feature state, and
     the classifier, everything prediction needs in one artifact. Beside the
     fields, `memo` is the ChunkMemo every pipeline_predict call on this
-    model shares; it lives as long as the model."""
+    model shares, also from several threads; it lives as long as the
+    model."""
 
     tagger: TagModel
     lexicon: SentimentLexicon

@@ -1,7 +1,9 @@
 """Tweet-aware tokenization, Porter stemming, and syllable counting.
 
-Everything here is a pure function over strings; this module is the lexical
-substrate for the n-gram, sentiment, readability, and surface features.
+Everything here is a pure function over strings, the stemmer included: it
+keeps no state between calls, so any number of threads may call it at once.
+This module is the lexical substrate for the n-gram, sentiment, readability,
+and surface features.
 A tweet's tokens are its leading retweet marker, if any (split_retweet()),
 followed by the tokens of each whitespace chunk (classify_chunk()), so
 extraction can classify each distinct chunk once; tokenize() does the
@@ -145,187 +147,129 @@ def _by_last_two(suffixes) -> dict[str, tuple[str, ...]]:
     return {end: tuple(group) for end, group in groups.items()}
 
 
-class _PorterStemmer:
-    """Suffix-stripping stemmer (Porter 1980), following the canonical
-    reference behavior including its standard departures.
+# The Porter stemmer (Porter 1980), following the canonical reference
+# behavior including its standard departures. Each step takes the word as
+# it stands and returns the new word; nothing is kept between calls.
 
-    The buffer convention: ``b`` holds the word, ``k`` indexes its last live
-    character, and ``j`` marks the stem end set by the latest suffix match.
-    """
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "bli": "ble", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+    "logi": "log",
+}
 
-    def __init__(self) -> None:
-        self.b = ""
-        self.k = 0
-        self.j = 0
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
 
-    def _cons(self, i: int) -> bool:
-        ch = self.b[i]
-        if ch in "aeiou":
-            return False
-        if ch == "y":
-            return True if i == 0 else not self._cons(i - 1)
-        return True
+_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
 
-    def _m(self) -> int:
-        # number of VC sequences in b[0..j]
-        n = 0
-        i = 0
-        while True:
-            if i > self.j:
-                return n
-            if not self._cons(i):
-                break
-            i += 1
-        i += 1
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self._cons(i):
-                    break
-                i += 1
-            i += 1
-            n += 1
-            while True:
-                if i > self.j:
-                    return n
-                if not self._cons(i):
-                    break
-                i += 1
-            i += 1
-
-    def _vowel_in_stem(self) -> bool:
-        return any(not self._cons(i) for i in range(self.j + 1))
-
-    def _double_cons(self, j: int) -> bool:
-        return j >= 1 and self.b[j] == self.b[j - 1] and self._cons(j)
-
-    def _cvc(self, i: int) -> bool:
-        if i < 2 or not self._cons(i) or self._cons(i - 1) or not self._cons(i - 2):
-            return False
-        return self.b[i] not in "wxy"
-
-    def _ends(self, s: str) -> bool:
-        if not self.b.endswith(s, 0, self.k + 1):
-            return False
-        self.j = self.k - len(s)
-        return True
-
-    def _set_to(self, s: str) -> None:
-        self.b = self.b[: self.j + 1] + s
-        self.k = self.j + len(s)
-
-    def _replace_if_m(self, s: str) -> None:
-        if self._m() > 0:
-            self._set_to(s)
-
-    def _step1ab(self) -> None:
-        if self.b[self.k] == "s":
-            if self._ends("sses"):
-                self.k -= 2
-            elif self._ends("ies"):
-                self._set_to("i")
-            elif self.b[self.k - 1] != "s":
-                self.k -= 1
-        if self._ends("eed"):
-            if self._m() > 0:
-                self.k -= 1
-        elif (self._ends("ed") or self._ends("ing")) and self._vowel_in_stem():
-            self.k = self.j
-            if self._ends("at"):
-                self._set_to("ate")
-            elif self._ends("bl"):
-                self._set_to("ble")
-            elif self._ends("iz"):
-                self._set_to("ize")
-            elif self._double_cons(self.k):
-                if self.b[self.k] not in "lsz":
-                    self.k -= 1
-            elif self._m() == 1 and self._cvc(self.k):
-                self._set_to("e")
-
-    def _step1c(self) -> None:
-        if self._ends("y") and self._vowel_in_stem():
-            self.b = self.b[: self.k] + "i"
-
-    _STEP2 = {
-        "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
-        "izer": "ize", "bli": "ble", "alli": "al", "entli": "ent",
-        "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
-        "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
-        "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
-        "logi": "log",
-    }
-
-    _STEP3 = {
-        "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
-        "ical": "ic", "ful": "", "ness": "",
-    }
-
-    _STEP4 = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    )
-
-    # Steps 2 to 4 test only the suffixes that end in the word's last two
-    # letters (every suffix has at least two). Each group keeps its step's
-    # order, so the first suffix that matches is the one a scan of the
-    # whole step would find.
-    _STEP2_ENDS = _by_last_two(_STEP2)
-    _STEP3_ENDS = _by_last_two(_STEP3)
-    _STEP4_ENDS = _by_last_two(_STEP4)
-
-    def _candidates(self, ends: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-        """The suffixes in `ends` that can end the word."""
-        return ends.get(self.b[self.k - 1 : self.k + 1], ()) if self.k >= 1 else ()
-
-    def _apply_table(self, table: dict[str, str], ends: dict[str, tuple[str, ...]]) -> None:
-        for suffix in self._candidates(ends):
-            if self._ends(suffix):
-                self._replace_if_m(table[suffix])
-                return
-
-    def _step4(self) -> None:
-        for suffix in self._candidates(self._STEP4_ENDS):
-            if self._ends(suffix):
-                if suffix == "ion" and (self.j < 0 or self.b[self.j] not in "st"):
-                    continue
-                if self._m() > 1:
-                    self.k = self.j
-                return
-
-    def _step5(self) -> None:
-        self.j = self.k
-        if self.b[self.k] == "e":
-            a = self._m()
-            if a > 1 or (a == 1 and not self._cvc(self.k - 1)):
-                self.k -= 1
-        if self.b[self.k] == "l" and self._double_cons(self.k) and self._m() > 1:
-            self.k -= 1
-
-    def stem(self, word: str) -> str:
-        self.b = word
-        self.k = len(word) - 1
-        self.j = 0
-        if self.k <= 1:
-            return word
-        self._step1ab()
-        self._step1c()
-        self._apply_table(self._STEP2, self._STEP2_ENDS)
-        self._apply_table(self._STEP3, self._STEP3_ENDS)
-        self._step4()
-        self._step5()
-        return self.b[: self.k + 1]
+# Steps 2 to 4 test only the suffixes that end in the word's last two
+# letters (every suffix has at least two). Each group keeps its step's
+# order, so the first suffix that matches is the one a scan of the whole
+# step would find.
+_STEP2_ENDS = _by_last_two(_STEP2)
+_STEP3_ENDS = _by_last_two(_STEP3)
+_STEP4_ENDS = _by_last_two(_STEP4)
 
 
-_STEMMER = _PorterStemmer()
+def _form(word: str) -> str:
+    """The consonant/vowel form of `word`, one "c" or "v" per letter: a, e,
+    i, o and u are vowels, and so is a y that follows a consonant."""
+    form = ""
+    for ch in word:
+        form += "v" if ch in "aeiou" or (ch == "y" and form[-1:] == "c") else "c"
+    return form
+
+
+def _measure(word: str) -> int:
+    """Porter's m: the number of vowel-consonant pairs in `word`."""
+    return _form(word).count("vc")
+
+
+def _ends_cvc(word: str) -> bool:
+    """Whether `word` ends consonant-vowel-consonant, the last not w, x or y."""
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
+
+
+def _step1ab(w: str) -> str:
+    """Plurals (step 1a); then -eed becomes -ee when m > 0, and -ed or -ing
+    goes when the stem before it holds a vowel, and the stem is tidied."""
+    if w[-1] == "s":
+        if w.endswith(("sses", "ies")):
+            w = w[:-2]
+        elif w[-2] != "s":
+            w = w[:-1]
+    if w.endswith("eed"):
+        return w[:-1] if _measure(w[:-3]) > 0 else w
+    stem = w[:-2] if w.endswith("ed") else w[:-3] if w.endswith("ing") else ""
+    if "v" not in _form(stem):
+        return w
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if len(stem) >= 2 and stem[-1] == stem[-2] and _form(stem)[-1] == "c":
+        return stem if stem[-1] in "lsz" else stem[:-1]
+    if _measure(stem) == 1 and _ends_cvc(stem):
+        return stem + "e"
+    return stem
+
+
+def _step1c(w: str) -> str:
+    """A final y after a vowel in the stem becomes i."""
+    if w.endswith("y") and "v" in _form(w[:-1]):
+        return w[:-1] + "i"
+    return w
+
+
+def _replace_suffix(w: str, table: dict[str, str], ends: dict[str, tuple[str, ...]]) -> str:
+    """Steps 2 and 3: the first suffix of `table` that ends `w` is replaced
+    by its entry when the stem before it has m > 0."""
+    for suffix in ends.get(w[-2:], ()):
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            return stem + table[suffix] if _measure(stem) > 0 else w
+    return w
+
+
+def _step4(w: str) -> str:
+    """The first step-4 suffix that ends `w` is dropped when the stem before
+    it has m > 1; -ion counts only after s or t."""
+    for suffix in _STEP4_ENDS.get(w[-2:], ()):
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                continue
+            return stem if _measure(stem) > 1 else w
+    return w
+
+
+def _step5(w: str) -> str:
+    """A final e, then one l of a final ll, go when m allows; both tests
+    read the measure of the word as this step finds it."""
+    m = _measure(w)
+    if w[-1] == "e" and (m > 1 or (m == 1 and not _ends_cvc(w[:-1]))):
+        w = w[:-1]
+    if m > 1 and w.endswith("ll"):
+        w = w[:-1]
+    return w
 
 
 def porter_stem(word: str) -> str:
     """Stem one lowercase alphabetic word."""
     if not word:
         raise ValueError("porter_stem requires a non-empty word")
-    return _STEMMER.stem(word)
+    if len(word) <= 2:
+        return word
+    w = _step1c(_step1ab(word))
+    w = _replace_suffix(w, _STEP2, _STEP2_ENDS)
+    w = _replace_suffix(w, _STEP3, _STEP3_ENDS)
+    return _step5(_step4(w))
 
 
 def word_streams(
@@ -363,7 +307,7 @@ def word_streams(
                     continue
             stem = stems.get(surface)
             if stem is None:
-                stem = stems[surface] = _STEMMER.stem(surface)
+                stem = stems[surface] = porter_stem(surface)
             stemmed.append(stem)
             words.append(surface)
     return stemmed, words

@@ -461,6 +461,38 @@ class TestErrorExits:
         assert "stage load: pipeline payload field 'word_vocab'" in capsys.readouterr().err
         assert not dst.exists()
 
+    def test_predict_output_in_missing_directory(self, workspace, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("fine line\n", encoding="utf-8")
+        dst = tmp_path / "absent" / "pred.tsv"
+        rc = main(["predict", "--model", str(workspace["out"] / "model.bin"),
+                   "--input", str(src), "--output", str(dst)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(dst) in err
+
+    def test_output_dir_naming_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus = {CORPUS}\noutput_dir = {blocker}\n", encoding="utf-8")
+        rc = main(["ingest", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
+    def test_tagger_out_in_missing_directory(self, tmp_path, capsys):
+        conll = tmp_path / "tiny.conll"
+        conll.write_text("The\tDT\ncat\tNN\n", encoding="utf-8")
+        out = tmp_path / "absent" / "tagger.bin"
+        rc = main(["tagger-train", "--conll", str(conll), "--out", str(out), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -103,6 +103,20 @@ class TestParseCorpus:
         with pytest.raises(CorpusFormatError):
             parse_corpus(b"id,count,tweet\na,0,hi\n")
 
+    @pytest.mark.parametrize("column", ["count", "hate_speech", "offensive_language", "neither",
+                                        "tweet", "id", "class"])
+    def test_repeated_header_name_rejected(self, column):
+        """A second column of a name the parser reads is an error at row 0
+        naming it, not a column that silently wins."""
+        header = b"id,count,hate_speech,offensive_language,neither,class,tweet," + column.encode()
+        with pytest.raises(CorpusFormatError, match=f"'{column}'") as e:
+            parse_corpus(header + b"\na,3,0,0,3,2,hi,3\n")
+        assert e.value.row == 0
+
+    def test_repeated_unread_header_name_accepted(self):
+        data = b"count,hate_speech,offensive_language,neither,tweet,note,note\n3,0,0,3,hi,x,y\n"
+        assert parse_corpus(data)[0].text == "hi"
+
     def test_columns_matched_by_name_not_position(self):
         data = b"tweet,neither,offensive_language,hate_speech,count,id\nhi,0,0,3,3,z\n"
         recs = parse_corpus(data)

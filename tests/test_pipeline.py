@@ -48,7 +48,7 @@ from hatetriage.pipeline import (
     train_input_matrix,
 )
 from hatetriage.postag import load_model
-from hatetriage.textproc import tokenize, word_streams
+from hatetriage.textproc import porter_stem, tokenize, word_streams
 from hatetriage.vectorize import Vocabulary
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
@@ -373,6 +373,27 @@ class TestModelMemo:
         assert MEMO_CHUNKS == 8192
         assert sizes == [4000, 8000, 0]
         assert not pm.memo.stems and not pm.memo.counts
+
+    def test_threads_share_one_loaded_model(self, saved_pipeline, corpusgen, in_threads):
+        """Four threads predict through one loaded model at once, switching
+        as often as the interpreter allows: every thread finishes, each
+        batch's labels and scores are those of a one-thread run, bit for
+        bit, and every stem left in the shared memo is its word's stem."""
+        tweets = [t for t, _ in corpusgen.make_unseen_tweets(400, 1)]
+        batches = [tweets[i : i + 25] for i in range(0, len(tweets), 25)]
+        alone = load_pipeline(saved_pipeline)
+        want = [tuple(a.tobytes() for a in pipeline_predict(alone, b)) for b in batches]
+        pm = load_pipeline(saved_pipeline)
+        got = {}
+
+        def predict_share(i):
+            for k in range(i, len(batches), 4):
+                got[k] = tuple(a.tobytes() for a in pipeline_predict(pm, batches[k]))
+
+        in_threads(predict_share)
+        assert [got.get(k) for k in range(len(batches))] == want
+        assert len(pm.memo.stems) > 900
+        assert [w for w, stem in pm.memo.stems.items() if stem != porter_stem(w)] == []
 
     def test_memo_lives_with_the_model(self, saved_pipeline):
         pm = load_pipeline(saved_pipeline)

@@ -1,3 +1,5 @@
+import csv
+import io
 import string
 
 import pytest
@@ -26,6 +28,17 @@ from textproc_reference import (
 )
 
 lower_words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20)
+# Extraction hands the stemmer more than lowercase letters: digits, "_" and
+# "'", "." and "-" inside a word, and non-ASCII letters. A "y" is a vowel or
+# a consonant by the letter before it, so runs heavy in "y" get their own
+# alphabet.
+word_chars = st.sampled_from(string.ascii_lowercase + string.digits + "_'.-éß")
+y_heavy = st.sampled_from("yyyyyaeiobcls")
+stem_words = st.one_of(
+    lower_words,
+    st.text(alphabet=word_chars, min_size=1, max_size=20),
+    st.text(alphabet=y_heavy, min_size=1, max_size=20),
+)
 
 # short chunks built from pieces that start every kind of token, so that
 # hashtags and mentions chain and mix with URLs, punctuation and non-ASCII
@@ -129,23 +142,49 @@ class TestPorterStem:
         with pytest.raises(ValueError):
             porter_stem("")
 
-    @given(lower_words)
+    @given(stem_words)
     def test_matches_reference_stemmer(self, word):
         assert porter_stem(word) == reference_porter_stem(word)
 
     @given(
-        st.text(alphabet=string.ascii_lowercase, max_size=8),
+        st.text(alphabet=word_chars | y_heavy, max_size=8),
         st.lists(st.sampled_from(PORTER_SUFFIXES), min_size=1, max_size=2).map("".join),
     )
     def test_matches_reference_stemmer_on_suffixed_words(self, stem, suffixes):
         word = stem + suffixes
         assert porter_stem(word) == reference_porter_stem(word)
 
-    @given(lower_words)
+    @given(stem_words)
     def test_never_lengthens_never_empty(self, word):
         stem = porter_stem(word)
         assert stem
         assert len(stem) <= len(word)
+
+    def test_matches_reference_stemmer_on_a_corpus_vocabulary(self, corpusgen):
+        """Every distinct word that extraction stems in the 2,000-row
+        generated corpus of seed 1."""
+        stems: dict[str, str] = {}
+        rows = csv.DictReader(io.StringIO(corpusgen.make_corpus_csv(2000, 1).decode("utf-8")))
+        for row in rows:
+            word_streams(tokenize(row["tweet"]), stems)
+        assert len(stems) == 2872
+        assert [w for w, stem in stems.items() if stem != reference_porter_stem(w)] == []
+
+    def test_threads_stem_as_one_thread_does(self, golden_dir, in_threads):
+        """The stemmer keeps no state between calls: four threads stemming
+        at once, switching as often as the interpreter allows, each get the
+        stems of a one-thread run."""
+        words = [line.split("\t")[0] for line in
+                 (golden_dir / "stems.golden").read_text().splitlines()] * 34
+        want = [porter_stem(w) for w in words]
+        got = {}
+
+        def stem_all(i):
+            got[i] = [porter_stem(w) for w in words]
+
+        in_threads(stem_all)
+        assert sorted(got) == [0, 1, 2, 3]
+        assert all(stems == want for stems in got.values())
 
 
 class TestCountSyllables:

@@ -293,8 +293,8 @@ def _artifact_digests(env=None) -> str:
 
 def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):
     """The script prints `name sha256` for every artifact of train,
-    evaluate, predict and report on both toy-corpus setups and on bench-1,
-    the digest of model.bin is that of the file train writes, and every
+    evaluate, predict and report on the three toy-corpus setups and on
+    bench-1, the digest of model.bin is that of the file train writes, and every
     line equals the committed one in tests/data/artifact_digests.txt, also
     with BLAS on two threads. A change that moves an artifact on purpose
     updates that file."""
@@ -308,7 +308,7 @@ def test_artifact_digests_cover_every_command_on_the_toy_corpus(tmp_path):
     digests = dict(line.split(" ") for line in lines)
     assert len(digests) == len(lines) and sorted(digests) == list(digests)
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
-    for name in ("toy", "toy-raw", "bench-1"):
+    for name in ("toy", "toy-raw", "toy-nb", "bench-1"):
         names = {key.split("/", 1)[1] for key in digests if key.split("/", 1)[0] == name}
         assert names == {
             "model.bin", "train_report.txt", "selected_features.csv",

@@ -12,10 +12,13 @@ within the three preceding tokens multiplies the adjusted value by -0.74.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .textproc import Token, TokenKind, count_syllables
+import numpy as np
+
+from .textproc import StringTable, Token, TokenKind, count_syllables
 
 NEGATION_FACTOR = -0.74
 BOOSTER_INCREMENT = 0.293
@@ -95,6 +98,8 @@ class ReadabilityScores:
 
 @dataclass(frozen=True)
 class SurfaceFeatures:
+    """One document's counts, or a batch's as arrays (has_* then too)."""
+
     count_hashtags: int
     count_mentions: int
     count_retweets: int
@@ -105,19 +110,19 @@ class SurfaceFeatures:
 
     @property
     def has_hashtag(self) -> int:
-        return int(self.count_hashtags > 0)
+        return (self.count_hashtags > 0) * 1
 
     @property
     def has_mention(self) -> int:
-        return int(self.count_mentions > 0)
+        return (self.count_mentions > 0) * 1
 
     @property
     def has_retweet(self) -> int:
-        return int(self.count_retweets > 0)
+        return (self.count_retweets > 0) * 1
 
     @property
     def has_url(self) -> int:
-        return int(self.count_urls > 0)
+        return (self.count_urls > 0) * 1
 
     # counts, then binaries, then size metrics
     NAMES = (
@@ -152,74 +157,130 @@ SCALAR_COLUMNS = (
 
 
 def scalar_row(sent: SentimentScores, read: ReadabilityScores, surf: SurfaceFeatures) -> tuple:
-    """One document's scalar columns, in SCALAR_COLUMNS order."""
+    """One document's scalar columns, in SCALAR_COLUMNS order; a batch's
+    column arrays when the scores hold arrays."""
     return sent.as_tuple() + read.as_tuple() + surf.as_tuple()
 
 
-def _is_negation(surface: str) -> bool:
-    low = surface.lower()
-    return low in NEGATIONS or low.endswith("n't")
+# the flag bits sentiment_codes gives a token
+NEGATION, BOOSTER, UPPER = 1, 2, 4
 
 
-def sentiment_scores(tokens: list[Token], lexicon: SentimentLexicon) -> SentimentScores:
-    """Score a token stream against the lexicon.
+def sentiment_codes(tokens: Sequence[Token]) -> tuple[list, list[int], tuple[int, int, int]]:
+    """What the sentiment rules read of a token list: per token, the
+    lowercased surface of a Word token (None for other kinds) and its flags
+    (NEGATION for "not", "never", "no", "cannot" or a "n't" ending; BOOSTER;
+    UPPER for a Word in all caps); then the list's "!" count, its cased
+    Words and how many of those are all caps. Concatenated lists have the
+    concatenated codes and the summed counts."""
+    words, flags = [], []
+    exclaims = cased = upper = 0
+    for t in tokens:
+        surface, low, word = t.surface, t.surface.lower(), t.kind is TokenKind.WORD
+        exclaims += surface.count("!")
+        flags.append((low in NEGATIONS or low.endswith("n't")) * NEGATION
+                     + (low in BOOSTERS) * BOOSTER + (word and surface.isupper()) * UPPER)
+        words.append(low if word else None)
+        if word and surface.upper() != low:
+            cased += 1
+            upper += surface.isupper()
+    return words, flags, (exclaims, cased, upper)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenCodes:
+    """The sentiment_codes of a batch of tweets, each word as its id in
+    `table`: per token, in tweet order, `words` (-1 for other kinds) and
+    `flags`; tweet i's tokens are [offsets[i], offsets[i + 1]), and row i
+    of `counts` holds its three counts."""
+
+    words: np.ndarray
+    flags: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray
+    table: StringTable
+
+
+def _score(codes: TokenCodes, lexicon: SentimentLexicon) -> tuple[np.ndarray, ...]:
+    """pos, neg, neu and compound of every tweet of codes, one array each.
+
+    Each hit's adjusted valence is computed for all hits at once; then the
+    hits are added one rank per step across tweets (each tweet's first hit,
+    then its second, ...), so every tweet's sums add its hits left to
+    right, as a per-tweet loop does, and equal it bit for bit."""
+    n = len(codes.offsets) - 1
+    valence = codes.table.derived(lexicon, lambda w: lexicon.valences.get(w, math.nan), np.float64)
+    words, flags = codes.words, codes.flags
+    tweet = np.repeat(np.arange(n), np.diff(codes.offsets))
+    place = np.arange(len(words)) - codes.offsets[tweet]
+    hits = np.flatnonzero(words >= 0)
+    value = valence[words[hits]]
+    neutral = np.isnan(value)
+    neu = np.bincount(tweet[hits[neutral]], minlength=n).astype(np.float64)
+    hits, value = hits[~neutral], value[~neutral]
+
+    def before(k: int, flag: int) -> np.ndarray:
+        # whether the token k places before each hit is in its tweet and has flag
+        return (place[hits] >= k) & (flags.take(hits - k, mode="clip") & flag != 0)
+
+    exclaims, cased, upper = codes.counts.T
+    all_caps = (cased > 0) & (upper == cased)
+    sign = np.where(value > 0, 1.0, -1.0)
+    scaled = value != 0.0
+    adjusted = np.where(scaled & before(1, BOOSTER), value + sign * BOOSTER_INCREMENT, value)
+    caps = scaled & (flags[hits] & UPPER != 0) & ~all_caps[tweet[hits]]
+    adjusted = np.where(caps, adjusted + sign * CAPS_INCREMENT, adjusted)
+    negated = before(1, NEGATION) | before(2, NEGATION) | before(3, NEGATION)
+    adjusted = np.where(negated, adjusted * NEGATION_FACTOR, adjusted)
+
+    per_tweet = np.bincount(tweet[hits], minlength=n)
+    order = np.argsort(-per_tweet, kind="stable")  # the tweets with most hits first
+    first = (np.cumsum(per_tweet) - per_tweet)[order]
+    sums = np.zeros((3, n))  # total, pos and neg masses, in `order`
+    for rank, m in enumerate((n - np.cumsum(np.bincount(per_tweet))[:-1]).tolist()):
+        a = adjusted[first[:m] + rank]
+        sums[0, :m] += a
+        sums[1, :m] += np.where(a > 0, a, 0.0)
+        sums[2, :m] += np.where(a < 0, -a, 0.0)
+    total, pos, neg = np.empty_like(sums)
+    total[order], pos[order], neg[order] = sums
+
+    amplified = np.where(
+        total != 0.0, total + np.copysign(1.0, total) * EXCLAIM_INCREMENT * np.minimum(4, exclaims), total
+    )
+    compound = amplified / np.sqrt(amplified * amplified + COMPOUND_NORM)
+    mass = pos + neg + neu
+    empty = mass == 0.0
+    mass[empty] = 1.0
+    return pos / mass, neg / mass, np.where(empty, 1.0, neu / mass), compound
+
+
+def sentiment_scores(tokens: Sequence[Token] | TokenCodes, lexicon: SentimentLexicon) -> SentimentScores:
+    """Score a token stream against the lexicon: a token list gives one
+    tweet's scores, and a TokenCodes batch gives every tweet's, each field
+    an array with one value per tweet.
 
     Only Word tokens participate: they can match the lexicon, and unmatched
     ones carry the neutral mass. Negation looks back over the three preceding
     tokens of any kind; boosters must immediately precede the hit.
     """
-    cased_words = [
-        t.surface for t in tokens if t.kind is TokenKind.WORD and t.surface.upper() != t.surface.lower()
-    ]
-    tweet_all_caps = bool(cased_words) and all(w.isupper() for w in cased_words)
-
-    pos_mass = 0.0
-    neg_mass = 0.0
-    neu_mass = 0.0
-    total = 0.0
-    valences = lexicon.valences
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.WORD:
-            continue
-        valence = valences.get(tok.surface.lower())
-        if valence is None:
-            neu_mass += 1.0
-            continue
-        adjusted = valence
-        if valence != 0.0:
-            sign = 1.0 if valence > 0 else -1.0
-            if i > 0 and tokens[i - 1].surface.lower() in BOOSTERS:
-                adjusted += sign * BOOSTER_INCREMENT
-            if tok.surface.isupper() and not tweet_all_caps:
-                adjusted += sign * CAPS_INCREMENT
-        if any(_is_negation(tokens[j].surface) for j in range(max(0, i - 3), i)):
-            adjusted *= NEGATION_FACTOR
-        total += adjusted
-        if adjusted > 0:
-            pos_mass += adjusted
-        elif adjusted < 0:
-            neg_mass += -adjusted
-
-    exclaims = sum(t.surface.count("!") for t in tokens)
-    amplified = total
-    if total != 0.0:
-        amplified += math.copysign(1.0, total) * EXCLAIM_INCREMENT * min(4, exclaims)
-    compound = amplified / math.sqrt(amplified * amplified + COMPOUND_NORM)
-
-    mass = pos_mass + neg_mass + neu_mass
-    if mass == 0.0:
-        return SentimentScores(pos=0.0, neg=0.0, neu=1.0, compound=compound)
-    return SentimentScores(
-        pos=pos_mass / mass, neg=neg_mass / mass, neu=neu_mass / mass, compound=compound
-    )
+    if isinstance(tokens, TokenCodes):
+        return SentimentScores(*_score(tokens, lexicon))
+    table = StringTable()
+    words, flags, counts = sentiment_codes(tokens)
+    ids = [-1 if w is None else table.id(w) for w in words]
+    one = TokenCodes(np.array(ids, np.intp), np.array(flags, np.intp), np.array([0, len(ids)]),
+                     np.array([counts]), table)
+    return SentimentScores(*(float(x[0]) for x in _score(one, lexicon)))
 
 
-def readability(num_words: int, num_syllables: int) -> ReadabilityScores:
+def readability(num_words, num_syllables) -> ReadabilityScores:
     """Reading-ease and grade formulas with the sentence count pinned at 1,
-    so words-per-sentence collapses to the word count."""
-    if num_words < 1:
+    so words-per-sentence collapses to the word count. Counts may be
+    arrays, one per document; the scores are then arrays too."""
+    if np.min(num_words, initial=1) < 1:
         raise ValueError("readability requires at least one word")
-    if num_syllables < 1:
+    if np.min(num_syllables, initial=1) < 1:
         raise ValueError("readability requires at least one syllable")
     spw = num_syllables / num_words
     reading_ease = 206.835 - 1.015 * num_words - 84.6 * spw

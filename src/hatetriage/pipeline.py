@@ -10,8 +10,11 @@ a standalone predictor needs into one versioned artifact.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -20,8 +23,10 @@ from .lexfeat import (
     SCALAR_COLUMNS,
     SentimentLexicon,
     SurfaceFeatures,
+    TokenCodes,
     readability,
     scalar_row,
+    sentiment_codes,
     sentiment_scores,
     surface_features,
 )
@@ -40,7 +45,14 @@ from .linmodel import (
 from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
-from .textproc import classify_chunk, split_retweet, word_streams
+from .textproc import (
+    StringTable,
+    TokenDocs,
+    classify_chunk,
+    gather_segments,
+    split_retweet,
+    word_streams,
+)
 from .vectorize import (
     CSRMatrix,
     FeatureMatrix,
@@ -49,6 +61,7 @@ from .vectorize import (
     TableRows,
     Vocabulary,
     assemble_features,
+    column_inverse,
     fit_vocab,
     select_l1,
     transform_counts,
@@ -149,10 +162,12 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class Ingredients:
-    """Per-document raw material for every feature block: the stemmed words,
-    the POS tags, and `scalars`, a float64 array with one row per document
-    and one column per lexfeat.SCALAR_COLUMNS entry (read-only as
-    extract_ingredients writes it).
+    """Per-document raw material for every feature block: the stemmed words
+    and the POS tags, each block TokenDocs (one flat id array with document
+    offsets, beside its id -> string table; token sequences given here are
+    numbered into a new table), and `scalars`, a float64 array with one row
+    per document and one column per lexfeat.SCALAR_COLUMNS entry
+    (read-only as extract_ingredients writes it).
 
     Extraction is row-independent, so any subset of rows can later be used
     to fit or transform without touching the other rows. The n-gram count
@@ -160,11 +175,13 @@ class Ingredients:
     order range, and live exactly as long as these ingredients.
     """
 
-    word_docs: tuple[tuple[str, ...], ...]
-    pos_docs: tuple[tuple[str, ...], ...]
+    word_docs: TokenDocs
+    pos_docs: TokenDocs
     scalars: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "word_docs", TokenDocs.of(self.word_docs))
+        object.__setattr__(self, "pos_docs", TokenDocs.of(self.pos_docs))
         n = len(self.word_docs)
         if len(self.pos_docs) != n or self.scalars.shape != (n, len(SCALAR_COLUMNS)):
             raise ValueError(
@@ -186,47 +203,110 @@ class Ingredients:
             self._tables[key] = NgramTable.build(docs, n_lo, n_hi)
         return self._tables[key]
 
-    def ngram_docs(self, block: str, vocab: Vocabulary, indices) -> TableRows | list:
+    def ngram_docs(self, block: str, vocab: Vocabulary, indices) -> TableRows | TokenDocs:
         """The given rows' documents of one n-gram block, to transform with
         `vocab`: rows of the block's count table when `vocab` was fitted
-        from it, else token tuples."""
+        from it, else the rows' TokenDocs."""
         table = self._tables.get((block, vocab.n_lo, vocab.n_hi))
         if table is not None and vocab.table_columns(table) is not None:
             return table.rows(indices)
-        docs = self.word_docs if block == "word-ngram" else self.pos_docs
-        return [docs[i] for i in indices]
+        return (self.word_docs if block == "word-ngram" else self.pos_docs).rows(indices)
 
 
 # the most distinct whitespace chunks a loaded model's memo holds between
-# predict calls; at about 420 B a chunk, with the stems of its words, that
-# is about 3.5 MB
+# predict calls; with their words, stems and the tagger's rows of each word
+# that is about 2 MB
 MEMO_CHUNKS = 8192
 
 
-@dataclass(eq=False)
-class ChunkMemo:
-    """What extract_ingredients learns about each distinct whitespace chunk:
-    its tokens, stemmed and unstemmed words and surface counts (`chunks`),
-    the stem of each distinct word (`stems`), and one stored tuple for each
-    distinct counts tuple, as most chunks share one of a few (`counts`).
-    Every value depends on its key alone, and the tokenizer, the stemmer
-    and the surface counts that compute them keep no state between calls,
-    so a memo can be shared by any number of calls without changing a
-    result, also by calls in several threads at once: a write that one
-    thread repeats or another's clear() drops is recomputed to the same
-    value."""
+class _ChunkTables:
+    """What a ChunkMemo knows: `chunks`, `words` and `stemmed` number the
+    chunks, words and stems, stem_of holds each word's stem, and `arrays`
+    holds, flat, for every chunk c in turn: its word ids (words_of, with
+    offsets word_at), its tokens' word ids (-1 for no Word) and sentiment
+    flags (token_words and token_flags, with offsets token_at), and its
+    hashtag, mention, URL, word and syllable counts, then its
+    sentiment_codes counts (8 counts a chunk). What chunks added since the
+    last gather() put in `arrays` waits in `pending`."""
 
-    chunks: dict[str, tuple] = field(default_factory=dict)
-    stems: dict[str, str] = field(default_factory=dict)
-    counts: dict[tuple, tuple] = field(default_factory=dict)
+    def __init__(self):
+        self.chunks: dict[str, int] = {}
+        self.stems: dict[str, str] = {}  # word_streams' stem of each word
+        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("q")
+        # words_of, word_at, token_words, token_flags, token_at, counts
+        self.arrays = tuple(array("q", [0] * (k in (1, 4))) for k in range(6))
+        self.pending = tuple([] for _ in range(6))
+
+    def add(self, chunk: str) -> int:
+        """The id of `chunk`, analyzed and numbered when it is new."""
+        k = self.chunks.get(chunk)
+        if k is not None:
+            return k
+        ids, tokens = self.words.ids, classify_chunk(chunk)
+        stemmed, words = word_streams(tokens, self.stems)
+        for word, stem in zip(words, stemmed):
+            if word not in ids:
+                self.stem_of.append(self.stemmed.id(stem))
+                self.words.id(word)
+        low, flags, sentiment_counts = sentiment_codes(tokens)
+        sf = surface_features(chunk, tokens)
+        words_of, word_at, token_words, token_flags, token_at, counts = self.pending
+        words_of += map(ids.__getitem__, words)
+        word_at.append(len(self.arrays[0]) + len(words_of))
+        token_words += map(ids.get, low, repeat(-1))  # None, no word, is -1
+        token_flags += flags
+        token_at.append(len(self.arrays[2]) + len(token_words))
+        counts += (sf.count_hashtags, sf.count_mentions, sf.count_urls, sf.num_words,
+                   sf.num_syllables, *sentiment_counts)
+        k = self.chunks[chunk] = len(self.chunks)
+        return k
+
+    def gather(self, cids: np.ndarray, doc_at: np.ndarray) -> tuple:
+        """For the documents of the chunks cids, document i of cids[doc_at[i]
+        :doc_at[i + 1]]: their word offsets, word ids and stem ids, their
+        token offsets, token word ids and flags, and their summed counts.
+        Only copies are returned, so no view holds an array past the lock."""
+        for values, added in zip(self.arrays, self.pending):
+            values.extend(added)
+            added.clear()
+        words_of, word_at, token_words, token_flags, token_at, counts = (
+            np.frombuffer(a, np.int64) for a in self.arrays
+        )
+
+        def segments(at, *values):
+            take, offsets = gather_segments(at[cids], at[cids + 1] - at[cids])
+            return (offsets[doc_at], *(v[take] for v in values))
+
+        word_offsets, words = segments(word_at, words_of)
+        doc = np.repeat(np.arange(len(doc_at) - 1), np.diff(doc_at))
+        # per-document sums of small ints, exact in float64
+        summed = [np.bincount(doc, c[cids], len(doc_at) - 1) for c in counts.reshape(-1, 8).T]
+        return (word_offsets, words, np.frombuffer(self.stem_of, np.int64)[words],
+                *segments(token_at, token_words, token_flags), np.stack(summed, 1).astype(np.int64))
+
+
+class ChunkMemo:
+    """What extract_ingredients learns about each distinct whitespace chunk
+    (`tables`): ids for its chunks, words and stems, given once, and per
+    chunk its word ids, its tokens' sentiment codes and its counts, in flat
+    arrays. The word and stem tables also keep what later stages derive
+    per string (StringTable.derived): the tagger's rows of each word, its
+    lexicon valence, and a vocabulary's token id of each stem.
+
+    Every value depends on its key alone, so any number of calls may share
+    a memo without changing a result, also from several threads: a call
+    adds and reads chunks under `lock`, and clear() swaps in fresh tables,
+    so a call in progress keeps those it started with."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.tables = _ChunkTables()
 
     def __len__(self) -> int:
-        return len(self.chunks)
+        return len(self.tables.chunks)
 
     def clear(self) -> None:
-        self.chunks.clear()
-        self.stems.clear()
-        self.counts.clear()
+        self.tables = _ChunkTables()
 
 
 def extract_ingredients(
@@ -239,82 +319,51 @@ def extract_ingredients(
     for this call when none is given (training, evaluation, report), or a
     loaded model's, which predict calls share. A given memo that holds more
     than MEMO_CHUNKS chunks when the call ends is emptied, so a long stream
-    of new chunks cannot grow it past one call's worth. For each chunk the
-    memo holds its tokens, its stemmed and unstemmed words, and its
-    hashtag, mention, URL, word and syllable counts. A tweet is its leading
-    retweet marker, if any, followed by its chunks: its tokens and word
-    streams are the concatenation of theirs, and its surface counts their
-    sum, from which readability follows. Sentiment walks the tweet's
-    tokens, because negation and boosters look across chunks. Stems are
-    memoized per distinct word in the same memo. All texts are tagged in one
-    batched call, which reads each text's unstemmed words as the loop below
-    makes them and keeps only their feature ids.
+    of new chunks cannot grow it past one call's worth.
+
+    A tweet is its leading retweet marker, if any, then its chunks, so its
+    streams are its chunks' segments of the memo's arrays, gathered for all
+    tweets at once: the stem ids are the word block, the word ids go to the
+    tagger, and the tokens' codes to one sentiment_scores call (the marker
+    is never a negation or a booster, so it is left out). Its surface
+    counts are its chunks' sums, from which readability follows. No later
+    stage turns a token into an id again: the tagger, the n-gram tables and
+    the vocabulary lookup read these ids.
     """
-    word_docs = []
-    scalars: list[float] = []
+    texts = list(texts)
     if memo is None:
         memo = ChunkMemo()
-    seen, stems, counts_seen = memo.chunks, memo.stems, memo.counts
-
-    def chunk_value(chunk: str) -> tuple:
-        tokens = tuple(classify_chunk(chunk))
-        stemmed, words = word_streams(tokens, stems)
-        stemmed, words = tuple(stemmed), tuple(words)
-        sf = surface_features(chunk, tokens)
-        counts = (sf.count_hashtags, sf.count_mentions, sf.count_urls, sf.num_words,
-                  sf.num_syllables)
-        value = seen[chunk] = (
-            tokens,
-            stemmed,
-            # most words stem to themselves: keep one tuple for both streams
-            stemmed if words == stemmed else words,
-            counts_seen.setdefault(counts, counts),
-        )
-        return value
-
-    def unstemmed_words():
+    tables = memo.tables  # this call's, even if another thread clears the memo
+    cids, per_doc, retweets = [], [], []
+    with memo.lock:
+        known, add = tables.chunks.get, tables.add
         for text in texts:
             marker, chunks = split_retweet(text)
-            tokens = [] if marker is None else [marker]
-            stemmed: list[str] = []
-            words: list[str] = []
-            hashtags = mentions = urls = num_words = syllables = 0
-            for chunk in chunks:
-                value = seen.get(chunk) or chunk_value(chunk)
-                tokens += value[0]
-                stemmed += value[1]
-                words += value[2]
-                h, m, u, w, s = value[3]
-                hashtags += h
-                mentions += m
-                urls += u
-                num_words += w
-                syllables += s
-            word_docs.append(tuple(stemmed))
-            surf = SurfaceFeatures(
-                count_hashtags=hashtags,
-                count_mentions=mentions,
-                count_retweets=0 if marker is None else 1,
-                count_urls=urls,
-                num_chars=len(text),
-                num_words=num_words,
-                num_syllables=syllables,
-            )
-            scalars.extend(scalar_row(
-                sentiment_scores(tokens, lexicon),
-                # tweets with no countable words are scored as one empty word
-                # so the readability formulas stay defined
-                readability(max(1, num_words), max(1, syllables)),
-                surf,
-            ))
-            yield words
-
-    pos_docs = tag_batch(tagger, unstemmed_words())
+            ids = list(map(known, chunks))
+            cids += map(add, chunks) if None in ids else ids
+            per_doc.append(len(chunks))
+            retweets.append(marker is not None)
+        doc_at = gather_segments(0, per_doc)[1]
+        word_at, words, stems, token_at, token_words, token_flags, counts = tables.gather(
+            np.array(cids, np.intp), doc_at
+        )
+    pos_docs = tag_batch(tagger, TokenDocs(words, word_at, tables.words))
+    sentiment = sentiment_scores(
+        TokenCodes(token_words, token_flags, token_at, counts[:, 5:], tables.words), lexicon
+    )
+    hashtags, mentions, urls, num_words, syllables = counts[:, :5].T
+    chars = np.array([len(text) for text in texts], np.int64)
+    surf = SurfaceFeatures(hashtags, mentions, np.array(retweets, np.int64), urls, chars, num_words,
+                           syllables)
+    # tweets with no countable words are scored as one empty word so the
+    # readability formulas stay defined
+    read = readability(np.maximum(1, num_words), np.maximum(1, syllables))
     if len(memo) > MEMO_CHUNKS:
         memo.clear()
-    table = np.array(scalars, dtype=np.float64).reshape(len(word_docs), len(SCALAR_COLUMNS))
+    table = np.column_stack(scalar_row(sentiment, read, surf)).astype(np.float64)
     table.flags.writeable = False
-    return Ingredients(word_docs=tuple(word_docs), pos_docs=tuple(pos_docs), scalars=table)
+    return Ingredients(word_docs=TokenDocs(stems, word_at, tables.stemmed), pos_docs=pos_docs,
+                       scalars=table.reshape(len(texts), len(SCALAR_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -325,7 +374,7 @@ class FittedFeatures:
     and selection are off. registry names every column of the assembled
     matrix as (block, name), the scalar ones by lexfeat.SCALAR_COLUMNS; it
     is derived from the vocabularies once, beside the fields, and each
-    matrix's input columns once, on first use. train_matrix is what
+    matrix's input columns with their inverse map once, on first use. train_matrix is what
     feature_matrix would return for the rows fit_features fitted on, and
     selection_meta is the selection fit's per-class TrainMeta; neither is
     compared or saved, so a loaded pipeline has None in both."""
@@ -345,21 +394,26 @@ class FittedFeatures:
         ))
 
     @cached_property
-    def _input_columns(self) -> dict[str, tuple[int, ...]]:
+    def _projections(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         # derived on first use, after load_pipeline has checked selected_columns
         ngrams = len(self.word_vocab) + len(self.pos_vocab)
         found = {}
         for matrix, width in (("tfidf", len(self.registry)), ("counts", ngrams)):
             cols = range(width) if self.selected_columns is None else self.selected_columns
-            found[matrix] = tuple(c for c in cols if c < width)
+            found[matrix] = column_inverse([c for c in cols if c < width], width)
         return found
 
+    def projection(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The registry column of each column a model of `kind` reads, as
+        int64, and its inverse map (vectorize.column_inverse): the selected
+        columns (all when selection is off) of the assembled matrix, or of
+        its leading n-gram span for raw counts (naive Bayes). Built once
+        per matrix."""
+        return self._projections[_MATRIX_READ[kind]]
+
     def input_columns(self, kind: str) -> tuple[int, ...]:
-        """The registry column of each column a model of `kind` reads: the
-        selected columns (all when selection is off) of the assembled matrix,
-        or of its leading n-gram span for raw counts (naive Bayes). Derived
-        once per matrix."""
-        return self._input_columns[_MATRIX_READ[kind]]
+        """projection(kind)'s columns as a tuple of ints."""
+        return tuple(self.projection(kind)[0].tolist())
 
 
 def fit_features(
@@ -434,7 +488,7 @@ def feature_matrix(
     )
     if fitted.selected_columns is None:
         return assembled
-    return assembled.project(fitted.input_columns("logreg"))
+    return assembled.project(*fitted.projection("logreg"))
 
 
 def count_matrix(
@@ -453,13 +507,13 @@ def count_matrix(
     ]))
     if fitted.selected_columns is None:
         return combined
-    kept = fitted.input_columns("nb")
-    if not kept:
+    kept = fitted.projection("nb")
+    if not len(kept[0]):
         raise ValueError(
             "L1 selection kept no n-gram columns; count-based models need at "
             "least one (raise select_c or disable selection)"
         )
-    return combined.project(kept)
+    return combined.project(*kept)
 
 
 def model_input_matrix(
@@ -666,7 +720,7 @@ def _check_consistent(pm: PipelineModel) -> None:
         "selected_columns",
         f"not strictly increasing column numbers below {width}",
     )
-    expected = len(fitted.input_columns(pm.config.kind))
+    expected = len(fitted.projection(pm.config.kind)[0])
     _require(
         pm.model.n_features == expected,
         "model",

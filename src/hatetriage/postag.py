@@ -27,22 +27,23 @@ only. Two invariants keep every tag equal to a dict-of-dicts scorer's:
 - the first maximum over the sorted columns wins, so ties, including the
   all-zero cold start, go to the smallest tag.
 
-Feature ids are memoized per distinct token for one call only, so a stream
-of unseen words cannot grow the model. The trainer keeps its own dict
-scorer, because its weights change on every update.
+Each string's feature ids are derived once and kept with the StringTable
+of the tokens, not with the model, so a stream of unseen words cannot grow
+the model; a loaded model's chunk memo bounds its own table. The trainer
+keeps its own dict scorer, because its weights change on every update.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
+from .textproc import StringTable, TokenDocs
 
 MAGIC = "postag"
 FORMAT_VERSION = 1
@@ -254,8 +255,8 @@ def train_tagger(
 
 
 _PREV_TAG_WORD = "prev tag+word "
-# columns of a call's token table: suffix, prefix and tagdict column, then
-# the eight context_rows of the token's normalized form
+# columns of a token row: suffix, prefix and tagdict column, then the eight
+# context_rows of the token's normalized form
 _WIDTH = 11
 
 
@@ -264,6 +265,7 @@ class _Compiled:
     features; built once, when the model is."""
 
     def __init__(self, model: TagModel):
+        self.tagdict = model.tagdict
         self.tags = tuple(sorted(model.tagset))
         self.column = {t: j for j, t in enumerate(self.tags)}
         self.rows = {f: r for r, f in enumerate(model.weights, start=1)}
@@ -296,10 +298,8 @@ class _Compiled:
                         table.append([0] * len(history))
                     table[k][h_id] = r
         self.prev_tag_word = np.array(table, np.intp)
-        # the pads are rows 0-3 of every call's token table
-        self.pads = array("i")
-        for pad in START + END:
-            self.pads.extend((0, 0, -1) + self.context_rows(pad))
+        # the token rows of the four pads, which every call's table starts with
+        self.pads = np.array([(0, 0, -1) + self.context_rows(pad) for pad in START + END], np.intc)
 
     def context_rows(self, s: str) -> tuple[int, ...]:
         """Feature rows of context string s in each role it plays."""
@@ -315,51 +315,44 @@ class _Compiled:
             row("next2 word " + s, 0),
         )
 
+    def token_row(self, token: str) -> tuple[int, ...]:
+        """A token's suffix and prefix feature rows, its tagdict column (-1
+        for none), then the context_rows of its normalized form."""
+        low = token.lower()
+        hit = self.tagdict.get(low)
+        return (
+            self.rows.get("suffix " + low[-3:], 0),
+            self.rows.get("prefix " + low[:3], 0),
+            -1 if hit is None else self.column[hit],
+        ) + self.context_rows(_normalize(token))
 
-def tag_batch(model: TagModel, docs: Iterable[Sequence[str]]) -> list[tuple[str, ...]]:
-    """One tag tuple per token list, each equal to tagging that list alone.
 
-    `docs` is read once, in order, so it may be a generator: only the
-    feature ids of its tokens are kept."""
+def tag_batch(model: TagModel, docs: Iterable[Sequence[str]] | TokenDocs) -> TokenDocs:
+    """The tags of each token list, each equal to tagging that list alone,
+    as TokenDocs over the model's tags in sorted order (a tag's id is its
+    column).
+
+    `docs` is TokenDocs, or token lists, which are numbered into a new
+    table first. The feature rows of each string of the docs' table are
+    derived once and kept with the table (StringTable.derived), so calls on
+    one table, such as a loaded model's predict calls, derive each once."""
     c = model._compiled
-    row = c.rows.get
-    # one row of feature ids per distinct token, for this call only
-    ids: dict[str, int] = {}
-    table = array("i", c.pads)
-    # every list's token ids between two pads on either side
-    padded = array("i")
-    lengths = []
-    for tokens in docs:
-        lengths.append(len(tokens))
-        padded.extend((0, 1))
-        for token in tokens:
-            k = ids.get(token)
-            if k is None:
-                k = ids[token] = len(table) // _WIDTH
-                low = token.lower()
-                hit = model.tagdict.get(low)
-                table.extend(
-                    (
-                        row("suffix " + low[-3:], 0),
-                        row("prefix " + low[:3], 0),
-                        -1 if hit is None else c.column[hit],
-                    )
-                    + c.context_rows(_normalize(token))
-                )
-            padded.append(k)
-        padded.extend((2, 3))
-    # each del below frees a table as soon as the next stage is built from
-    # it, which keeps the call's peak memory near one copy of the ids
-    del ids
-    n = len(lengths)
-    total = len(padded) - 4 * n
+    docs = TokenDocs.of(docs)
+    tags = StringTable(c.tags)
+    lengths = np.diff(docs.offsets)
+    n, total = len(lengths), len(docs.ids)
     if not total:
-        return [()] * n
+        return TokenDocs(docs.ids, docs.offsets, tags)
 
-    table = np.frombuffer(table, np.intc).reshape(-1, _WIDTH).T
-    padded = np.frombuffer(padded, np.intc)
-    lengths = np.array(lengths, np.intp)
-    firsts = np.cumsum(lengths + 4) - lengths - 2  # of each list in padded
+    table = np.concatenate((c.pads, docs.table.derived(c, c.token_row, np.intc))).T
+    # every list's token ids, past the four pads, between two pads on either side
+    firsts = docs.offsets[:-1] + 4 * np.arange(n) + 2  # of each list in padded
+    padded = np.zeros(total + 4 * n, np.intp)
+    padded[firsts - 1] = 1
+    padded[firsts + lengths] = 2
+    padded[firsts + lengths + 1] = 3
+    tokens_at = np.repeat(firsts - docs.offsets[:-1], lengths) + np.arange(total)
+    padded[tokens_at] = docs.ids + 4
     # position-major layout of the length-sorted lists: step i holds the
     # active[i] lists longer than i, longest first; at is each one's index
     # in padded
@@ -370,7 +363,8 @@ def tag_batch(model: TagModel, docs: Iterable[Sequence[str]]) -> list[tuple[str,
     at = firsts[order[np.arange(total) - bounds[position]]] + position
     del order, position
     # role k is column k of the token table, read at the token itself for
-    # its own features and at its neighbours for theirs
+    # its own features and at its neighbours for theirs; each del below
+    # frees a table as soon as the next stage is built from it
     roles = np.empty((_WIDTH, total), np.int32)
     roles[0:5] = table[0:5, padded.take(at)]
     roles[5:7] = table[5:7, padded.take(at - 1)]
@@ -412,9 +406,7 @@ def tag_batch(model: TagModel, docs: Iterable[Sequence[str]]) -> list[tuple[str,
     del roles
     by_list = np.zeros(total + 4 * n, np.int32)  # indexed like padded
     by_list[at] = chosen
-
-    names = list(map(c.tags.__getitem__, by_list.tolist()))
-    return [tuple(names[f : f + k]) for f, k in zip(firsts.tolist(), lengths.tolist())]
+    return TokenDocs(by_list[tokens_at], docs.offsets, tags)
 
 
 def tag(model: TagModel, tokens: list[str]) -> list[str]:

@@ -1,21 +1,28 @@
-"""Tweet-aware tokenization, Porter stemming, and syllable counting.
+"""Tweet-aware tokenization, Porter stemming, syllable counting, and token ids.
 
-Everything here is a pure function over strings, the stemmer included: it
-keeps no state between calls, so any number of threads may call it at once.
-This module is the lexical substrate for the n-gram, sentiment, readability,
-and surface features.
+Every function here is a pure function over strings, the stemmer included:
+it keeps no state between calls, so any number of threads may call it at
+once. This module is the lexical substrate for the n-gram, sentiment,
+readability, and surface features.
 A tweet's tokens are its leading retweet marker, if any (split_retweet()),
 followed by the tokens of each whitespace chunk (classify_chunk()), so
 extraction can classify each distinct chunk once; tokenize() does the
 whole tweet. word_streams() turns tokens into both the stemmed n-gram
 stream and the unstemmed tagger stream in one pass.
+
+Token streams travel as ids: a StringTable numbers distinct strings once,
+and TokenDocs holds many documents as one flat id array with document
+offsets, the compressed-row layout the sparse matrices use.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class TokenKind(Enum):
@@ -322,3 +329,89 @@ def unstemmed_words(text: str) -> list[str]:
     """The unstemmed word stream of `text`, as handed to the POS tagger;
     see word_streams()."""
     return word_streams(tokenize(text))[1]
+
+
+class StringTable:
+    """Distinct strings numbered 0, 1, ... as they are first given:
+    `strings[k]` has the id k and `ids` maps back. A table only grows, so
+    an id keeps its string."""
+
+    __slots__ = ("strings", "ids", "_derived")
+
+    def __init__(self, strings: Iterable[str] = ()):
+        self.strings: list[str] = []
+        self.ids: dict[str, int] = {}
+        self._derived: dict[int, tuple[object, np.ndarray]] = {}
+        for s in strings:
+            self.id(s)
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    def id(self, s: str) -> int:
+        k = self.ids.get(s)
+        if k is None:
+            self.strings.append(s)
+            k = self.ids[s] = len(self.strings) - 1
+        return k
+
+    def derived(self, owner, fn, dtype) -> np.ndarray:
+        """fn(s) of every string s in id order (a row each when fn gives
+        tuples), kept per owner, which the table keeps alive, and extended
+        as the table grows. Threads that extend it at once each get all."""
+        done = self._derived.get(id(owner), (None, None))[1]
+        n = len(self.strings)
+        if done is None or len(done) < n:
+            new = np.array([fn(s) for s in self.strings[0 if done is None else len(done) : n]], dtype)
+            done = new if done is None else np.concatenate((done, new))
+            self._derived[id(owner)] = (owner, done)
+        return done
+
+
+def gather_segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where to take the segments [starts[i], starts[i] + lengths[i]) from,
+    one after another, and the offset of each in the result (and its end)."""
+    offsets = np.zeros(len(lengths) + 1, np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
+
+
+class TokenDocs:
+    """Documents of tokens as ids into a StringTable: document i is the
+    strings of ids[offsets[i]:offsets[i + 1]], and offsets[0] is 0. It
+    reads as a sequence of token tuples, equal to any sequence of them."""
+
+    __slots__ = ("ids", "offsets", "table")
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, table: StringTable):
+        self.ids, self.offsets, self.table = ids, offsets, table
+
+    @classmethod
+    def of(cls, docs) -> "TokenDocs":
+        """`docs` if it is TokenDocs, else its token lists numbered into a
+        new table."""
+        if isinstance(docs, TokenDocs):
+            return docs
+        docs = list(docs)
+        table = StringTable()
+        ids = [table.id(token) for doc in docs for token in doc]
+        return cls(np.array(ids, np.intp), gather_segments(0, list(map(len, docs)))[1], table)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> tuple[str, ...]:
+        i = range(len(self))[i]
+        ids = self.ids[self.offsets[i] : self.offsets[i + 1]].tolist()
+        return tuple(map(self.table.strings.__getitem__, ids))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TokenDocs, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
+
+    def rows(self, indices) -> "TokenDocs":
+        """The given documents, in the given order, over the same table."""
+        idx = np.asarray(indices, dtype=np.intp)
+        take, offsets = gather_segments(self.offsets[idx], np.diff(self.offsets)[idx])
+        return TokenDocs(self.ids[take], offsets, self.table)

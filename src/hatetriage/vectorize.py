@@ -42,12 +42,13 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 
 import numpy as np
+
+from .textproc import TokenDocs
 
 COEF_KEEP_THRESHOLD = 1e-6
 
@@ -122,12 +123,12 @@ class KeyRule:
     """Token ids and n-gram keys: the one rule by which a corpus is counted
     (`NgramTable`) and token lists are looked up (`NgramKeys`).
 
-    The given tokens get ids from 1 to V in order of first appearance,
-    except an empty token and one that holds a space, which no fitted
-    n-gram holds (a fitted n-gram is non-empty tokens joined by single
-    spaces: "a b" is the tokens "a" and "b", never the one token "a b").
-    Those, any token not given, and the end of each document are 0. With
-    base B = V + 1, the n-gram of token ids d_1..d_n has the key
+    A rule is over V known tokens, with ids 1 to V. Every other token and
+    the end of each document are 0; so are an empty token and one that
+    holds a space, which no fitted n-gram holds (a fitted n-gram is
+    non-empty tokens joined by single spaces: "a b" is the tokens "a" and
+    "b", never the one token "a b"). With base B = V + 1, the n-gram of
+    token ids d_1..d_n has the key
 
         K(d_1) = d_1,    K(d_1..d_n) = B * K(d_1..d_{n-1}) + d_n + B,
 
@@ -139,30 +140,23 @@ class KeyRule:
     object arrays, which is slower but exact.
     """
 
-    __slots__ = ("n_lo", "n_hi", "token_ids", "base", "top", "dtype")
+    __slots__ = ("n_lo", "n_hi", "base", "top", "dtype")
 
-    def __init__(self, tokens: Iterable[str], n_lo: int, n_hi: int):
+    def __init__(self, n_known: int, n_lo: int, n_hi: int):
         self.n_lo, self.n_hi = n_lo, n_hi
-        known = [t for t in dict.fromkeys(tokens) if t and " " not in t]
-        self.token_ids = dict(zip(known, range(1, len(known) + 1)))
-        self.base = len(known) + 1
+        self.base = n_known + 1
         self.top = sum(self.base**m for m in range(1, n_hi + 1))
         self.dtype = np.int64 if self.top <= np.iinfo(np.int64).max else object
 
-    def ids(self, docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
-        """The id of every token of docs, each document followed by its
-        end, and the document of each of these n positions. The ids go on
-        past position n, so that a run of every order starts at each of
-        them."""
-        tokens: list = []
-        for doc in docs:
-            tokens += doc
-            tokens.append(None)  # the document's end, id 0 like an unknown token
-        lengths = np.fromiter(map(len, docs), np.int64, len(docs))
-        rows = np.repeat(np.arange(len(docs)), lengths + 1)
-        # ends of runs that start near the last position, so every order has n keys
-        tokens += [None] * (self.n_hi - 1)
-        ids = np.fromiter(map(self.token_ids.get, tokens, repeat(0)), self.dtype, len(tokens))
+    def ids(self, docs: TokenDocs, token_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rule id of every token of docs (token_ids holds it for each
+        id of the docs' table), each document followed by its end, and the
+        document of each of these n positions. The ids go on past position
+        n, so that a run of every order starts at each of them."""
+        lengths = np.diff(docs.offsets)
+        rows = np.repeat(np.arange(len(lengths)), lengths + 1)
+        ids = np.zeros(len(rows) + self.n_hi - 1, self.dtype)
+        ids[np.arange(len(docs.ids)) + np.repeat(np.arange(len(lengths)), lengths)] = token_ids[docs.ids]
         return ids, rows
 
     def run_keys(self, ids: np.ndarray, n: int) -> np.ndarray:
@@ -190,18 +184,23 @@ class NgramKeys(KeyRule):
     sorted key's column.
     """
 
-    __slots__ = ("sorted_keys", "columns")
+    __slots__ = ("token_ids", "sorted_keys", "columns")
 
     def __init__(self, vocab: Vocabulary):
-        grams = [ngram.split(" ") for ngram in vocab.ngrams]
-        super().__init__(chain.from_iterable(grams), vocab.n_lo, vocab.n_hi)
-        ids, rows = self.ids(grams)
+        grams = TokenDocs.of(ngram.split(" ") for ngram in vocab.ngrams)
+        super().__init__(len(grams.table), vocab.n_lo, vocab.n_hi)
+        # a token's rule id is one more than its id in the n-grams' table
+        self.token_ids = grams.table.ids
+        ids, rows = self.ids(grams, np.arange(1, self.base))
         # each n-gram, read as a document, starts a run of its own length
-        lengths = np.fromiter(map(len, grams), np.int64, len(grams))
-        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        lengths = np.diff(grams.offsets)
+        starts = grams.offsets[:-1] + np.arange(len(lengths))
         keys = self.run_keys(ids, len(rows))[(lengths - self.n_lo) * len(rows) + starts]
         self.columns = keys.argsort()
         self.sorted_keys = np.append(keys[self.columns], np.array([self.top], dtype=self.dtype))
+
+    def token_id(self, token: str) -> int:
+        return self.token_ids.get(token, -1) + 1
 
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -304,12 +303,13 @@ class CSRMatrix:
         take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return CSRMatrix(self.data[take], self.indices[take], indptr, (len(idx), self.shape[1]))
 
-    def columns(self, cols) -> "CSRMatrix":
-        """The given columns, in the given order; each may appear once."""
-        cols = np.asarray(cols, dtype=np.int64)
-        colmap = np.full(self.shape[1], -1, dtype=np.int32)
-        colmap[cols] = np.arange(len(cols), dtype=np.int32)
-        mapped = colmap[self.indices]
+    def columns(self, cols, inverse: np.ndarray | None = None) -> "CSRMatrix":
+        """The given columns, in the given order; each may appear once.
+        `inverse` is column_inverse(cols, n_cols)[1], built here when not
+        given."""
+        if inverse is None:
+            cols, inverse = column_inverse(cols, self.shape[1])
+        mapped = inverse[self.indices]
         keep = mapped >= 0
         shape = (self.shape[0], len(cols))
         if (np.diff(cols) > 0).all():
@@ -363,15 +363,24 @@ class FeatureMatrix:
     def n_cols(self) -> int:
         return self.matrix.shape[1]
 
-    def project(self, columns: Sequence[int]) -> "FeatureMatrix":
-        """Restrict to the given columns, in the given order."""
-        cols = np.asarray(columns, dtype=np.int64)
-        ordered = np.sort(cols)
-        if len(cols) and (ordered[0] < 0 or ordered[-1] >= self.n_cols):
-            raise ValueError("projection column out of range")
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("projection columns repeat")
-        return FeatureMatrix(self.matrix.columns(cols))
+    def project(self, columns: Sequence[int], inverse: np.ndarray | None = None) -> "FeatureMatrix":
+        """Restrict to the given columns, in the given order; `inverse` as
+        for CSRMatrix.columns."""
+        return FeatureMatrix(self.matrix.columns(columns, inverse))
+
+
+def column_inverse(columns: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """`columns` as int64, and the place of each of `width` columns among
+    them (int32, -1 for a column not among them): what a projection onto
+    `columns` reads, built once for every matrix projected alike."""
+    cols = np.array(columns, dtype=np.int64)
+    if len(cols) and (cols.min() < 0 or cols.max() >= width):
+        raise ValueError("projection column out of range")
+    inverse = np.full(width, -1, dtype=np.int32)
+    inverse[cols] = np.arange(len(cols), dtype=np.int32)
+    if np.count_nonzero(inverse >= 0) != len(cols):
+        raise ValueError("projection columns repeat")
+    return cols, inverse
 
 
 def _count_pairs(pairs: np.ndarray, n_rows: int, n_cols: int) -> CSRMatrix:
@@ -408,18 +417,26 @@ class NgramTable:
     unsigned type that holds them.
     """
 
-    docs: Sequence[Sequence[str]]
+    docs: TokenDocs
     n_lo: int
     n_hi: int
     counts: CSRMatrix
     first: np.ndarray
 
     @classmethod
-    def build(cls, docs: Sequence[Sequence[str]], n_lo: int, n_hi: int) -> "NgramTable":
+    def build(cls, docs: Sequence[Sequence[str]] | TokenDocs, n_lo: int, n_hi: int) -> "NgramTable":
         if not 1 <= n_lo <= n_hi:
             raise ValueError("require 1 <= n_lo <= n_hi")
-        rule = KeyRule(chain.from_iterable(docs), n_lo, n_hi)
-        ids, rows = rule.ids(docs)
+        docs = TokenDocs.of(docs)
+        # rule ids 1..V for the strings of the table that occur and are known
+        strings = docs.table.strings
+        seen = np.zeros(len(strings), bool)
+        seen[docs.ids] = True
+        known = [k for k in seen.nonzero()[0].tolist() if strings[k] and " " not in strings[k]]
+        token_ids = np.zeros(len(seen), np.int64)
+        token_ids[known] = np.arange(1, len(known) + 1)
+        rule = KeyRule(len(known), n_lo, n_hi)
+        ids, rows = rule.ids(docs, token_ids)
         n = len(rows)
         # drop the runs that hold a 0: they span an unknown token or two documents
         zeros = np.concatenate(([0], np.cumsum(ids == 0)))
@@ -523,7 +540,8 @@ def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) 
         counts = docs.counts().columns(columns)
     else:
         known = vocab.ngram_keys
-        ids, rows = known.ids(docs)
+        docs = TokenDocs.of(docs)
+        ids, rows = known.ids(docs, docs.table.derived(known, known.token_id, np.int64))
         n = len(rows)
         keys = known.run_keys(ids, n)
         at = known.sorted_keys.searchsorted(keys)

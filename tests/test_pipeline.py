@@ -372,34 +372,64 @@ class TestModelMemo:
             sizes.append(len(pm.memo))
         assert MEMO_CHUNKS == 8192
         assert sizes == [4000, 8000, 0]
-        assert not pm.memo.stems and not pm.memo.counts
+        tables = pm.memo.tables
+        assert not tables.stems and not len(tables.words)
+        assert [len(a) for a in tables.arrays] == [0, 1, 0, 0, 1, 0]  # two offsets of 0
 
     def test_threads_share_one_loaded_model(self, saved_pipeline, corpusgen, in_threads):
         """Four threads predict through one loaded model at once, switching
         as often as the interpreter allows: every thread finishes, each
         batch's labels and scores are those of a one-thread run, bit for
-        bit, and every stem left in the shared memo is its word's stem."""
+        bit, and every stem left in the shared memo, by string and by id,
+        is its word's stem. Then again with a memo bound so small that
+        every call empties the memo while other threads are in the middle
+        of a batch: each call keeps reading the id tables it started with,
+        so nothing moves."""
         tweets = [t for t, _ in corpusgen.make_unseen_tweets(400, 1)]
         batches = [tweets[i : i + 25] for i in range(0, len(tweets), 25)]
         alone = load_pipeline(saved_pipeline)
         want = [tuple(a.tobytes() for a in pipeline_predict(alone, b)) for b in batches]
-        pm = load_pipeline(saved_pipeline)
         got = {}
 
         def predict_share(i):
             for k in range(i, len(batches), 4):
                 got[k] = tuple(a.tobytes() for a in pipeline_predict(pm, batches[k]))
 
+        pm = load_pipeline(saved_pipeline)
         in_threads(predict_share)
         assert [got.get(k) for k in range(len(batches))] == want
-        assert len(pm.memo.stems) > 900
-        assert [w for w, stem in pm.memo.stems.items() if stem != porter_stem(w)] == []
+        tables = pm.memo.tables
+        assert len(tables.stems) > 900
+        assert [w for w, stem in tables.stems.items() if stem != porter_stem(w)] == []
+        # placeholders are no key of stems: they stem to themselves
+        assert [tables.stemmed.strings[s] for s in tables.stem_of] == [
+            tables.stems.get(w, w) for w in tables.words.strings
+        ]
+
+        # for each clear(), how many other calls were extracting then
+        pm, running, cleared = load_pipeline(saved_pipeline), [], []
+        clear, extract = ChunkMemo.clear, pipeline.extract_ingredients
+
+        def counted_extract(*args):
+            running.append(1)
+            try:
+                return extract(*args)
+            finally:
+                running.pop()
+
+        got.clear()
+        with mock.patch.object(pipeline, "MEMO_CHUNKS", 40), mock.patch.object(
+            ChunkMemo, "clear", lambda memo: cleared.append(len(running) - 1) or clear(memo)
+        ), mock.patch.object(pipeline, "extract_ingredients", counted_extract):
+            in_threads(predict_share)
+        assert max(cleared) > 0
+        assert [got.get(k) for k in range(len(batches))] == want
 
     def test_memo_lives_with_the_model(self, saved_pipeline):
         pm = load_pipeline(saved_pipeline)
         assert len(pm.memo) == 0
         pipeline_predict(pm, ["lovely sunny day"])
-        assert set(pm.memo.chunks) == {"lovely", "sunny", "day"}
+        assert set(pm.memo.tables.chunks) == {"lovely", "sunny", "day"}
         assert len(load_pipeline(saved_pipeline).memo) == 0
 
 

@@ -216,10 +216,10 @@ def test_pipeline_calls_traced_vectorize_functions():
 
 def test_extraction_spans_the_tracer_sees():
     """The benchmark's lexfeat.* times come from spans below
-    extract_ingredients: one sentiment_scores and one readability call per
-    tweet, and one surface_features call per distinct chunk other than a
-    leading retweet marker. Nothing else traced runs there, so
-    textproc.tokenize_s reads 0 on every workload."""
+    extract_ingredients: one batched sentiment_scores and one batched
+    readability call per extraction, and one surface_features call per
+    distinct chunk other than a leading retweet marker. Nothing else traced
+    runs there, so textproc.tokenize_s reads 0 on every workload."""
     data = importlib.resources.files("hatetriage.data")
     tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
     lexicon = SentimentLexicon({"good": 2.0})
@@ -235,8 +235,8 @@ def test_extraction_spans_the_tracer_sees():
 
     (below,) = _calls_below(tracer.spans, "pipeline.extract_ingredients")
     assert below == {
-        "lexfeat.sentiment_scores": len(texts),
-        "lexfeat.readability": len(texts),
+        "lexfeat.sentiment_scores": 1,
+        "lexfeat.readability": 1,
         "lexfeat.surface_features": len(distinct_chunks),
     }
 

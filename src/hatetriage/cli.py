@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import os
 import sys
 import time
 from pathlib import Path
@@ -336,6 +337,9 @@ def cmd_predict(args) -> int:
         in_path = Path(args.input)
         if not in_path.is_file():
             raise UsageError(f"input path does not exist: {in_path}")
+        # opening the output for writing would empty the input before it is read
+        if args.output and Path(args.output).exists() and os.path.samefile(in_path, args.output):
+            raise UsageError(f"output path is the input file: {args.output}")
     sink = _open_output(Path(args.output), "w") if args.output else sys.stdout
     stream = open(in_path, "rb") if args.input else sys.stdin.buffer
     batch: list[str] = []

@@ -472,6 +472,25 @@ class TestErrorExits:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(dst) in err
 
+    @pytest.mark.parametrize("same", ["path", "relative", "hard link"])
+    def test_predict_output_onto_its_own_input(self, workspace, tmp_path, capsys, monkeypatch, same):
+        """An output that is the input file, by the same path, another
+        path or a hard link, exits 2 before anything is opened for
+        writing, so the input keeps its lines."""
+        src = tmp_path / "in.txt"
+        src.write_text("fine line\nsunny picnic\n", encoding="utf-8")
+        dst = {"path": src, "relative": pathlib.Path("in.txt"), "hard link": tmp_path / "link.txt"}[same]
+        if same == "hard link":
+            os.link(src, dst)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["predict", "--model", str(workspace["out"] / "model.bin"),
+                   "--input", str(src), "--output", str(dst)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(dst) in err
+        assert src.read_text(encoding="utf-8") == "fine line\nsunny picnic\n"
+
     def test_output_dir_naming_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n", encoding="utf-8")

@@ -1,8 +1,9 @@
+import importlib.resources
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatetriage.lexfeat import (
@@ -12,7 +13,10 @@ from hatetriage.lexfeat import (
     sentiment_scores,
     surface_features,
 )
+from hatetriage.pipeline import ChunkMemo, extract_ingredients
+from hatetriage.postag import load_model
 from hatetriage.textproc import TokenKind, count_syllables, tokenize
+from lexfeat_reference import reference_sentiment_scores
 
 LEX = SentimentLexicon({"good": 2.0, "bad": -2.5, "love": 3.0, "awful": -3.1})
 
@@ -115,6 +119,62 @@ class TestSentimentScores:
         b = sentiment_scores(tokenize(text), flipped)
         assert a.compound == pytest.approx(-b.compound, abs=1e-12)
         assert a.pos == pytest.approx(b.neg)
+
+
+# chunks that put negations, boosters and hits on either side of chunk
+# boundaries and of a leading retweet marker: negations glued to
+# punctuation or ending in "n't" (a URL too), boosters in any case, hits in
+# all caps or mixed case, valence 0, runs of "!", and chunks with no word
+CHUNKS = st.sampled_from([
+    "RT", "rt", "not", "NOT", "never!", "(no", "don't", "can't.", "http://x.co/don't", "very",
+    "SO", "really,", "good", "GOOD", "Good!", "bad", "BAD!!!", "love", "meh", "awful", "ok",
+    "!", "!!!!!!", "...", "#good", "@bad", "a", "B", "x1", "é",
+])
+TWEETS = st.lists(CHUNKS, max_size=12).map(" ".join)
+# every lexicon entry in use, valence 0 included
+VALENCES = SentimentLexicon({"good": 2.0, "bad": -2.5, "love": 3.0, "awful": -3.1, "meh": 0.0,
+                             "ok": 0.9, "a": 0.1})
+
+
+@pytest.fixture(scope="module")
+def tagger():
+    data = importlib.resources.files("hatetriage.data").joinpath("pos_model.txt")
+    return load_model(data.read_bytes())
+
+
+class TestSentimentAgainstReference:
+    """The array scorer equals the per-token loop it replaced
+    (lexfeat_reference) bit for bit, on one token list and on a batch whose
+    tweets are gathered from a chunk memo."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TWEETS)
+    @example("")
+    @example("RT not good")  # the marker is no token of the window
+    @example("not RT good")
+    @example("not a b good")
+    @example("GOOD BAD !!!!!!")  # an all-caps tweet, more than four "!"
+    @example("very\tgood")
+    def test_one_token_list(self, text):
+        tokens = tokenize(text)
+        got = sentiment_scores(tokens, VALENCES).as_tuple()
+        assert got == reference_sentiment_scores(tokens, VALENCES).as_tuple()
+        assert all(type(v) is float for v in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(TWEETS, max_size=8))
+    @example(["rt not good", "not", "good", "very good", "SO GOOD!!!!!", ""])
+    @example(["RT very", "good never", "a b GOOD"])
+    def test_batch_from_a_chunk_memo(self, tagger, texts):
+        """Each tweet's streams are its chunks' codes laid end to end, so a
+        negation or booster in one chunk reaches a hit in the next; the
+        sentiment columns of one extraction, and of a second one on the same
+        memo, equal one reference call per tweet."""
+        want = [reference_sentiment_scores(tokenize(t), VALENCES).as_tuple() for t in texts]
+        memo = ChunkMemo()
+        for _ in range(2):
+            scalars = extract_ingredients(texts, tagger, VALENCES, memo).scalars
+            assert [tuple(row[:4].tolist()) for row in scalars] == want
 
 
 class TestReadability:

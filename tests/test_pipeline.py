@@ -523,6 +523,12 @@ class TestFitFeatures:
         kept = fitted.input_columns("nb")
         n_ngrams = len(fitted.word_vocab) + len(fitted.pos_vocab)
         assert kept == tuple(c for c in fitted.selected_columns if c < n_ngrams)
+        # held as int64 columns with their inverse map, built once
+        cols, inverse = fitted.projection("nb")
+        assert fitted.projection("nb")[1] is inverse and cols.dtype == np.int64
+        assert tuple(cols.tolist()) == kept and len(inverse) == n_ngrams
+        assert inverse[cols].tolist() == list(range(len(kept)))
+        assert (inverse >= 0).sum() == len(kept)
         assert cm.n_cols == len(kept) <= n_ngrams
         assert all(fitted.registry[c][0] in ("word-ngram", "pos-ngram") for c in kept)
         dense = cm.matrix.toarray()

@@ -18,6 +18,7 @@ from hatetriage.vectorize import (
     Vocabulary,
     _count_matrix,
     assemble_features,
+    column_inverse,
     fit_vocab,
     select_l1,
     transform_counts,
@@ -25,6 +26,7 @@ from hatetriage.vectorize import (
 )
 from vectorize_reference import (
     reference_assemble,
+    reference_columns,
     reference_count_matrix,
     reference_fit_vocab,
     reference_idf,
@@ -622,6 +624,27 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match="repeat"):
             fm.project([2, 0, 2])
         assert fm.project([]).n_cols == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_block(max_cols=10), st.data())
+    def test_projection_through_a_built_inverse_equals_todays(self, dense, data):
+        """A selection's int64 columns and inverse map, built once by
+        column_inverse and read by every matrix projected alike (as
+        FittedFeatures holds them), project exactly as the full-width map
+        built on every call did, for ascending and unsorted selections."""
+        d = dense.shape[1]
+        picked = data.draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d) if d else st.just([]))
+        other = np.array(data.draw(st.lists(value, min_size=3 * d, max_size=3 * d))).reshape(3, d)
+        for cols in (sorted(picked), picked):
+            held = column_inverse(cols, d)
+            for m in (CSRMatrix.from_dense(dense), CSRMatrix.from_dense(other)):
+                want = reference_columns(m, cols)
+                for got in (m.columns(*held), FeatureMatrix(m).project(*held).matrix,
+                            FeatureMatrix(m).project(cols).matrix):
+                    assert got.shape == want.shape
+                    for name in ("data", "indices", "indptr"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_indices_sorted_within_rows(self):
         m = sparse.csr_matrix(

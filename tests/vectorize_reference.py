@@ -88,3 +88,20 @@ def reference_assemble(word: sparse.csr_matrix, pos: sparse.csr_matrix, scalars)
 
 def reference_margins(X: sparse.csr_matrix, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return X.dot(weights.T) + bias
+
+
+def reference_columns(m, cols):
+    """CSRMatrix.columns as it was before it read a prebuilt inverse map:
+    a full-width map built on every call."""
+    from hatetriage.vectorize import CSRMatrix, _indptr
+
+    cols = np.asarray(cols, dtype=np.int64)
+    colmap = np.full(m.shape[1], -1, dtype=np.int32)
+    colmap[cols] = np.arange(len(cols), dtype=np.int32)
+    mapped = colmap[m.indices]
+    keep = mapped >= 0
+    shape = (m.shape[0], len(cols))
+    if (np.diff(cols) > 0).all():
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return CSRMatrix(m.data[keep], mapped[keep], _indptr(np.diff(kept_before[m.indptr])), shape)
+    return CSRMatrix.from_entries(m.row_ids()[keep], mapped[keep], m.data[keep], shape)

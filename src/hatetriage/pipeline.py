@@ -45,14 +45,7 @@ from .linmodel import (
 from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
-from .textproc import (
-    StringTable,
-    TokenDocs,
-    classify_chunk,
-    gather_segments,
-    split_retweet,
-    word_streams,
-)
+from .textproc import StringTable, TokenDocs, classify_chunk, gather_segments, split_retweet, word_streams
 from .vectorize import (
     CSRMatrix,
     FeatureMatrix,
@@ -214,8 +207,8 @@ class Ingredients:
 
 
 # the most distinct whitespace chunks a loaded model's memo holds between
-# predict calls; with their words, stems and the tagger's rows of each word
-# that is about 2 MB
+# predict calls; at about 390 B a chunk, with its words, their stems and
+# what is derived from them, that is about 3 MB
 MEMO_CHUNKS = 8192
 
 
@@ -232,9 +225,9 @@ class _ChunkTables:
     def __init__(self):
         self.chunks: dict[str, int] = {}
         self.stems: dict[str, str] = {}  # word_streams' stem of each word
-        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("q")
+        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("i")
         # words_of, word_at, token_words, token_flags, token_at, counts
-        self.arrays = tuple(array("q", [0] * (k in (1, 4))) for k in range(6))
+        self.arrays = (array("i"), array("i", [0]), array("i"), array("i"), array("i", [0]), array("i"))
         self.pending = tuple([] for _ in range(6))
 
     def add(self, chunk: str) -> int:
@@ -270,7 +263,7 @@ class _ChunkTables:
             values.extend(added)
             added.clear()
         words_of, word_at, token_words, token_flags, token_at, counts = (
-            np.frombuffer(a, np.int64) for a in self.arrays
+            np.frombuffer(a, np.int32) for a in self.arrays
         )
 
         def segments(at, *values):
@@ -281,7 +274,7 @@ class _ChunkTables:
         doc = np.repeat(np.arange(len(doc_at) - 1), np.diff(doc_at))
         # per-document sums of small ints, exact in float64
         summed = [np.bincount(doc, c[cids], len(doc_at) - 1) for c in counts.reshape(-1, 8).T]
-        return (word_offsets, words, np.frombuffer(self.stem_of, np.int64)[words],
+        return (word_offsets, words, np.frombuffer(self.stem_of, np.int32)[words],
                 *segments(token_at, token_words, token_flags), np.stack(summed, 1).astype(np.int64))
 
 
@@ -343,7 +336,7 @@ def extract_ingredients(
             cids += map(add, chunks) if None in ids else ids
             per_doc.append(len(chunks))
             retweets.append(marker is not None)
-        doc_at = gather_segments(0, per_doc)[1]
+        doc_at = np.cumsum([0, *per_doc])
         word_at, words, stems, token_at, token_words, token_flags, counts = tables.gather(
             np.array(cids, np.intp), doc_at
         )

@@ -21,6 +21,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -355,14 +356,17 @@ class StringTable:
             k = self.ids[s] = len(self.strings) - 1
         return k
 
-    def derived(self, owner, fn, dtype) -> np.ndarray:
-        """fn(s) of every string s in id order (a row each when fn gives
-        tuples), kept per owner, which the table keeps alive, and extended
-        as the table grows. Threads that extend it at once each get all."""
+    def derived(self, owner, fn, dtype, width: int = 1) -> np.ndarray:
+        """fn(s) of every string s in id order, a row of `width` values each
+        when width > 1, kept per owner, which the table keeps alive, and
+        extended as the table grows. Threads that extend it at once each
+        get all."""
         done = self._derived.get(id(owner), (None, None))[1]
-        n = len(self.strings)
-        if done is None or len(done) < n:
-            new = np.array([fn(s) for s in self.strings[0 if done is None else len(done) : n]], dtype)
+        new = self.strings[0 if done is None else len(done) :]
+        if done is None or new:
+            values = map(fn, new) if width == 1 else chain.from_iterable(map(fn, new))
+            new = np.fromiter(values, dtype, len(new) * width)
+            new = new.reshape(-1, width) if width > 1 else new
             done = new if done is None else np.concatenate((done, new))
             self._derived[id(owner)] = (owner, done)
         return done
@@ -395,7 +399,7 @@ class TokenDocs:
         docs = list(docs)
         table = StringTable()
         ids = [table.id(token) for doc in docs for token in doc]
-        return cls(np.array(ids, np.intp), gather_segments(0, list(map(len, docs)))[1], table)
+        return cls(np.array(ids, np.intp), np.cumsum([0, *map(len, docs)]), table)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -456,7 +456,8 @@ class NgramTable:
 
     def ngram(self, col: int) -> str:
         row, start, length = self.first[col].tolist()
-        return " ".join(self.docs[row][start : start + length])
+        at = self.docs.offsets[row] + start
+        return " ".join(map(self.docs.table.strings.__getitem__, self.docs.ids[at : at + length].tolist()))
 
     def rows(self, indices) -> "TableRows":
         return TableRows(self, np.asarray(list(indices), dtype=np.int64))

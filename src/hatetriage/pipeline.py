@@ -225,9 +225,9 @@ class _ChunkTables:
     def __init__(self):
         self.chunks: dict[str, int] = {}
         self.stems: dict[str, str] = {}  # word_streams' stem of each word
-        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("i")
+        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("q")
         # words_of, word_at, token_words, token_flags, token_at, counts
-        self.arrays = (array("i"), array("i", [0]), array("i"), array("i"), array("i", [0]), array("i"))
+        self.arrays = (array("q"), array("q", [0]), array("q"), array("q"), array("q", [0]), array("q"))
         self.pending = tuple([] for _ in range(6))
 
     def add(self, chunk: str) -> int:
@@ -263,7 +263,7 @@ class _ChunkTables:
             values.extend(added)
             added.clear()
         words_of, word_at, token_words, token_flags, token_at, counts = (
-            np.frombuffer(a, np.int32) for a in self.arrays
+            np.frombuffer(a, np.int64) for a in self.arrays
         )
 
         def segments(at, *values):
@@ -274,7 +274,7 @@ class _ChunkTables:
         doc = np.repeat(np.arange(len(doc_at) - 1), np.diff(doc_at))
         # per-document sums of small ints, exact in float64
         summed = [np.bincount(doc, c[cids], len(doc_at) - 1) for c in counts.reshape(-1, 8).T]
-        return (word_offsets, words, np.frombuffer(self.stem_of, np.int32)[words],
+        return (word_offsets, words, np.frombuffer(self.stem_of, np.int64)[words],
                 *segments(token_at, token_words, token_flags), np.stack(summed, 1).astype(np.int64))
 
 

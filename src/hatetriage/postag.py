@@ -347,7 +347,7 @@ def tag_batch(model: TagModel, docs: Iterable[Sequence[str]] | TokenDocs) -> Tok
     table = np.concatenate((c.pads, docs.table.derived(c, c.token_row, np.intc, _WIDTH))).T
     # every list's token ids, past the four pads, between two pads on either side
     firsts = docs.offsets[:-1] + 4 * np.arange(n) + 2  # of each list in padded
-    padded = np.zeros(total + 4 * n, np.int32)
+    padded = np.zeros(total + 4 * n, np.intp)
     padded[firsts - 1] = 1
     padded[firsts + lengths] = 2
     padded[firsts + lengths + 1] = 3

@@ -51,7 +51,6 @@ from .vectorize import (
     FeatureMatrix,
     NgramTable,
     Standardizer,
-    TableRows,
     Vocabulary,
     assemble_features,
     column_inverse,
@@ -164,8 +163,9 @@ class Ingredients:
 
     Extraction is row-independent, so any subset of rows can later be used
     to fit or transform without touching the other rows. The n-gram count
-    tables that fit_features builds are kept here, one per n-gram block and
-    order range, and live exactly as long as these ingredients.
+    tables that fit_features fits vocabularies from are kept here, one per
+    n-gram block and order range, and live exactly as long as these
+    ingredients.
     """
 
     word_docs: TokenDocs
@@ -195,15 +195,6 @@ class Ingredients:
             docs = self.word_docs if block == "word-ngram" else self.pos_docs
             self._tables[key] = NgramTable.build(docs, n_lo, n_hi)
         return self._tables[key]
-
-    def ngram_docs(self, block: str, vocab: Vocabulary, indices) -> TableRows | TokenDocs:
-        """The given rows' documents of one n-gram block, to transform with
-        `vocab`: rows of the block's count table when `vocab` was fitted
-        from it, else the rows' TokenDocs."""
-        table = self._tables.get((block, vocab.n_lo, vocab.n_hi))
-        if table is not None and vocab.table_columns(table) is not None:
-            return table.rows(indices)
-        return (self.word_docs if block == "word-ngram" else self.pos_docs).rows(indices)
 
 
 # the most distinct whitespace chunks a loaded model's memo holds between
@@ -418,22 +409,24 @@ def fit_features(
     returned as the result's train_matrix.
 
     The n-grams of every document are counted once per ingredients, so a
-    refit on other rows (the next fold) slices the same tables."""
+    refit on other rows (the next fold) fits its vocabularies from the same
+    tables; the blocks are looked up from the rows' tokens, as for any
+    other rows."""
     if indices is None:
         indices = range(len(ingredients))
     indices = list(indices)
-    wdocs = ingredients.ngram_table(
+    wrows = ingredients.ngram_table(
         "word-ngram", settings.word_ngram_lo, settings.word_ngram_hi
     ).rows(indices)
-    pdocs = ingredients.ngram_table(
+    prows = ingredients.ngram_table(
         "pos-ngram", settings.pos_ngram_lo, settings.pos_ngram_hi
     ).rows(indices)
     bounds = (settings.min_df, settings.max_df_ratio)
-    word_vocab = fit_vocab(wdocs, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
-    pos_vocab = fit_vocab(pdocs, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
+    word_vocab = fit_vocab(wrows, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
+    pos_vocab = fit_vocab(prows, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
     assembled, standardizer = assemble_features(
-        transform_tfidf(word_vocab, wdocs),
-        transform_tfidf(pos_vocab, pdocs),
+        transform_tfidf(word_vocab, ingredients.word_docs.rows(indices)),
+        transform_tfidf(pos_vocab, ingredients.pos_docs.rows(indices)),
         ingredients.scalars[indices],
         standardize=settings.standardize,
     )
@@ -455,15 +448,10 @@ def fit_features(
     )
 
 
-def _row_docs(fitted: FittedFeatures, ingredients: Ingredients, indices):
-    """The row list (all rows by default) and its word and POS documents,
-    as Ingredients.ngram_docs gives them for the fitted vocabularies."""
+def _row_docs(ingredients: Ingredients, indices):
+    """The row list (all rows by default) and its word and POS documents."""
     indices = list(range(len(ingredients)) if indices is None else indices)
-    return (
-        indices,
-        ingredients.ngram_docs("word-ngram", fitted.word_vocab, indices),
-        ingredients.ngram_docs("pos-ngram", fitted.pos_vocab, indices),
-    )
+    return indices, ingredients.word_docs.rows(indices), ingredients.pos_docs.rows(indices)
 
 
 def feature_matrix(
@@ -471,7 +459,7 @@ def feature_matrix(
 ) -> FeatureMatrix:
     """Assembled TF-IDF + scalar matrix for the given rows, projected onto
     the columns logreg and svm read when selection is active."""
-    indices, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
+    indices, wdocs, pdocs = _row_docs(ingredients, indices)
     assembled, _ = assemble_features(
         transform_tfidf(fitted.word_vocab, wdocs),
         transform_tfidf(fitted.pos_vocab, pdocs),
@@ -493,7 +481,7 @@ def count_matrix(
     intersected with the n-gram column span, which aligns one-to-one with
     the leading columns of the assembled matrix.
     """
-    _, wdocs, pdocs = _row_docs(fitted, ingredients, indices)
+    _, wdocs, pdocs = _row_docs(ingredients, indices)
     combined = FeatureMatrix(CSRMatrix.hstack([
         transform_counts(fitted.word_vocab, wdocs).matrix,
         transform_counts(fitted.pos_vocab, pdocs).matrix,
@@ -652,25 +640,14 @@ def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
     return predict(pm.model, fm, return_scores=True)
 
 
-_VOCAB_FIELDS = ("ngrams", "df", "n_docs", "n_lo", "n_hi", "min_df", "max_df_ratio")
-
-
-def _vocab_payload(v: Vocabulary) -> dict:
-    return {name: getattr(v, name) for name in _VOCAB_FIELDS}
-
-
-def _vocab_from_payload(d: dict) -> Vocabulary:
-    return Vocabulary(**{name: d[name] for name in _VOCAB_FIELDS})
-
-
 def save_pipeline(pm: PipelineModel) -> bytes:
     fitted = pm.fitted
     payload = {
         "tagger": save_tag_model(pm.tagger).decode("utf-8"),
         "lexicon": dict(pm.lexicon.valences),
-        "word_vocab": _vocab_payload(fitted.word_vocab),
-        "pos_vocab": _vocab_payload(fitted.pos_vocab),
         # tuples serialize as JSON arrays
+        "word_vocab": asdict(fitted.word_vocab),
+        "pos_vocab": asdict(fitted.pos_vocab),
         "standardizer": None if fitted.standardizer is None else asdict(fitted.standardizer),
         "selected_columns": fitted.selected_columns,
         "config": asdict(pm.config),
@@ -721,36 +698,13 @@ def _check_consistent(pm: PipelineModel) -> None:
     )
 
 
-def _check_format_1(payload: dict, fitted: FittedFeatures) -> None:
-    """Format 1 also saved the registry, the feature settings and two null
-    model keys, repeats that format 2 dropped; each must agree with what it
-    repeats, so that reading the file as format 2 loses nothing."""
-    registry = _payload_field(payload, "registry", lambda reg: tuple((b, n) for b, n in reg))
-    _require(registry == fitted.registry, "registry",
-             "does not name the columns of the vocabularies and scalar blocks in order")
-    s = _payload_field(payload, "settings", lambda d: FeatureSettings(**d))
-    w, p = fitted.word_vocab, fitted.pos_vocab
-    _require(
-        (s.word_ngram_lo, s.word_ngram_hi, s.pos_ngram_lo, s.pos_ngram_hi, s.standardize, s.select)
-        == (w.n_lo, w.n_hi, p.n_lo, p.n_hi,
-            fitted.standardizer is not None, fitted.selected_columns is not None)
-        and all((v.min_df, v.max_df_ratio) == (s.min_df, s.max_df_ratio) for v in (w, p)),
-        "settings",
-        "disagrees with the vocabularies' n-gram orders or df bounds, or with "
-        "whether a standardizer and selected columns are saved",
-    )
-    model = payload["model"]
-    _require(model.get("selected_columns") is None and model.get("standardizer") is None,
-             "model", "format 1 keys selected_columns and standardizer must be null")
-
-
 def load_pipeline(data: bytes) -> PipelineModel:
-    """Read a saved pipeline of format 2, or of format 1; a missing,
-    malformed or inconsistent field raises ArtifactFormatError naming it."""
-    version, payload = load_artifact(data, PIPELINE_MAGIC, (1, PIPELINE_FORMAT_VERSION))
+    """Read a saved pipeline; a missing, malformed or inconsistent field
+    raises ArtifactFormatError naming it."""
+    _, payload = load_artifact(data, PIPELINE_MAGIC, (PIPELINE_FORMAT_VERSION,))
     fitted = FittedFeatures(
-        word_vocab=_payload_field(payload, "word_vocab", _vocab_from_payload),
-        pos_vocab=_payload_field(payload, "pos_vocab", _vocab_from_payload),
+        word_vocab=_payload_field(payload, "word_vocab", lambda d: Vocabulary(**d)),
+        pos_vocab=_payload_field(payload, "pos_vocab", lambda d: Vocabulary(**d)),
         standardizer=_payload_field(
             payload, "standardizer", lambda std: None if std is None else Standardizer(**std)
         ),
@@ -768,6 +722,4 @@ def load_pipeline(data: bytes) -> PipelineModel:
         config=_payload_field(payload, "config", lambda cfg: ModelConfig(**cfg)),
     )
     _check_consistent(pm)
-    if version == 1:
-        _check_format_1(payload, fitted)
     return pm

@@ -80,16 +80,8 @@ class TagModel:
         for word, tag in self.tagdict.items():
             if not isinstance(tag, str) or tag not in known:
                 raise ValueError(f"tagdict tag {tag!r} (word {word!r}) not in tagset")
-        for feature, per_tag in self.weights.items():
-            for tag, weight in per_tag.items():
-                if tag not in known:
-                    raise ValueError(f"weights tag {tag!r} (feature {feature!r}) not in tagset")
-                if not _finite_number(weight):
-                    raise ValueError(
-                        f"weights value {weight!r} (feature {feature!r}, tag {tag!r})"
-                        " is not a finite number"
-                    )
-        # the decoding tables; built once per model, not a field
+        # the decoding tables, which check the weights as they read them;
+        # built once per model, not a field
         object.__setattr__(self, "_compiled", _Compiled(self))
 
 
@@ -262,18 +254,31 @@ _WIDTH = 11
 
 class _Compiled:
     """A TagModel's weights as arrays, with id tables for the history
-    features; built once, when the model is."""
+    features; built once, when the model is. Each weight is checked as it
+    is read: its tag must be in the tagset and its value a finite number."""
 
     def __init__(self, model: TagModel):
         self.tagdict = model.tagdict
         self.tags = tuple(sorted(model.tagset))
         self.column = {t: j for j, t in enumerate(self.tags)}
         self.rows = {f: r for r, f in enumerate(model.weights, start=1)}
+        # every weight's row, column and value, set in one step
+        at_row, at_column, values = [], [], []
+        for r, (feature, per_tag) in enumerate(model.weights.items(), start=1):
+            for tag, weight in per_tag.items():
+                j = self.column.get(tag)
+                if j is None:
+                    raise ValueError(f"weights tag {tag!r} (feature {feature!r}) not in tagset")
+                if not _finite_number(weight):
+                    raise ValueError(
+                        f"weights value {weight!r} (feature {feature!r}, tag {tag!r})"
+                        " is not a finite number"
+                    )
+                at_row.append(r)
+                at_column.append(j)
+                values.append(weight)
         self.weights = np.zeros((len(self.rows) + 1, len(self.tags)))
-        for feature, per_tag in model.weights.items():
-            r = self.rows[feature]
-            for t, weight in per_tag.items():
-                self.weights[r, self.column[t]] = weight
+        self.weights[at_row, at_column] = values
         row = self.rows.get
         self.bias = self.weights[row("bias", 0)]
         # history ids: the tags' columns, then the two START pads

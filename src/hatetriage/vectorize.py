@@ -19,15 +19,13 @@ tokens inside one document is packed into one integer key by Horner's rule.
 A corpus that is fitted on is counted once: `NgramTable.build` keys every
 document's n-grams and counts them into a documents x distinct-n-grams
 table, with a few numpy operations and no n-gram strings. A vocabulary
-fitted on some of its rows takes its document frequencies from the table,
-and the count and TF-IDF blocks of any of its rows are slices of the table
-with the columns mapped to the vocabulary's order, so folds that refit on
-different rows never enumerate the n-grams again. Token lists (new tweets
-at predict time) are looked up by the same keys: the vocabulary packs each
-of its n-grams into one key once (`NgramKeys`), and a batch's n-grams are
-keyed and found with a few numpy operations, so a document is counted alike
-as a table row and as a token list; rows of a table the vocabulary was not
-fitted from are refused.
+fitted on some of its rows takes its document frequencies and names from
+the table, so folds that refit on different rows never enumerate the
+n-grams again. Every count and TF-IDF block is one keyed lookup of token
+lists: the vocabulary packs each of its n-grams into one key once
+(`NgramKeys`), and a batch's n-grams are keyed and found with a few numpy
+operations, so a document is counted alike by the table it was fitted from
+and by the lookup.
 
 Count-mode transforms (raw tf, no idf, no normalization) are also provided;
 the naive Bayes model consumes those.
@@ -41,9 +39,8 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,9 +56,8 @@ class Vocabulary:
     of the n_docs fitted documents. The fields are checked once when built
     (lists are taken as tuples), and `idf` (float64, one per column) is
     built from them then, beside the fields. The integer keys that token
-    lists are looked up by (`NgramKeys`) are derived on the first token-list
-    transform, so loading a model or slicing a count table never pays for
-    them."""
+    lists are looked up by (`NgramKeys`) are derived on the first transform,
+    so loading a model never pays for them."""
 
     ngrams: tuple[str, ...]
     df: tuple[int, ...]
@@ -70,11 +66,6 @@ class Vocabulary:
     n_hi: int
     min_df: int
     max_df_ratio: float
-    # set by a fit on table rows: the table, held weakly so that a vocabulary
-    # never keeps it alive, and the table column of each vocabulary column
-    source: tuple[weakref.ref, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         # a loaded payload holds lists
@@ -105,13 +96,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.ngrams)
-
-    def table_columns(self, table: "NgramTable") -> np.ndarray | None:
-        """The table column of each vocabulary column when this vocabulary
-        was fitted from `table`, else None."""
-        if self.source is None or self.source[0]() is not table:
-            return None
-        return self.source[1]
 
     @cached_property
     def ngram_keys(self) -> "NgramKeys":
@@ -466,7 +450,7 @@ class NgramTable:
 @dataclass(frozen=True, eq=False)
 class TableRows:
     """Documents that are already counted: rows of a table, in the given
-    order. fit_vocab and the transforms accept these in place of token lists."""
+    order, which fit_vocab accepts in place of token lists."""
 
     table: NgramTable
     rows: np.ndarray
@@ -489,9 +473,8 @@ def fit_vocab(
     and assign dense indices in lexicographic order.
 
     Token lists are counted into a throwaway table first; table rows are
-    read as they are, so a vocabulary fitted on them transforms rows of the
-    same table by slicing it. The bounds are checked by the table and the
-    Vocabulary."""
+    read as they are, so refits on rows of one table never count again. The
+    bounds are checked by the table and the Vocabulary."""
     if not len(docs):
         raise ValueError("fit_vocab requires a non-empty corpus")
     if not isinstance(docs, TableRows):
@@ -520,44 +503,35 @@ def fit_vocab(
         n_hi=n_hi,
         min_df=min_df,
         max_df_ratio=max_df_ratio,
-        source=(weakref.ref(table), cols),
     )
 
 
-def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> CSRMatrix:
-    """Raw counts of the vocabulary's n-grams: a slice of the table for rows
-    of the table `vocab` was fitted from, else a keyed lookup of the token
-    lists, one numpy pass over the whole batch.
+def _count_matrix(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TokenDocs) -> CSRMatrix:
+    """Raw counts of the vocabulary's n-grams in the token lists, one numpy
+    pass over the whole batch.
 
     The lookup keys every run of n_lo..n_hi tokens of the batch from
     shifted views of its token ids (`NgramKeys.run_keys`), finds all of
     them in the sorted vocabulary keys with one `searchsorted`, and counts
     the (row, column) pairs that hit, as a table build counts its own. A
     token that is empty or holds a space is unknown in both (`KeyRule`)."""
-    if isinstance(docs, TableRows):
-        columns = vocab.table_columns(docs.table)
-        if columns is None:
-            raise ValueError("table rows given for a vocabulary not fitted from that table")
-        counts = docs.counts().columns(columns)
-    else:
-        known = vocab.ngram_keys
-        docs = TokenDocs.of(docs)
-        ids, rows = known.ids(docs, docs.table.derived(known, known.token_id, np.int64))
-        n = len(rows)
-        keys = known.run_keys(ids, n)
-        at = known.sorted_keys.searchsorted(keys)
-        hit = (known.sorted_keys[at] == keys).nonzero()[0]
-        pairs = rows[hit % n] * len(vocab) + known.columns[at[hit]]
-        counts = _count_pairs(pairs, len(docs), len(vocab))
-    return as_csr(counts)
+    known = vocab.ngram_keys
+    docs = TokenDocs.of(docs)
+    ids, rows = known.ids(docs, docs.table.derived(known, known.token_id, np.int64))
+    n = len(rows)
+    keys = known.run_keys(ids, n)
+    at = known.sorted_keys.searchsorted(keys)
+    hit = (known.sorted_keys[at] == keys).nonzero()[0]
+    pairs = rows[hit % n] * len(vocab) + known.columns[at[hit]]
+    return as_csr(_count_pairs(pairs, len(docs), len(vocab)))
 
 
-def transform_counts(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> FeatureMatrix:
+def transform_counts(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TokenDocs) -> FeatureMatrix:
     """Raw term counts; unknown ngrams ignored."""
     return FeatureMatrix(_count_matrix(vocab, docs))
 
 
-def transform_tfidf(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TableRows) -> FeatureMatrix:
+def transform_tfidf(vocab: Vocabulary, docs: Sequence[Sequence[str]] | TokenDocs) -> FeatureMatrix:
     """tf * idf with smoothed idf, then exact row L2 normalization."""
     m = _count_matrix(vocab, docs)
     weighted = m.data * vocab.idf[m.indices]

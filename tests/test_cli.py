@@ -14,6 +14,7 @@ from hatetriage import cli
 from hatetriage._serialize import dump_artifact, load_artifact
 from hatetriage.cli import PREDICT_BATCH, main
 from hatetriage.corpus import LABELS, Label
+from hatetriage.lexfeat import SCALAR_COLUMNS
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
     PIPELINE_MAGIC,
@@ -429,21 +430,22 @@ class TestErrorExits:
         assert rc == 2
         assert "absent.bin" in capsys.readouterr().err
 
-    def test_inconsistent_model_fails_at_load(self, tmp_path, capsys):
-        # a format-1 model (the toy model as format 1 wrote it) whose saved
-        # registry no longer names the columns of its vocabularies
-        data = (pathlib.Path(__file__).parent / "data" / "toy_model_format1.bin").read_bytes()
-        version, payload = load_artifact(data, PIPELINE_MAGIC, (1,))
-        payload["registry"] = payload["registry"][:-1]
+    def test_inconsistent_model_fails_at_load(self, workspace, tmp_path, capsys):
+        # well-formed fields that disagree: the last selected column lies
+        # past the columns of the vocabularies and scalar blocks
+        data = (workspace["out"] / "model.bin").read_bytes()
+        _, payload = load_artifact(data, PIPELINE_MAGIC, (PIPELINE_FORMAT_VERSION,))
+        width = sum(len(payload[v]["ngrams"]) for v in ("word_vocab", "pos_vocab"))
+        payload["selected_columns"][-1] = width + len(SCALAR_COLUMNS)
         model = tmp_path / "model.bin"
-        model.write_bytes(dump_artifact(PIPELINE_MAGIC, version, payload))
+        model.write_bytes(dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload))
         src = tmp_path / "in.txt"
         src.write_text("fine line\n", encoding="utf-8")
         dst = tmp_path / "pred.tsv"
         rc = main(["predict", "--model", str(model), "--input", str(src),
                    "--output", str(dst)])
         assert rc == 1
-        assert "stage load: pipeline payload field 'registry'" in capsys.readouterr().err
+        assert "stage load: pipeline payload field 'selected_columns'" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_malformed_vocabulary_fails_at_load(self, workspace, tmp_path, capsys):

@@ -1,8 +1,6 @@
 import csv
 import dataclasses
-import hashlib
 import importlib.resources
-import pathlib
 from unittest import mock
 
 import numpy as np
@@ -457,9 +455,9 @@ class TestFitFeatures:
         assert part.n_rows == 1
 
     def test_vocabulary_from_other_ingredients_takes_the_lookup(self):
-        """Rows of a count table the vocabularies were not fitted from are
-        transformed as token lists: the result equals that for ingredients
-        that were never counted."""
+        """Ingredients whose count tables the vocabularies were not fitted
+        from are looked up by their tokens alike: the result equals that for
+        ingredients that were never counted."""
         fs = FeatureSettings(
             word_ngram_hi=2, pos_ngram_hi=1, min_df=1, max_df_ratio=1.0, select=False
         )
@@ -534,6 +532,31 @@ class TestFitFeatures:
         dense = cm.matrix.toarray()
         assert (dense >= 0).all()
         assert (dense == dense.astype(int)).all()
+
+    @pytest.mark.parametrize("select", [True, False])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_train_matrix_is_feature_matrix_of_fitted_rows(self, toy, select, standardize):
+        """fit_features keeps the matrix feature_matrix gives for the rows it
+        fitted on, bit for bit: for all rows, and for one fold's rows with
+        a row given twice."""
+        ing, y = toy
+        fs = FeatureSettings(min_df=2, standardize=standardize, select=select)
+        fold = [*range(0, len(ing), 5), 10]
+        for indices in (None, fold):
+            fitted = fit_features(ing, y, fs, indices)
+            got, want = fitted.train_matrix.matrix, feature_matrix(fitted, ing, indices).matrix
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def toy(tagger):
+    """The toy corpus's ingredients, under LEX, and its labels."""
+    with open(CORPUS, encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return extract_ingredients([r["tweet"] for r in rows], tagger, LEX), [int(r["class"]) for r in rows]
 
 
 def two_class_fit(select):
@@ -623,19 +646,10 @@ PAYLOAD_FIELDS = (
     "tagger",
     "word_vocab",
 )
-# the fields only format 1 stored, as repeats of the others
-FORMAT_1_FIELDS = ("registry", "settings")
-# the toy corpus's model.bin as format 1 wrote it (default configuration)
-FORMAT_1_TOY = pathlib.Path(__file__).parent / "data" / "toy_model_format1.bin"
 
 
 def payload_of(blob: bytes) -> dict:
     _, payload = load_artifact(blob, PIPELINE_MAGIC, (PIPELINE_FORMAT_VERSION,))
-    return payload
-
-
-def format_1_payload() -> dict:
-    _, payload = load_artifact(FORMAT_1_TOY.read_bytes(), PIPELINE_MAGIC, (1,))
     return payload
 
 
@@ -704,9 +718,12 @@ class TestPipelineArtifact:
         assert (labels == np.asarray(y)).mean() > 0.9
         assert (scores <= 0).all()
 
-    def test_version_mismatch_rejected(self, tagger):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_mismatch_rejected(self, tagger, version):
+        # format 1 (before the vocabularies owned their settings) is no
+        # longer read; such a model must be trained again
         pm, _, _ = self.build(tagger)
-        blob = save_pipeline(pm).replace(b"pipeline 2 ", b"pipeline 3 ", 1)
+        blob = save_pipeline(pm).replace(b"pipeline 2 ", f"pipeline {version} ".encode(), 1)
         with pytest.raises(ArtifactFormatError, match="version"):
             load_pipeline(blob)
 
@@ -715,19 +732,12 @@ class TestPipelineArtifact:
         with pytest.raises(ArtifactFormatError):
             load_pipeline(save_pipeline(pm)[:-7])
 
-    def payload(self, tagger, field):
-        """(version, payload) of a saved pipeline that has `field`: a
-        format-1 file for the fields only format 1 stored."""
-        if field in FORMAT_1_FIELDS:
-            return 1, format_1_payload()
-        return PIPELINE_FORMAT_VERSION, payload_of(save_pipeline(self.build(tagger)[0]))
-
-    @pytest.mark.parametrize("field", PAYLOAD_FIELDS + FORMAT_1_FIELDS)
+    @pytest.mark.parametrize("field", PAYLOAD_FIELDS)
     def test_missing_payload_field_rejected(self, tagger, field):
-        version, payload = self.payload(tagger, field)
+        payload = payload_of(save_pipeline(self.build(tagger)[0]))
         assert field in payload
         del payload[field]
-        blob = dump_artifact(PIPELINE_MAGIC, version, payload)
+        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
         with pytest.raises(ArtifactFormatError, match=f"missing field '{field}'"):
             load_pipeline(blob)
 
@@ -736,16 +746,17 @@ class TestPipelineArtifact:
         payload = payload_of(save_pipeline(pm))
         assert sorted(payload) == list(PAYLOAD_FIELDS)
         assert None not in payload["model"].values()
-        assert sorted(format_1_payload()) == sorted(PAYLOAD_FIELDS + FORMAT_1_FIELDS)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("settings", 3), ("standardizer", {"means": []}), ("tagger", None), ("config", [])],
+        [("standardizer", {"means": []}), ("tagger", None), ("config", [])],
+        # the ids these cases have always had
+        ids=["standardizer-value1", "tagger-None", "config-value3"],
     )
     def test_mistyped_payload_field_rejected(self, tagger, field, value):
-        version, payload = self.payload(tagger, field)
+        payload = payload_of(save_pipeline(self.build(tagger)[0]))
         payload[field] = value
-        blob = dump_artifact(PIPELINE_MAGIC, version, payload)
+        blob = dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)
         with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
             load_pipeline(blob)
 
@@ -768,6 +779,7 @@ class TestPipelineArtifact:
             ("logreg", "word-vocab-ngram-over-n-hi", "word_vocab"),
             ("logreg", "word-vocab-ngram-empty-token", "word_vocab"),
             ("logreg", "pos-vocab-ngram-under-n-lo", "pos_vocab"),
+            ("logreg", "word-vocab-unknown-key", "word_vocab"),
         ],
     )
     def test_inconsistent_fields_rejected(self, tagger, kind, edit, field):
@@ -806,6 +818,9 @@ class TestPipelineArtifact:
             payload["word_vocab"]["ngrams"][-1] += " "
         elif edit == "pos-vocab-ngram-under-n-lo":
             payload["pos_vocab"].update(n_lo=2, n_hi=2)
+        elif edit == "word-vocab-unknown-key":
+            # a vocabulary is its fields, each saved and read by its name
+            payload["word_vocab"]["source"] = None
         else:
             ngrams = payload["pos_vocab"]["ngrams"]
             ngrams[0], ngrams[1] = ngrams[1], ngrams[0]
@@ -826,70 +841,3 @@ class TestPipelineArtifact:
             one_label, one_score = pipeline_predict(pm, [text])
             assert one_label[0] == batch_labels[i]
             assert one_score[0] == pytest.approx(batch_scores[i], abs=1e-12)
-
-
-class TestFormat1Artifact:
-    """A model.bin of format 1 also stored the registry, the feature
-    settings, and null selected_columns and standardizer keys in its model.
-    It loads when each of them agrees with the fields format 2 keeps."""
-
-    def test_loads_and_predicts_as_its_format_2_resave(self):
-        data = FORMAT_1_TOY.read_bytes()
-        assert data.startswith(b"pipeline 1 ")
-        pm = load_pipeline(data)
-        resaved = save_pipeline(pm)
-        # the re-save is what train now writes for the toy corpus
-        digests = (FORMAT_1_TOY.parent / "artifact_digests.txt").read_text(encoding="utf-8")
-        assert f"toy/model.bin {hashlib.sha256(resaved).hexdigest()}\n" in digests
-        assert resaved.startswith(b"pipeline 2 ") and len(resaved) < len(data)
-        with open(CORPUS, encoding="utf-8") as f:
-            texts = [row["tweet"] for row in csv.DictReader(f)]
-        labels, scores = pipeline_predict(pm, texts)
-        labels2, scores2 = pipeline_predict(load_pipeline(resaved), texts)
-        assert labels.tobytes() == labels2.tobytes()
-        assert scores.tobytes() == scores2.tobytes()
-
-    @pytest.mark.parametrize(
-        "edit, field",
-        [
-            ("settings-word-ngram-hi", "settings"),
-            ("settings-min-df", "settings"),
-            ("pos-vocab-n-lo", "pos_vocab"),
-            ("registry-truncated", "registry"),
-            ("registry-entry-renamed", "registry"),
-            ("settings-standardize-flipped", "settings"),
-            ("standardizer-dropped", "settings"),
-            ("settings-select-flipped", "settings"),
-            ("model-standardizer-set", "model"),
-            ("model-selected-columns-set", "model"),
-        ],
-    )
-    def test_disagreeing_fields_rejected(self, edit, field):
-        payload = format_1_payload()
-        settings_ = payload["settings"]
-        if edit == "settings-word-ngram-hi":
-            assert settings_["word_ngram_hi"] == 3
-            settings_["word_ngram_hi"] = 1
-        elif edit == "settings-min-df":
-            assert settings_["min_df"] == 5
-            settings_["min_df"] = 1
-        elif edit == "pos-vocab-n-lo":
-            # the vocabulary's unigrams are then shorter than its orders
-            assert payload["pos_vocab"]["n_lo"] == 1
-            payload["pos_vocab"]["n_lo"] = 2
-        elif edit == "registry-truncated":
-            payload["registry"] = payload["registry"][:-1]
-        elif edit == "registry-entry-renamed":
-            payload["registry"][0][1] += "!"
-        elif edit == "settings-standardize-flipped":
-            settings_["standardize"] = False
-        elif edit == "standardizer-dropped":
-            payload["standardizer"] = None
-        elif edit == "settings-select-flipped":
-            settings_["select"] = False
-        elif edit == "model-standardizer-set":
-            payload["model"]["standardizer"] = payload["standardizer"]
-        else:
-            payload["model"]["selected_columns"] = payload["selected_columns"]
-        with pytest.raises(ArtifactFormatError, match=f"field '{field}' is malformed"):
-            load_pipeline(dump_artifact(PIPELINE_MAGIC, 1, payload))

@@ -318,13 +318,13 @@ def _write_predictions(sink, pm: PipelineModel, texts: list[str]) -> None:
     if not texts:
         return
     labels, scores = _stage("predict", pipeline_predict, pm, texts)
+    # the label's name, then the score of each class ("nan" if the model lacks it)
     class_pos = {int(c): i for i, c in enumerate(pm.model.classes)}
-    for label, row in zip(labels, scores):
-        cells = [Label(int(label)).display]
-        for cls in LABELS:
-            pos = class_pos.get(int(cls))
-            cells.append(f"{row[pos]:.6f}" if pos is not None else "nan")
-        sink.write("\t".join(cells) + "\n")
+    line = "\t".join(["{0}", *(f"{{{class_pos[c] + 1}:.6f}}" if c in class_pos else "nan"
+                                for c in LABELS)]) + "\n"
+    names = {int(c): c.display for c in LABELS}
+    sink.write("".join(line.format(names[label], *row)
+                       for label, row in zip(labels.tolist(), scores.tolist())))
 
 
 def cmd_predict(args) -> int:

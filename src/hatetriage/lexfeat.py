@@ -12,13 +12,14 @@ within the three preceding tokens multiplies the adjusted value by -0.74.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .textproc import StringTable, Token, TokenKind, count_syllables
+from .textproc import StringTable, Token, TokenKind, count_syllables, token_word
 
 NEGATION_FACTOR = -0.74
 BOOSTER_INCREMENT = 0.293
@@ -162,37 +163,77 @@ def scalar_row(sent: SentimentScores, read: ReadabilityScores, surf: SurfaceFeat
     return sent.as_tuple() + read.as_tuple() + surf.as_tuple()
 
 
-# the flag bits sentiment_codes gives a token
+# the flag bits of a token's codes
 NEGATION, BOOSTER, UPPER = 1, 2, 4
 
+# kinds bound once (see textproc)
+_WORD, _HASHTAG, _MENTION, _URL = TokenKind.WORD, TokenKind.HASHTAG, TokenKind.MENTION, TokenKind.URL
 
-def sentiment_codes(tokens: Sequence[Token]) -> tuple[list, list[int], tuple[int, int, int]]:
-    """What the sentiment rules read of a token list: per token, the
-    lowercased surface of a Word token (None for other kinds) and its flags
-    (NEGATION for "not", "never", "no", "cannot" or a "n't" ending; BOOSTER;
-    UPPER for a Word in all caps); then the list's "!" count, its cased
-    Words and how many of those are all caps. Concatenated lists have the
-    concatenated codes and the summed counts."""
-    words, flags = [], []
-    exclaims = cased = upper = 0
-    for t in tokens:
-        surface, low, word = t.surface, t.surface.lower(), t.kind is TokenKind.WORD
-        exclaims += surface.count("!")
-        flags.append((low in NEGATIONS or low.endswith("n't")) * NEGATION
-                     + (low in BOOSTERS) * BOOSTER + (word and surface.isupper()) * UPPER)
-        words.append(low if word else None)
-        if word and surface.upper() != low:
-            cased += 1
-            upper += surface.isupper()
-    return words, flags, (exclaims, cased, upper)
+
+def _word_flags(low: str) -> int:
+    """NEGATION for "not", "never", "no", "cannot" or a "n't" ending, and
+    BOOSTER, of a lowercased surface."""
+    return (low in NEGATIONS or low.endswith("n't")) * NEGATION + (low in BOOSTERS) * BOOSTER
+
+
+class WordTables:
+    """Distinct words (textproc.token_word) numbered once in `words`, with
+    their syllables and NEGATION and BOOSTER flags derived when numbered,
+    one entry per word id in `syllables` and `bits`."""
+
+    def __init__(self):
+        self.words = StringTable()
+        self.syllables, self.bits = array("q"), array("q")
+
+    def word(self, word: str) -> int:
+        """The id of `word`, numbered and derived from when it is new."""
+        k = self.words.ids.get(word)
+        if k is None:
+            k = self.words.id(word)
+            self.syllables.append(count_syllables(word))
+            self.bits.append(_word_flags(word))
+        return k
+
+    def token(self, surface: str, kind: TokenKind) -> tuple[int, int, tuple[int, ...]]:
+        """One token's codes: the id of its word (-1 for none), its flags,
+        and its 8 counts: hashtags, mentions, URLs, words (Words and
+        hashtags), their syllables, "!", and for a Word whether it is cased
+        and then all caps, read from the surface, never from the word."""
+        word = token_word(surface, kind)
+        k = -1 if word is None else self.word(word)
+        exclaims = surface.count("!")
+        if kind is _WORD:
+            upper, cased = surface.isupper(), surface.upper() != word
+            counts = (0, 0, 0, 1, self.syllables[k], exclaims, cased, cased and upper)
+            return k, self.bits[k] | upper * UPPER, counts
+        if kind is _HASHTAG:
+            counts = (1, 0, 0, 1, 0 if k < 0 else self.syllables[k], exclaims, 0, 0)
+        else:
+            counts = (0, kind is _MENTION, kind is _URL, 0, 0, exclaims, 0, 0)
+        return k, _word_flags(surface.lower()), counts
+
+    def codes(self, tokens: Iterable[Token]) -> tuple[list[int], list[int], list[int], list[int]]:
+        """One walk over a token list: the ids of its words, per token its
+        word id if it is a Word (-1 for other kinds) and its flags, and its
+        summed counts (see token())."""
+        ids, token_words, flags, counts = [], [], [], [(0,) * 8]
+        for t in tokens:
+            k, flag, c = self.token(t.surface, t.kind)
+            if k >= 0:
+                ids.append(k)
+            token_words.append(k if t.kind is _WORD else -1)
+            flags.append(flag)
+            counts.append(c)
+        return ids, token_words, flags, list(map(sum, zip(*counts)))
 
 
 @dataclass(frozen=True, eq=False)
 class TokenCodes:
-    """The sentiment_codes of a batch of tweets, each word as its id in
-    `table`: per token, in tweet order, `words` (-1 for other kinds) and
-    `flags`; tweet i's tokens are [offsets[i], offsets[i + 1]), and row i
-    of `counts` holds its three counts."""
+    """The sentiment codes (WordTables.codes) of a batch of tweets, each
+    word as its id in `table`: per token, in tweet order, `words` (-1 for
+    kinds other than Word) and `flags`; tweet i's tokens are [offsets[i],
+    offsets[i + 1]), and row i of `counts` holds its "!", cased Words and
+    all-caps ones."""
 
     words: np.ndarray
     flags: np.ndarray
@@ -266,11 +307,10 @@ def sentiment_scores(tokens: Sequence[Token] | TokenCodes, lexicon: SentimentLex
     """
     if isinstance(tokens, TokenCodes):
         return SentimentScores(*_score(tokens, lexicon))
-    table = StringTable()
-    words, flags, counts = sentiment_codes(tokens)
-    ids = [-1 if w is None else table.id(w) for w in words]
-    one = TokenCodes(np.array(ids, np.intp), np.array(flags, np.intp), np.array([0, len(ids)]),
-                     np.array([counts]), table)
+    tables = WordTables()
+    _, words, flags, counts = tables.codes(tokens)
+    one = TokenCodes(np.array(words, np.intp), np.array(flags, np.intp), np.array([0, len(words)]),
+                     np.array([counts[5:]]), tables.words)
     return SentimentScores(*(float(x[0]) for x in _score(one, lexicon)))
 
 
@@ -288,34 +328,16 @@ def readability(num_words, num_syllables) -> ReadabilityScores:
     return ReadabilityScores(fk_grade=fk_grade, reading_ease=reading_ease)
 
 
-def surface_features(text: str, tokens: list[Token]) -> SurfaceFeatures:
+def surface_features(text, tokens, retweets=None) -> SurfaceFeatures:
     """Token-kind counts plus size metrics. num_chars counts code points of
     the raw text; words are Word plus Hashtag tokens (hashtag bodies counted
-    without the '#')."""
-    hashtags = mentions = retweets = urls = words = syllables = 0
-    for t in tokens:
-        kind = t.kind
-        if kind is TokenKind.WORD:
-            words += 1
-            syllables += count_syllables(t.surface)
-        elif kind is TokenKind.HASHTAG:
-            hashtags += 1
-            words += 1
-            body = t.surface.lstrip("#")
-            if body:
-                syllables += count_syllables(body)
-        elif kind is TokenKind.MENTION:
-            mentions += 1
-        elif kind is TokenKind.URL:
-            urls += 1
-        elif kind is TokenKind.RETWEET:
-            retweets += 1
-    return SurfaceFeatures(
-        count_hashtags=hashtags,
-        count_mentions=mentions,
-        count_retweets=retweets,
-        count_urls=urls,
-        num_chars=len(text),
-        num_words=words,
-        num_syllables=syllables,
-    )
+    without the '#'). Given many texts and their retweet marker counts,
+    `tokens` is instead their summed WordTables.codes counts, one row each,
+    and each field an array with one value per text."""
+    if retweets is None:
+        retweets = sum(t.kind is TokenKind.RETWEET for t in tokens)
+        chars, tokens = len(text), WordTables().codes(tokens)[3]
+    else:
+        chars, tokens = np.fromiter(map(len, text), np.int64, len(text)), np.asarray(tokens).T
+    hashtags, mentions, urls, words, syllables = tokens[:5]
+    return SurfaceFeatures(hashtags, mentions, retweets, urls, chars, words, syllables)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -22,11 +21,10 @@ from ._serialize import ArtifactFormatError, dump_artifact, load_artifact
 from .lexfeat import (
     SCALAR_COLUMNS,
     SentimentLexicon,
-    SurfaceFeatures,
     TokenCodes,
+    WordTables,
     readability,
     scalar_row,
-    sentiment_codes,
     sentiment_scores,
     surface_features,
 )
@@ -45,7 +43,8 @@ from .linmodel import (
 from .postag import TagModel, tag_batch
 from .postag import load_model as load_tag_model
 from .postag import save_model as save_tag_model
-from .textproc import StringTable, TokenDocs, classify_chunk, gather_segments, split_retweet, word_streams
+from .textproc import StringTable, TokenDocs, TokenKind, classify_chunk, gather_segments, one_word
+from .textproc import split_retweet, stem_word
 from .vectorize import (
     CSRMatrix,
     FeatureMatrix,
@@ -198,50 +197,46 @@ class Ingredients:
 
 
 # the most distinct whitespace chunks a loaded model's memo holds between
-# predict calls; at about 390 B a chunk, with its words, their stems and
-# what is derived from them, that is about 3 MB
+# predict calls; at about 390 B a chunk (386-399 B measured), with its words
+# and what is derived from them, that is about 3.2 MB
 MEMO_CHUNKS = 8192
 
 
-class _ChunkTables:
-    """What a ChunkMemo knows: `chunks`, `words` and `stemmed` number the
-    chunks, words and stems, stem_of holds each word's stem, and `arrays`
-    holds, flat, for every chunk c in turn: its word ids (words_of, with
-    offsets word_at), its tokens' word ids (-1 for no Word) and sentiment
-    flags (token_words and token_flags, with offsets token_at), and its
-    hashtag, mention, URL, word and syllable counts, then its
-    sentiment_codes counts (8 counts a chunk). What chunks added since the
-    last gather() put in `arrays` waits in `pending`."""
+class _ChunkTables(WordTables):
+    """What a ChunkMemo knows: the word tables (lexfeat.WordTables), each
+    word's stem in `stemmed` (stem_of), `chunks` numbering the chunks, and
+    `arrays`, holding flat, for every chunk c in turn, its codes
+    (WordTables.codes): its word ids (words_of, with offsets word_at), its
+    tokens' word ids (-1 for no Word) and flags (token_words and
+    token_flags, with offsets token_at), and its 8 counts. What chunks added
+    since the last gather() put in `arrays`, and their new words' stems, wait
+    for it."""
 
     def __init__(self):
+        super().__init__()
         self.chunks: dict[str, int] = {}
-        self.stems: dict[str, str] = {}  # word_streams' stem of each word
-        self.words, self.stemmed, self.stem_of = StringTable(), StringTable(), array("q")
+        self.stemmed, self.stem_of = StringTable(), array("q")
         # words_of, word_at, token_words, token_flags, token_at, counts
         self.arrays = (array("q"), array("q", [0]), array("q"), array("q"), array("q", [0]), array("q"))
         self.pending = tuple([] for _ in range(6))
 
     def add(self, chunk: str) -> int:
-        """The id of `chunk`, analyzed and numbered when it is new."""
+        """The id of `chunk`, its tokens walked once when it is new."""
         k = self.chunks.get(chunk)
         if k is not None:
             return k
-        ids, tokens = self.words.ids, classify_chunk(chunk)
-        stemmed, words = word_streams(tokens, self.stems)
-        for word, stem in zip(words, stemmed):
-            if word not in ids:
-                self.stem_of.append(self.stemmed.id(stem))
-                self.words.id(word)
-        low, flags, sentiment_counts = sentiment_codes(tokens)
-        sf = surface_features(chunk, tokens)
+        if one_word(chunk):  # its own Word token, taken with no classifying
+            word, flag, chunk_counts = self.token(chunk, TokenKind.WORD)
+            ids, token_ids, flags = (word,), (word,), (flag,)
+        else:
+            ids, token_ids, flags, chunk_counts = self.codes(classify_chunk(chunk))
         words_of, word_at, token_words, token_flags, token_at, counts = self.pending
-        words_of += map(ids.__getitem__, words)
+        words_of += ids
         word_at.append(len(self.arrays[0]) + len(words_of))
-        token_words += map(ids.get, low, repeat(-1))  # None, no word, is -1
+        token_words += token_ids
         token_flags += flags
         token_at.append(len(self.arrays[2]) + len(token_words))
-        counts += (sf.count_hashtags, sf.count_mentions, sf.count_urls, sf.num_words,
-                   sf.num_syllables, *sentiment_counts)
+        counts += chunk_counts
         k = self.chunks[chunk] = len(self.chunks)
         return k
 
@@ -253,6 +248,7 @@ class _ChunkTables:
         for values, added in zip(self.arrays, self.pending):
             values.extend(added)
             added.clear()
+        self.stem_of.extend(self.stemmed.id(stem_word(w)) for w in self.words.strings[len(self.stem_of):])
         words_of, word_at, token_words, token_flags, token_at, counts = (
             np.frombuffer(a, np.int64) for a in self.arrays
         )
@@ -271,11 +267,12 @@ class _ChunkTables:
 
 class ChunkMemo:
     """What extract_ingredients learns about each distinct whitespace chunk
-    (`tables`): ids for its chunks, words and stems, given once, and per
-    chunk its word ids, its tokens' sentiment codes and its counts, in flat
-    arrays. The word and stem tables also keep what later stages derive
-    per string (StringTable.derived): the tagger's rows of each word, its
-    lexicon valence, and a vocabulary's token id of each stem.
+    (`tables`): ids for its chunks, words and stems, given once, with what
+    is derived per word, and per chunk the codes of one walk over its
+    tokens, in flat arrays. The word and stem tables also keep what later
+    stages derive per string (StringTable.derived): the tagger's rows of
+    each word, its lexicon valence, and a vocabulary's token id of each
+    stem.
 
     Every value depends on its key alone, so any number of calls may share
     a memo without changing a result, also from several threads: a call
@@ -298,21 +295,23 @@ def extract_ingredients(
 ) -> Ingredients:
     """Tokenize, stem, tag, and score every text once, up front.
 
-    Tweets repeat their whitespace chunks, so each distinct chunk is
-    tokenized, stemmed and counted once, into `memo`: a fresh one that lives
-    for this call when none is given (training, evaluation, report), or a
-    loaded model's, which predict calls share. A given memo that holds more
-    than MEMO_CHUNKS chunks when the call ends is emptied, so a long stream
-    of new chunks cannot grow it past one call's worth.
+    Tweets repeat their chunks and words, so each distinct chunk is walked
+    once and each distinct word stemmed and counted once, into `memo`: a
+    fresh one that lives for this call when none is given (training,
+    evaluation, report), or a loaded model's, which predict calls share. A
+    given memo that holds more than MEMO_CHUNKS chunks when the call ends
+    is emptied, so a long stream of new chunks cannot grow it past one
+    call's worth.
 
     A tweet is its leading retweet marker, if any, then its chunks, so its
     streams are its chunks' segments of the memo's arrays, gathered for all
     tweets at once: the stem ids are the word block, the word ids go to the
     tagger, and the tokens' codes to one sentiment_scores call (the marker
-    is never a negation or a booster, so it is left out). Its surface
-    counts are its chunks' sums, from which readability follows. No later
-    stage turns a token into an id again: the tagger, the n-gram tables and
-    the vocabulary lookup read these ids.
+    is never a negation or a booster, so it is left out). Its counts are
+    its chunks' sums, which one surface_features call makes its surface
+    columns, and readability follows. No later stage turns a token into an
+    id again: the tagger, the n-gram tables and the vocabulary lookup read
+    these ids.
     """
     texts = list(texts)
     if memo is None:
@@ -335,13 +334,10 @@ def extract_ingredients(
     sentiment = sentiment_scores(
         TokenCodes(token_words, token_flags, token_at, counts[:, 5:], tables.words), lexicon
     )
-    hashtags, mentions, urls, num_words, syllables = counts[:, :5].T
-    chars = np.array([len(text) for text in texts], np.int64)
-    surf = SurfaceFeatures(hashtags, mentions, np.array(retweets, np.int64), urls, chars, num_words,
-                           syllables)
+    surf = surface_features(texts, counts, np.array(retweets, np.int64))
     # tweets with no countable words are scored as one empty word so the
     # readability formulas stay defined
-    read = readability(np.maximum(1, num_words), np.maximum(1, syllables))
+    read = readability(np.maximum(1, surf.num_words), np.maximum(1, surf.num_syllables))
     if len(memo) > MEMO_CHUNKS:
         memo.clear()
     table = np.column_stack(scalar_row(sentiment, read, surf)).astype(np.float64)
@@ -640,17 +636,22 @@ def pipeline_predict(pm: PipelineModel, texts) -> tuple[np.ndarray, np.ndarray]:
     return predict(pm.model, fm, return_scores=True)
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, not deep-copied as by asdict; tuples
+    serialize as JSON arrays."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def save_pipeline(pm: PipelineModel) -> bytes:
     fitted = pm.fitted
     payload = {
         "tagger": save_tag_model(pm.tagger).decode("utf-8"),
         "lexicon": dict(pm.lexicon.valences),
-        # tuples serialize as JSON arrays
-        "word_vocab": asdict(fitted.word_vocab),
-        "pos_vocab": asdict(fitted.pos_vocab),
-        "standardizer": None if fitted.standardizer is None else asdict(fitted.standardizer),
+        "word_vocab": _fields(fitted.word_vocab),
+        "pos_vocab": _fields(fitted.pos_vocab),
+        "standardizer": None if fitted.standardizer is None else _fields(fitted.standardizer),
         "selected_columns": fitted.selected_columns,
-        "config": asdict(pm.config),
+        "config": _fields(pm.config),
         "model": model_payload(pm.model),
     }
     return dump_artifact(PIPELINE_MAGIC, PIPELINE_FORMAT_VERSION, payload)

@@ -8,7 +8,7 @@ A tweet's tokens are its leading retweet marker, if any (split_retweet()),
 followed by the tokens of each whitespace chunk (classify_chunk()), so
 extraction can classify each distinct chunk once; tokenize() does the
 whole tweet. word_streams() turns tokens into both the stemmed n-gram
-stream and the unstemmed tagger stream in one pass.
+stream and the unstemmed tagger stream, from token_word() and stem_word().
 
 Token streams travel as ids: a StringTable numbers distinct strings once,
 and TokenDocs holds many documents as one flat id array with document
@@ -36,13 +36,17 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
+# bound once: looking a member up on its Enum class costs more than the test
+_WORD, _HASHTAG, _MENTION, _URL = TokenKind.WORD, TokenKind.HASHTAG, TokenKind.MENTION, TokenKind.URL
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     kind: TokenKind
 
 
-# Placeholder pseudo-words inserted by word_streams(). They are deliberately
+# Placeholder pseudo-words given by token_word(). They are deliberately
 # alphabetic so the stemmer and the vectorizer treat them like ordinary words.
 URL_PLACEHOLDER = "URLHERE"
 MENTION_PLACEHOLDER = "MENTIONHERE"
@@ -92,6 +96,12 @@ def classify_chunk(chunk: str) -> list[Token]:
     if end < n:
         out.append(Token(chunk[end:], TokenKind.PUNCT))
     return out
+
+
+def one_word(chunk: str) -> bool:
+    """Whether classify_chunk(chunk) is the one Word token `chunk`: all word
+    characters, one alphanumeric, so no URL, mention or hashtag starts it."""
+    return _WORD_CHARS.issuperset(chunk) and chunk.strip("_'") != ""
 
 
 def split_retweet(text: str) -> tuple[Token | None, list[str]]:
@@ -280,16 +290,36 @@ def porter_stem(word: str) -> str:
     return _step5(_step4(w))
 
 
+def token_word(surface: str, kind: TokenKind) -> str | None:
+    """The word a token puts in the word streams: a Word's surface lowercased,
+    a hashtag's without its "#", the placeholder of a URL or a mention, and
+    None for the retweet marker, punctuation, other tokens and a bare "#"."""
+    if kind is _WORD:
+        return surface.lower()
+    if kind is _HASHTAG:
+        return surface.lower().lstrip("#") or None
+    return URL_PLACEHOLDER if kind is _URL else MENTION_PLACEHOLDER if kind is _MENTION else None
+
+
+def stem_word(word: str, stems: dict[str, str] | None = None) -> str:
+    """The stem of a token_word, memoized in `stems` if given; placeholders
+    pass through unstemmed, so they stay recognizable in the n-gram stream."""
+    if word in (URL_PLACEHOLDER, MENTION_PLACEHOLDER):
+        return word
+    if stems is None:
+        return porter_stem(word)
+    if word not in stems:
+        stems[word] = porter_stem(word)
+    return stems[word]
+
+
 def word_streams(
     tokens: list[Token], stems: dict[str, str] | None = None
 ) -> tuple[list[str], list[str]]:
-    """The stemmed and the unstemmed word streams of one tokenized tweet.
-
-    Both streams are lowercased and drop the retweet marker, punctuation and
-    other non-word tokens; URLs and mentions become placeholders, which pass
-    through unstemmed so they stay recognizable in the n-gram stream, and
-    hashtags lose their "#". The unstemmed stream feeds the POS tagger, whose
-    suffix features stems would corrupt.
+    """The stemmed and the unstemmed word streams of one tokenized tweet:
+    each token's token_word, where it has one, and its stem_word. The
+    unstemmed stream feeds the POS tagger, whose suffix features stems
+    would corrupt.
 
     `stems` memoizes the stemmer per distinct word; pass one dict across a
     batch of tweets to stem each word once.
@@ -299,25 +329,10 @@ def word_streams(
     stemmed: list[str] = []
     words: list[str] = []
     for tok in tokens:
-        if tok.kind in (TokenKind.RETWEET, TokenKind.PUNCT, TokenKind.OTHER):
-            continue
-        if tok.kind is TokenKind.URL:
-            stemmed.append(URL_PLACEHOLDER)
-            words.append(URL_PLACEHOLDER)
-        elif tok.kind is TokenKind.MENTION:
-            stemmed.append(MENTION_PLACEHOLDER)
-            words.append(MENTION_PLACEHOLDER)
-        else:
-            surface = tok.surface.lower()
-            if tok.kind is TokenKind.HASHTAG:
-                surface = surface.lstrip("#")
-                if not surface:
-                    continue
-            stem = stems.get(surface)
-            if stem is None:
-                stem = stems[surface] = porter_stem(surface)
-            stemmed.append(stem)
-            words.append(surface)
+        word = token_word(tok.surface, tok.kind)
+        if word is not None:
+            stemmed.append(stem_word(word, stems))
+            words.append(word)
     return stemmed, words
 
 

@@ -40,8 +40,8 @@ EVALUATE_FILES = (
 )
 
 
-def write_config(root, **overrides):
-    lines = [f"corpus = {CORPUS}", f"output_dir = {root / 'out'}", "min_df = 2",
+def write_config(root, corpus=CORPUS, **overrides):
+    lines = [f"corpus = {corpus}", f"output_dir = {root / 'out'}", "min_df = 2",
              "grid_models = logreg, svm", "grid_cs = 0.1, 1"]
     for key, value in overrides.items():
         lines.append(f"{key} = {value}")
@@ -289,6 +289,28 @@ class TestPredict:
         pm = load_pipeline(model.read_bytes())
         expected = "".join(one_call_line(pm, t) for t in texts)
         assert dst.read_bytes() == expected.encode("utf-8")
+
+    def test_two_class_model_writes_nan_for_the_class_it_lacks(self, tmp_path):
+        """A model trained on a corpus with no hate rows has no hate score:
+        predict writes that column as one call per line does, "nan"."""
+        with open(CORPUS, encoding="utf-8", newline="") as f:
+            rows = [r for r in csv.DictReader(f) if int(r["class"]) != Label.HATE]
+        corpus = tmp_path / "two_class.csv"
+        with open(corpus, "w", encoding="utf-8", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["train", "--config", str(write_config(tmp_path, corpus))]) == 0
+        texts = [r["tweet"] for r in rows[:40]] + ["", "#a#b!"]
+        src, dst, model = tmp_path / "in.txt", tmp_path / "pred.tsv", tmp_path / "out" / "model.bin"
+        src.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        rc = main(["predict", "--model", str(model), "--input", str(src), "--output", str(dst)])
+        assert rc == 0
+        pm = load_pipeline(model.read_bytes())
+        assert pm.model.classes == (Label.OFFENSIVE, Label.NEITHER)
+        expected = "".join(one_call_line(pm, t) for t in texts)
+        assert dst.read_bytes() == expected.encode("utf-8")
+        assert {line.split("\t")[1] for line in expected.splitlines()} == {"nan"}
 
     def test_long_hashtag_and_mention_chains_are_answered(self, workspace, tmp_path):
         # a chain of 5,000 hashtags or mentions in one chunk is tokenized

@@ -46,8 +46,16 @@ from hatetriage.pipeline import (
     train_input_matrix,
 )
 from hatetriage.postag import load_model
-from hatetriage.textproc import porter_stem, tokenize, word_streams
+from hatetriage.textproc import (
+    MENTION_PLACEHOLDER,
+    URL_PLACEHOLDER,
+    porter_stem,
+    split_retweet,
+    tokenize,
+    word_streams,
+)
 from hatetriage.vectorize import Vocabulary
+from pipeline_reference import ReferenceChunkTables
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
@@ -102,6 +110,20 @@ TEXTS_OF_REPEATED_CHUNKS = st.lists(
     ]),
     max_size=8,
 ).map(" ".join)
+
+
+# pieces of chunks: every token kind, chained mentions and hashtags, URLs
+# with and without text after the scheme, punctuation, underscores and
+# apostrophes, digits, negations, boosters and all-caps words, and
+# non-ASCII letters whose case mappings change their length or form
+CHUNK_PIECES = st.sampled_from([
+    "good", "GOOD", "Good", "not", "NOT", "n't", "don't", "DON'T", "So", "so", "very", "a", "I",
+    "42", "4u", "#", "#a", "@", "@x", "-y", "http://", "x.co/", "www.", "a://b", "!", "!!", ".",
+    ",", "_", "'", "'''", "…", "é", "ß", "SS", "İ", "İstanbul", "ǅ", "ǆ", "K",
+])
+CHUNKS = st.lists(CHUNK_PIECES, min_size=1, max_size=4).map("".join) | st.text(
+    st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=6
+).filter(lambda c: c.split() == [c])
 
 
 def per_tweet_ingredients(texts, tagger, lexicon):
@@ -292,6 +314,30 @@ class TestIngredients:
             rows = np.array([a.scalars[0] for a in alone]).reshape(-1, len(SCALAR_COLUMNS))
             assert np.array_equal(ing.scalars, rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(CHUNKS, max_size=6).map(" ".join), max_size=8),
+           st.integers(0, 8), st.randoms(use_true_random=False))
+    def test_memo_tables_equal_the_four_walk_reference(self, tagger, texts, cut, rng):
+        """Each new chunk is walked once, and what a word contributes is
+        derived once per word; the memo's tables (word and stem strings,
+        each word's stem and the six flat arrays) equal, exactly, those of
+        the reference that walked every new chunk four times. The texts come
+        in random order, as two calls that share one memo."""
+        texts = ["RT " + t if rng.random() < 0.2 else t for t in texts]
+        rng.shuffle(texts)
+        memo, ref = ChunkMemo(), ReferenceChunkTables()
+        for batch in (texts[:cut], texts[cut:]):
+            extract_ingredients(batch, tagger, LEX, memo)
+        for text in texts:
+            for chunk in split_retweet(text)[1]:
+                ref.add(chunk)
+        tables = memo.tables
+        assert tables.chunks == ref.chunks
+        assert tables.words.strings == ref.words.strings
+        assert tables.stemmed.strings == ref.stemmed.strings
+        assert tables.stem_of.tolist() == ref.stem_of.tolist()
+        assert [a.tolist() for a in tables.arrays] == list(ref.arrays)
+
 
 def hand_pipeline(tagger, word_weights) -> PipelineModel:
     """A logistic pipeline over the word vocabulary ("rain", "trash"), one
@@ -371,7 +417,7 @@ class TestModelMemo:
         assert MEMO_CHUNKS == 8192
         assert sizes == [4000, 8000, 0]
         tables = pm.memo.tables
-        assert not tables.stems and not len(tables.words)
+        assert not len(tables.words) and not len(tables.stem_of)
         assert [len(a) for a in tables.arrays] == [0, 1, 0, 0, 1, 0]  # two offsets of 0
 
     def test_threads_share_one_loaded_model(self, saved_pipeline, corpusgen, in_threads):
@@ -397,11 +443,11 @@ class TestModelMemo:
         in_threads(predict_share)
         assert [got.get(k) for k in range(len(batches))] == want
         tables = pm.memo.tables
-        assert len(tables.stems) > 900
-        assert [w for w, stem in tables.stems.items() if stem != porter_stem(w)] == []
-        # placeholders are no key of stems: they stem to themselves
+        assert len(tables.words) > 900
+        # placeholders stem to themselves
         assert [tables.stemmed.strings[s] for s in tables.stem_of] == [
-            tables.stems.get(w, w) for w in tables.words.strings
+            w if w in (URL_PLACEHOLDER, MENTION_PLACEHOLDER) else porter_stem(w)
+            for w in tables.words.strings
         ]
 
         # for each clear(), how many other calls were extracting then

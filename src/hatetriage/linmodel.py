@@ -21,7 +21,8 @@ count its Newton steps, rejected ones included. The fit converges at
 reductions both vanish at the precision of J first. L1 logistic
 runs monotone FISTA (Beck & Teboulle 2009): accelerated proximal gradient
 with soft-threshold steps on w, plain steps on b, and a backtracking step
-length that grows back after every step. Steps are taken in a fixed
+length that doubles only after a step whose first trial passed; a step
+that had to backtrack keeps its shorter length. Steps are taken in a fixed
 diagonal metric, d_j = (1/n) sum_i omega_i x_ij^2 per column (1 for an
 all-zero column and for the bias), computed once per fit and shared by the
 classes, so TF-IDF columns and standardized scalar columns, whose scales
@@ -154,18 +155,25 @@ def logistic(z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_value(z, omega, n, margins):
-    return float((omega * np.logaddexp(0.0, -z * margins)).sum() / n)
+    """Mean weighted logistic loss, log(1 + e^t) per row with t = -z m, as
+    log1p(e^-|t|) + max(t, 0): within a few ulps of np.logaddexp(0, t) and
+    about three times faster. e^-|t| cannot overflow, and its underflow to
+    a subnormal or 0 beyond |t| of about 708 is the right value."""
+    t = -z * margins
+    with np.errstate(under="ignore"):
+        soft = np.log1p(np.exp(-np.abs(t)))
+    return float((omega * (soft + np.maximum(t, 0.0))).sum() / n)
 
 
-def _logistic_terms(z, omega, n, margins, Xt):
-    """Logistic loss and its gradient in (w, b), given margins = X w + b.
+def _logistic_gradient(z, omega, n, margins, Xt):
+    """Gradient of the mean logistic loss in (w, b), given margins = X w + b.
 
     Xt is X transposed, in CSR form or as a view of the dense array; a fit
     builds it once and passes it to every gradient, since X.T of a CSR
     matrix would build a new CSC object per call.
     """
     coef = (omega * (-z) * logistic(-z * margins)) / n
-    return _logistic_value(z, omega, n, margins), Xt.dot(coef), float(coef.sum())
+    return Xt.dot(coef), float(coef.sum())
 
 
 def _logistic_slope_curvature(z, omega, n, margins):
@@ -332,6 +340,10 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
 
     Each iteration takes one backtracking prox-gradient step, from the
     extrapolated point when momentum is on and from the iterate otherwise.
+    The step length carries over and doubles (up to 1e6) only after an
+    iteration whose first trial passed; after a backtrack it stays short,
+    since doubling it then mostly costs one more trial. A trial costs one
+    product with X and one loss; a step from the iterate reuses its loss.
     A step that would raise the objective is dropped and the momentum
     restarts. A step from the iterate that moves no parameter by more than
     tol ends the solve; a momentum step that small makes the next step that
@@ -343,7 +355,8 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
     w = np.zeros(Xc.shape[1])
     b = 0.0
     margins = np.zeros(n)  # X w + b at the iterate
-    objective = _logistic_value(z, omega, n, margins)
+    loss = _logistic_value(z, omega, n, margins)  # at the iterate
+    objective = loss
     history = [objective]
     yw, yb, ymargins = w, b, margins  # extrapolated point
     theta = 1.0
@@ -355,10 +368,13 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
     while iterations < max_iter:
         iterations += 1
         from_iterate = check or momentum == 0.0
-        vw, vb, vmargins = (w, b, margins) if from_iterate else (yw, yb, ymargins)
-        loss_v, gw, gb = _logistic_terms(z, omega, n, vmargins, Xt)
-        accepted = False
-        for _ in range(_MAX_LINE_STEPS):
+        if from_iterate:
+            vw, vb, vmargins, loss_v = w, b, margins, loss
+        else:
+            vw, vb, vmargins = yw, yb, ymargins
+            loss_v = _logistic_value(z, omega, n, ymargins)
+        gw, gb = _logistic_gradient(z, omega, n, vmargins, Xt)
+        for trial in range(_MAX_LINE_STEPS):
             scaled = step / d
             w_new = _soft_threshold(vw - scaled * gw, scaled * lam)
             b_new = vb - step * gb
@@ -372,17 +388,17 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
                 + gb * db
                 + (float(d @ (dw * dw)) + db * db) / (2.0 * step)
             )
-            if loss_new <= quad + 1e-12:
-                accepted = True
+            if loss_new <= quad:
                 break
             step *= _BACKTRACK
-        if not accepted:
-            break
+        else:
+            break  # no step length passes the test
         max_move = max(float(np.abs(dw).max(initial=0.0)), abs(db))
         if from_iterate and max_move <= tol:
             converged = True
             break
-        step = min(step / _BACKTRACK, 1e6)  # let the step length recover
+        if trial == 0:
+            step = min(step / _BACKTRACK, 1e6)  # the first trial passed: try a longer one
         if check:
             check = False
             continue
@@ -400,7 +416,7 @@ def _prox_l1(Xc, Xt, z, omega, lam, d, tol, max_iter):
         yb = b_new + momentum * (b_new - b)
         # margins are affine in (w, b): no product with X for the extrapolated point
         ymargins = margins_new + momentum * (margins_new - margins)
-        w, b, margins, objective = w_new, b_new, margins_new, objective_new
+        w, b, margins, loss, objective = w_new, b_new, margins_new, loss_new, objective_new
         history.append(objective)
     return w, b, TrainMeta(iterations, objective, converged, tuple(history))
 

@@ -20,7 +20,8 @@ from hatetriage.linmodel import (
     TrainMeta,
     _as_labels,
     _check_fit_inputs,
-    _logistic_terms,
+    _logistic_gradient,
+    _logistic_value,
     _sample_weights,
     _squared_hinge_slope_curvature,
     _squared_hinge_value,
@@ -30,7 +31,9 @@ from hatetriage.vectorize import as_csr
 
 def _logistic_loss_grad(Xc, z, omega, n, w, b, Xt=None):
     """Mean logistic loss and its gradient in (w, b) at (w, b)."""
-    return _logistic_terms(z, omega, n, Xc.dot(w) + b, Xc.T if Xt is None else Xt)
+    margins = Xc.dot(w) + b
+    Xt = Xc.T if Xt is None else Xt
+    return (_logistic_value(z, omega, n, margins), *_logistic_gradient(z, omega, n, margins, Xt))
 
 
 def _squared_hinge_loss_grad(Xc, z, omega, n, w, b, Xt=None):

@@ -155,6 +155,31 @@ class TestLogistic:
         assert ulps[~tie_window].max() <= 2.0
         assert ulps[tie_window].max() <= 4.0
 
+    def test_loss_within_ulps_of_logaddexp(self):
+        """Each row's loss log1p(e^-|t|) + max(t, 0), t = -z m, lies within
+        three ulps of np.logaddexp(0, t), infinities and zeros exactly, and
+        raises no floating-point error, underflow included. logaddexp calls
+        the C library's log1p and the formula numpy's log1p ufunc; each
+        result is within about 1.5 ulps of log(1 + e^t), so the two can lie
+        three apart: at t = -4.157154866106183 they do, and 26 million
+        random margins found 4 such points and about 1 in 10,000 two apart."""
+        special = [0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 710.0, -710.0, 750.0, -750.0]
+        widest = [-4.157154866106183, 4.157154866106183]
+        grid = np.linspace(-800.0, 800.0, 4001)
+        margins = np.concatenate([special, widest, [np.inf, -np.inf], grid])
+        one = np.ones(1)
+        for z in (1.0, -1.0):
+            with np.errstate(under="ignore"):
+                want = np.logaddexp(0.0, -z * margins)
+            with np.errstate(all="raise"):
+                got = np.array(
+                    [_logistic_value(z * one, one, 1, np.array([m])) for m in margins]
+                )
+            exact = np.isinf(want) | (want == 0.0)
+            assert (got[exact] == want[exact]).all()
+            ulps = np.abs(got[~exact] - want[~exact]) / np.spacing(want[~exact])
+            assert ulps.max() <= 3.0, (z, margins[~exact][ulps.argmax()])
+
 
 class TestGradients:
     @pytest.mark.parametrize("loss_grad", [_logistic_loss_grad, _squared_hinge_loss_grad])
@@ -219,6 +244,22 @@ class TestFitLogreg:
         model = fit_logreg(X, y, penalty="l1", C=1.0)
         for meta in model.train_meta:
             assert (np.diff(meta.history) <= 1e-12).all()
+
+    def test_l1_small_problems_converge_at_tight_tol(self):
+        """On 100 random small three-class problems (8-40 rows, 1-6 columns
+        at scales 0.1, 1 and 10, C from 1e-2 to 1e2) every L1 class fit
+        converges at tol = 1e-6. The backtracking test compares the new
+        loss with its quadratic bound without slack, so it never accepts a
+        step that raises J near the optimum and then stalls on it."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(8, 41)), int(rng.integers(1, 7))
+            X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0], size=d)
+            y = rng.integers(0, 3, size=n)
+            y[:3] = np.arange(3)
+            C = 10.0 ** rng.uniform(-2.0, 2.0)
+            model = fit_logreg(X, y, penalty="l1", C=C, tol=1e-6, max_iter=100000)
+            assert [m.converged for m in model.train_meta] == [True] * 3, (seed, n, d, C)
 
     def test_l1_sparsity_endpoints(self):
         X, y = noisy_set()

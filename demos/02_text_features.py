@@ -4,44 +4,38 @@ From raw tweet to feature ingredients
 
 One tweet passes through tokenization, stemming, part-of-speech tagging,
 sentiment scoring, and readability/surface measurement. These are the raw
-ingredients every model input is assembled from.
+ingredients every model input is assembled from, and extract_ingredients
+makes all of them in one call, for one tweet or a whole corpus.
 """
 
 import importlib.resources
 
-from hatetriage.lexfeat import SentimentLexicon, readability, sentiment_scores, surface_features
-from hatetriage.postag import load_model, tag
-from hatetriage.textproc import count_syllables, porter_stem, preprocess, tokenize, unstemmed_words
+from hatetriage.lexfeat import SCALAR_COLUMNS, SentimentLexicon
+from hatetriage.pipeline import extract_ingredients
+from hatetriage.postag import load_model
+from hatetriage.textproc import tokenize
 
 TWEET = "RT @someone: I really hate waiting for the bus!! http://t.co/x #mornings"
 
-# tokenization classifies each chunk and normalizes URLs and mentions
-tokens = tokenize(TWEET)
+# tokenization classifies each chunk; URLs and mentions become placeholders
 print("tokens:")
-for t in tokens:
+for t in tokenize(TWEET):
     print(f"  {t.kind.name:8s} {t.surface!r}")
 
-# preprocess() keeps the modeling view: stemmed words plus placeholders
-print("\nword-model view:", preprocess(TWEET))
-
-# stems and syllables for a few inflected forms
-for word in ("waiting", "mornings", "hate"):
-    print(f"{word}: stem={porter_stem(word)!r} syllables={count_syllables(word)}")
-
-# the bundled tagger assigns Penn tags to the unstemmed words
 data = importlib.resources.files("hatetriage.data")
 tagger = load_model(data.joinpath("pos_model.txt").read_bytes())
-words = unstemmed_words(TWEET)
-print("\npos tags:", list(zip(words, tag(tagger, words))))
-
-# lexicon-based sentiment with negation, booster, and exclamation rules
 lexicon = SentimentLexicon.from_text(
     data.joinpath("sentiment_lexicon.tsv").read_text(encoding="utf-8")
 )
-print("\nsentiment:", sentiment_scores(tokens, lexicon))
+ingredients = extract_ingredients([TWEET], tagger, lexicon)
 
-# readability treats the whole tweet as a single sentence, using the
-# surface word and syllable counts
-surface = surface_features(TWEET, tokens)
-print("readability:", readability(surface.num_words, surface.num_syllables))
-print("surface:", surface)
+# the word n-grams read the stems; the tagger tagged the unstemmed words,
+# one tag per stem
+print("\nstems:   ", list(ingredients.word_docs[0]))
+print("pos tags:", list(ingredients.pos_docs[0]))
+
+# sentiment (negation, booster and exclamation rules), readability (the
+# tweet as one sentence) and surface counts: one row of 17 scalar columns
+print("\nscalar columns:")
+for (block, name), value in zip(SCALAR_COLUMNS, ingredients.scalars[0].tolist()):
+    print(f"  {block:11s} {name:15s} {value:.4f}")

@@ -541,14 +541,14 @@ def grid_report_csv(result: GridSearchResult) -> str:
     return "\n".join(rows) + "\n"
 
 
-def error_report_text(report: ErrorReport, top_n: int | None = None) -> str:
+def error_report_text(report: ErrorReport) -> str:
     lines = ["# buckets ranked by the predicted class's score, descending"]
     for (true_code, pred_code), entries in report.buckets:
         if not entries:
             continue
         t, p = Label(true_code).display, Label(pred_code).display
         lines.append(f"[true={t} predicted={p}] {len(entries)} shown")
-        for e in entries[: top_n or len(entries)]:
+        for e in entries:
             feats = ", ".join(f"{name}={v:+.4f}" for name, v in e.top_features)
             lines.append(f"  score={e.score:.6f} text={e.text!r}")
             lines.append(f"    contributions: {feats}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -99,7 +99,8 @@ class ReadabilityScores:
 
 @dataclass(frozen=True)
 class SurfaceFeatures:
-    """One document's counts, or a batch's as arrays (has_* then too)."""
+    """Token-kind counts and size metrics, one array entry per document as
+    surface_features gives them; the has_* flags derive from the counts."""
 
     count_hashtags: int
     count_mentions: int
@@ -242,13 +243,19 @@ class TokenCodes:
     table: StringTable
 
 
-def _score(codes: TokenCodes, lexicon: SentimentLexicon) -> tuple[np.ndarray, ...]:
-    """pos, neg, neu and compound of every tweet of codes, one array each.
+def sentiment_scores(codes: TokenCodes, lexicon: SentimentLexicon) -> SentimentScores:
+    """Score a batch of tweets' token codes against the lexicon: each field
+    an array with one value per tweet.
+
+    Only Word tokens participate: they can match the lexicon, and unmatched
+    ones carry the neutral mass. Negation looks back over the three preceding
+    tokens of any kind; boosters must immediately precede the hit.
 
     Each hit's adjusted valence is computed for all hits at once; then the
     hits are added one rank per step across tweets (each tweet's first hit,
     then its second, ...), so every tweet's sums add its hits left to
-    right, as a per-tweet loop does, and equal it bit for bit."""
+    right, as a per-tweet loop does, and equal it bit for bit.
+    """
     n = len(codes.offsets) - 1
     valence = codes.table.derived(lexicon, lambda w: lexicon.valences.get(w, math.nan), np.float64)
     words, flags = codes.words, codes.flags
@@ -293,25 +300,7 @@ def _score(codes: TokenCodes, lexicon: SentimentLexicon) -> tuple[np.ndarray, ..
     mass = pos + neg + neu
     empty = mass == 0.0
     mass[empty] = 1.0
-    return pos / mass, neg / mass, np.where(empty, 1.0, neu / mass), compound
-
-
-def sentiment_scores(tokens: Sequence[Token] | TokenCodes, lexicon: SentimentLexicon) -> SentimentScores:
-    """Score a token stream against the lexicon: a token list gives one
-    tweet's scores, and a TokenCodes batch gives every tweet's, each field
-    an array with one value per tweet.
-
-    Only Word tokens participate: they can match the lexicon, and unmatched
-    ones carry the neutral mass. Negation looks back over the three preceding
-    tokens of any kind; boosters must immediately precede the hit.
-    """
-    if isinstance(tokens, TokenCodes):
-        return SentimentScores(*_score(tokens, lexicon))
-    tables = WordTables()
-    _, words, flags, counts = tables.codes(tokens)
-    one = TokenCodes(np.array(words, np.intp), np.array(flags, np.intp), np.array([0, len(words)]),
-                     np.array([counts[5:]]), tables.words)
-    return SentimentScores(*(float(x[0]) for x in _score(one, lexicon)))
+    return SentimentScores(pos / mass, neg / mass, np.where(empty, 1.0, neu / mass), compound)
 
 
 def readability(num_words, num_syllables) -> ReadabilityScores:
@@ -328,16 +317,12 @@ def readability(num_words, num_syllables) -> ReadabilityScores:
     return ReadabilityScores(fk_grade=fk_grade, reading_ease=reading_ease)
 
 
-def surface_features(text, tokens, retweets=None) -> SurfaceFeatures:
-    """Token-kind counts plus size metrics. num_chars counts code points of
-    the raw text; words are Word plus Hashtag tokens (hashtag bodies counted
-    without the '#'). Given many texts and their retweet marker counts,
-    `tokens` is instead their summed WordTables.codes counts, one row each,
-    and each field an array with one value per text."""
-    if retweets is None:
-        retweets = sum(t.kind is TokenKind.RETWEET for t in tokens)
-        chars, tokens = len(text), WordTables().codes(tokens)[3]
-    else:
-        chars, tokens = np.fromiter(map(len, text), np.int64, len(text)), np.asarray(tokens).T
-    hashtags, mentions, urls, words, syllables = tokens[:5]
+def surface_features(texts, counts, retweets) -> SurfaceFeatures:
+    """Token-kind counts plus size metrics of many texts, each field an
+    array with one value per text. `counts` holds each text's summed
+    WordTables.codes counts, one row each, and `retweets` its retweet
+    marker count; num_chars counts code points of the raw text, and words
+    are Word plus Hashtag tokens (hashtag bodies counted without the '#')."""
+    hashtags, mentions, urls, words, syllables = np.asarray(counts).T[:5]
+    chars = np.fromiter(map(len, texts), np.int64, len(texts))
     return SurfaceFeatures(hashtags, mentions, retweets, urls, chars, words, syllables)

@@ -67,7 +67,6 @@ class TagModel:
     tagset: tuple[str, ...]
     tagdict: dict[str, str]
     weights: dict[str, dict[str, float]]
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if not all(isinstance(t, str) for t in self.tagset):
@@ -425,7 +424,7 @@ def save_model(model: TagModel) -> bytes:
         "tagdict": model.tagdict,
         "weights": model.weights,
     }
-    return dump_artifact(MAGIC, model.version, payload)
+    return dump_artifact(MAGIC, FORMAT_VERSION, payload)
 
 
 def load_model(data: bytes) -> TagModel:

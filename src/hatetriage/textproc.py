@@ -7,8 +7,9 @@ readability, and surface features.
 A tweet's tokens are its leading retweet marker, if any (split_retweet()),
 followed by the tokens of each whitespace chunk (classify_chunk()), so
 extraction can classify each distinct chunk once; tokenize() does the
-whole tweet. word_streams() turns tokens into both the stemmed n-gram
-stream and the unstemmed tagger stream, from token_word() and stem_word().
+whole tweet. A token's word is token_word(); the n-gram stream holds its
+stem_word(), and the tagger reads it unstemmed, as stems would corrupt the
+tagger's suffix features.
 
 Token streams travel as ids: a StringTable numbers distinct strings once,
 and TokenDocs holds many documents as one flat id array with document
@@ -301,50 +302,22 @@ def token_word(surface: str, kind: TokenKind) -> str | None:
     return URL_PLACEHOLDER if kind is _URL else MENTION_PLACEHOLDER if kind is _MENTION else None
 
 
-def stem_word(word: str, stems: dict[str, str] | None = None) -> str:
-    """The stem of a token_word, memoized in `stems` if given; placeholders
-    pass through unstemmed, so they stay recognizable in the n-gram stream."""
-    if word in (URL_PLACEHOLDER, MENTION_PLACEHOLDER):
-        return word
-    if stems is None:
-        return porter_stem(word)
-    if word not in stems:
-        stems[word] = porter_stem(word)
-    return stems[word]
-
-
-def word_streams(
-    tokens: list[Token], stems: dict[str, str] | None = None
-) -> tuple[list[str], list[str]]:
-    """The stemmed and the unstemmed word streams of one tokenized tweet:
-    each token's token_word, where it has one, and its stem_word. The
-    unstemmed stream feeds the POS tagger, whose suffix features stems
-    would corrupt.
-
-    `stems` memoizes the stemmer per distinct word; pass one dict across a
-    batch of tweets to stem each word once.
-    """
-    if stems is None:
-        stems = {}
-    stemmed: list[str] = []
-    words: list[str] = []
-    for tok in tokens:
-        word = token_word(tok.surface, tok.kind)
-        if word is not None:
-            stemmed.append(stem_word(word, stems))
-            words.append(word)
-    return stemmed, words
+def stem_word(word: str) -> str:
+    """The stem of a token_word; placeholders pass through unstemmed, so
+    they stay recognizable in the n-gram stream."""
+    return word if word in (URL_PLACEHOLDER, MENTION_PLACEHOLDER) else porter_stem(word)
 
 
 def preprocess(text: str) -> list[str]:
-    """The stemmed word stream of `text`; see word_streams()."""
-    return word_streams(tokenize(text))[0]
+    """The stemmed word stream of `text`: stem_word of each unstemmed word."""
+    return list(map(stem_word, unstemmed_words(text)))
 
 
 def unstemmed_words(text: str) -> list[str]:
-    """The unstemmed word stream of `text`, as handed to the POS tagger;
-    see word_streams()."""
-    return word_streams(tokenize(text))[1]
+    """The unstemmed word stream of `text`, as handed to the POS tagger:
+    the token_word of each of its tokens that has one."""
+    words = (token_word(t.surface, t.kind) for t in tokenize(text))
+    return [w for w in words if w is not None]
 
 
 class StringTable:

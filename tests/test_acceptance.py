@@ -34,13 +34,13 @@ from hatetriage.evalharness import (
     prepare_folds,
 )
 from hatetriage.lexfeat import (
+    SCALAR_COLUMNS,
     ReadabilityScores,
     SentimentLexicon,
     SentimentScores,
     SurfaceFeatures,
     readability,
     scalar_row,
-    sentiment_scores,
 )
 from hatetriage.linmodel import fit_logreg, predict
 from hatetriage.pipeline import (
@@ -53,7 +53,7 @@ from hatetriage.pipeline import (
     model_input_matrix,
 )
 from hatetriage.postag import load_model as load_tag_model
-from hatetriage.textproc import count_syllables, porter_stem, tokenize
+from hatetriage.textproc import count_syllables, porter_stem
 from hatetriage.vectorize import fit_vocab, transform_tfidf
 from linmodel_reference import _logistic_loss_grad, _squared_hinge_loss_grad
 
@@ -279,12 +279,12 @@ def test_a6_feature_oracles(golden_dir):
 
     # sentiment compound on the three pinned cases
     lex = SentimentLexicon({"good": 2.0})
-    no_hit = sentiment_scores(tokenize("the walls are tall"), lex)
-    assert no_hit.compound == 0.0
-    plain = sentiment_scores(tokenize("good morning"), lex)
-    assert abs(plain.compound - 2.0 / math.sqrt(4.0 + 15.0)) <= 1e-6
-    negated = sentiment_scores(tokenize("not good morning"), lex)
-    assert abs(negated.compound - (-1.48) / math.sqrt(1.48**2 + 15.0)) <= 1e-6
+    texts = ["the walls are tall", "good morning", "not good morning"]
+    scalars = extract_ingredients(texts, bundled_tagger(), lex).scalars
+    no_hit, plain, negated = scalars[:, SCALAR_COLUMNS.index(("sentiment", "compound"))].tolist()
+    assert no_hit == 0.0
+    assert abs(plain - 2.0 / math.sqrt(4.0 + 15.0)) <= 1e-6
+    assert abs(negated - (-1.48) / math.sqrt(1.48**2 + 15.0)) <= 1e-6
 
     # stemmer golden file must match exactly
     stem_lines = (golden_dir / "stems.golden").read_text().splitlines()

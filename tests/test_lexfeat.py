@@ -1,17 +1,18 @@
 import importlib.resources
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatetriage.lexfeat import (
+    SCALAR_COLUMNS,
     ReadabilityScores,
     SentimentLexicon,
+    SentimentScores,
     readability,
-    sentiment_scores,
-    surface_features,
 )
 from hatetriage.pipeline import ChunkMemo, extract_ingredients
 from hatetriage.postag import load_model
@@ -19,10 +20,22 @@ from hatetriage.textproc import TokenKind, count_syllables, tokenize
 from lexfeat_reference import reference_sentiment_scores
 
 LEX = SentimentLexicon({"good": 2.0, "bad": -2.5, "love": 3.0, "awful": -3.1})
+TAGGER = load_model(importlib.resources.files("hatetriage.data").joinpath("pos_model.txt").read_bytes())
+
+
+def columns(text, block, lexicon=LEX):
+    """The scalar columns of `block` that extraction makes for one tweet,
+    by name, in column order."""
+    (row,) = extract_ingredients([text], TAGGER, lexicon).scalars
+    return {name: v for (b, name), v in zip(SCALAR_COLUMNS, row.tolist(), strict=True) if b == block}
 
 
 def scores(text, lexicon=LEX):
-    return sentiment_scores(tokenize(text), lexicon)
+    return SentimentScores(**columns(text, "sentiment", lexicon))
+
+
+def surface(text):
+    return SimpleNamespace(**columns(text, "surface"))
 
 
 class TestSentimentLexicon:
@@ -115,8 +128,8 @@ class TestSentimentScores:
     def test_compound_odd_under_valence_negation(self, words):
         text = " ".join(words)
         flipped = SentimentLexicon({k: -v for k, v in LEX.valences.items()})
-        a = sentiment_scores(tokenize(text), LEX)
-        b = sentiment_scores(tokenize(text), flipped)
+        a = scores(text, LEX)
+        b = scores(text, flipped)
         assert a.compound == pytest.approx(-b.compound, abs=1e-12)
         assert a.pos == pytest.approx(b.neg)
 
@@ -136,15 +149,9 @@ VALENCES = SentimentLexicon({"good": 2.0, "bad": -2.5, "love": 3.0, "awful": -3.
                              "ok": 0.9, "a": 0.1})
 
 
-@pytest.fixture(scope="module")
-def tagger():
-    data = importlib.resources.files("hatetriage.data").joinpath("pos_model.txt")
-    return load_model(data.read_bytes())
-
-
 class TestSentimentAgainstReference:
     """The array scorer equals the per-token loop it replaced
-    (lexfeat_reference) bit for bit, on one token list and on a batch whose
+    (lexfeat_reference) bit for bit, on one tweet and on a batch whose
     tweets are gathered from a chunk memo."""
 
     @settings(max_examples=300, deadline=None)
@@ -156,16 +163,16 @@ class TestSentimentAgainstReference:
     @example("GOOD BAD !!!!!!")  # an all-caps tweet, more than four "!"
     @example("very\tgood")
     def test_one_token_list(self, text):
-        tokens = tokenize(text)
-        got = sentiment_scores(tokens, VALENCES).as_tuple()
-        assert got == reference_sentiment_scores(tokens, VALENCES).as_tuple()
-        assert all(type(v) is float for v in got)
+        """One tweet, extracted alone, scores as the reference scores its
+        token list."""
+        got = scores(text, VALENCES).as_tuple()
+        assert got == reference_sentiment_scores(tokenize(text), VALENCES).as_tuple()
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(TWEETS, max_size=8))
     @example(["rt not good", "not", "good", "very good", "SO GOOD!!!!!", ""])
     @example(["RT very", "good never", "a b GOOD"])
-    def test_batch_from_a_chunk_memo(self, tagger, texts):
+    def test_batch_from_a_chunk_memo(self, texts):
         """Each tweet's streams are its chunks' codes laid end to end, so a
         negation or booster in one chunk reaches a hit in the next; the
         sentiment columns of one extraction, and of a second one on the same
@@ -173,7 +180,7 @@ class TestSentimentAgainstReference:
         want = [reference_sentiment_scores(tokenize(t), VALENCES).as_tuple() for t in texts]
         memo = ChunkMemo()
         for _ in range(2):
-            scalars = extract_ingredients(texts, tagger, VALENCES, memo).scalars
+            scalars = extract_ingredients(texts, TAGGER, VALENCES, memo).scalars
             assert [tuple(row[:4].tolist()) for row in scalars] == want
 
 
@@ -212,43 +219,37 @@ class TestReadability:
 
 class TestSurfaceFeatures:
     def test_kind_counts_and_binaries(self):
-        text = "RT @u hi!! #yo"
-        f = surface_features(text, tokenize(text))
+        f = surface("RT @u hi!! #yo")
         assert (f.count_retweets, f.count_mentions, f.count_hashtags, f.count_urls) == (1, 1, 1, 0)
         assert (f.has_retweet, f.has_mention, f.has_hashtag, f.has_url) == (1, 1, 1, 0)
 
     def test_empty_text(self):
-        f = surface_features("", [])
-        assert f.as_tuple() == (0,) * 11
+        assert list(vars(surface("")).values()) == [0] * 11
 
     def test_hello_metrics(self):
-        f = surface_features("hello", tokenize("hello"))
+        f = surface("hello")
         assert f.num_words == 1
         assert f.num_syllables == 2
         assert f.num_chars == 5
 
     def test_chars_count_code_points(self):
-        text = "café ☕"
-        f = surface_features(text, tokenize(text))
-        assert f.num_chars == 6
+        assert surface("café ☕").num_chars == 6
 
     def test_hashtag_counts_as_word(self):
-        text = "#hello world"
-        f = surface_features(text, tokenize(text))
+        f = surface("#hello world")
         assert f.num_words == 2
         assert f.num_syllables == 3
 
     def test_as_tuple_order(self):
-        text = "RT @u http://x.y #tag word"
-        f = surface_features(text, tokenize(text))
-        t = f.as_tuple()
+        f = surface("RT @u http://x.y #tag word")
+        t = tuple(vars(f).values())
         assert t[:4] == (1, 1, 1, 1)
         assert t[4:8] == (1, 1, 1, 1)
         assert t[8:] == (f.num_chars, f.num_words, f.num_syllables)
 
     @given(st.text(max_size=120))
     def test_binaries_match_counts(self, text):
-        f = surface_features(text, tokenize(text))
+        f = surface(text)
         assert f.has_hashtag == (f.count_hashtags > 0)
         assert f.has_mention == (f.count_mentions > 0)
         assert f.has_retweet == (f.count_retweets > 0)
@@ -266,7 +267,7 @@ class TestSurfaceFeatures:
         kinds = Counter(t.kind for t in tokens)
         words = [t.surface for t in tokens if t.kind is TokenKind.WORD]
         words += [t.surface.lstrip("#") for t in tokens if t.kind is TokenKind.HASHTAG]
-        f = surface_features(text, tokens)
+        f = surface(text)
         assert (f.count_hashtags, f.count_mentions, f.count_retweets, f.count_urls) == (
             kinds[TokenKind.HASHTAG], kinds[TokenKind.MENTION], kinds[TokenKind.RETWEET],
             kinds[TokenKind.URL],

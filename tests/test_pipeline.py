@@ -18,8 +18,6 @@ from hatetriage.lexfeat import (
     SurfaceFeatures,
     readability,
     scalar_row,
-    sentiment_scores,
-    surface_features,
 )
 from hatetriage.linmodel import LinearModel
 from hatetriage.pipeline import (
@@ -49,13 +47,14 @@ from hatetriage.postag import load_model
 from hatetriage.textproc import (
     MENTION_PLACEHOLDER,
     URL_PLACEHOLDER,
+    TokenKind,
     porter_stem,
     split_retweet,
     tokenize,
-    word_streams,
 )
 from hatetriage.vectorize import Vocabulary
-from pipeline_reference import ReferenceChunkTables
+from lexfeat_reference import reference_sentiment_scores
+from pipeline_reference import ReferenceChunkTables, reference_surface_counts
 from postag_reference import reference_tag
 from textproc_reference import reference_preprocess, reference_unstemmed_words
 
@@ -126,18 +125,29 @@ CHUNKS = st.lists(CHUNK_PIECES, min_size=1, max_size=4).map("".join) | st.text(
 ).filter(lambda c: c.split() == [c])
 
 
+def reference_scores(text, lexicon):
+    """One tweet's sentiment, readability and surface scores, by block,
+    from the references: the per-token sentiment loop and a walk over its
+    tokens for the surface counts."""
+    tokens = tokenize(text)
+    hashtags, mentions, urls, words, syllables = reference_surface_counts(tokens)
+    retweets = sum(t.kind is TokenKind.RETWEET for t in tokens)
+    return {
+        "sentiment": reference_sentiment_scores(tokens, lexicon),
+        "readability": readability(max(1, words), max(1, syllables)),
+        "surface": SurfaceFeatures(hashtags, mentions, retweets, urls, len(text), words, syllables),
+    }
+
+
 def per_tweet_ingredients(texts, tagger, lexicon):
-    """Ingredients built tweet by tweet from one token list each, as
-    extraction did before it memoized chunks, with the dict-scorer tagger."""
+    """Ingredients built tweet by tweet from the references, as extraction
+    did before it memoized chunks, with the dict-scorer tagger."""
     word_docs, pos_docs, scalars = [], [], []
     for text in texts:
-        tokens = tokenize(text)
-        stemmed, words = word_streams(tokens)
-        word_docs.append(tuple(stemmed))
-        pos_docs.append(tuple(reference_tag(tagger, words)))
-        sf = surface_features(text, tokens)
-        read = readability(max(1, sf.num_words), max(1, sf.num_syllables))
-        scalars.append(scalar_row(sentiment_scores(tokens, lexicon), read, sf))
+        word_docs.append(tuple(reference_preprocess(text)))
+        pos_docs.append(tuple(reference_tag(tagger, reference_unstemmed_words(text))))
+        scored = reference_scores(text, lexicon)
+        scalars.append(scalar_row(scored["sentiment"], scored["readability"], scored["surface"]))
     return Ingredients(
         word_docs=tuple(word_docs),
         pos_docs=tuple(pos_docs),
@@ -257,14 +267,8 @@ class TestIngredients:
     ])
     def test_scalar_columns_hold_the_values_they_name(self, tagger, text):
         """Each scalar column, found by its name alone, holds that value of
-        the tweet as the lexfeat functions score it from one token list."""
-        tokens = tokenize(text)
-        surf = surface_features(text, tokens)
-        scored = {
-            "sentiment": sentiment_scores(tokens, LEX),
-            "readability": readability(max(1, surf.num_words), max(1, surf.num_syllables)),
-            "surface": surf,
-        }
+        the tweet as the references score it from its token list."""
+        scored = reference_scores(text, LEX)
         surface_names = {n for b, n in SCALAR_COLUMNS if b == "surface"}
         assert surface_names == {f.name for f in dataclasses.fields(SurfaceFeatures)} | {
             "has_hashtag", "has_mention", "has_retweet", "has_url"

@@ -310,7 +310,7 @@ class TestTagBatch:
 
     def test_tables_are_not_fields(self, bundled_model):
         names = [f.name for f in dataclasses.fields(TagModel)]
-        assert names == ["tagset", "tagdict", "weights", "version"]
+        assert names == ["tagset", "tagdict", "weights"]
         restored = load_model(save_model(bundled_model))
         assert restored == bundled_model
         assert save_model(restored) == save_model(bundled_model)

@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import io
 import string
 
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hatetriage.lexfeat import SentimentLexicon
+from hatetriage.pipeline import ChunkMemo, extract_ingredients
+from hatetriage.postag import load_model
 from hatetriage.textproc import (
     MENTION_PLACEHOLDER,
     URL_PLACEHOLDER,
@@ -17,7 +21,6 @@ from hatetriage.textproc import (
     preprocess,
     tokenize,
     unstemmed_words,
-    word_streams,
 )
 from textproc_reference import (
     PORTER_SUFFIXES,
@@ -162,11 +165,16 @@ class TestPorterStem:
 
     def test_matches_reference_stemmer_on_a_corpus_vocabulary(self, corpusgen):
         """Every distinct word that extraction stems in the 2,000-row
-        generated corpus of seed 1."""
-        stems: dict[str, str] = {}
+        generated corpus of seed 1, as its chunk memo stems it."""
         rows = csv.DictReader(io.StringIO(corpusgen.make_corpus_csv(2000, 1).decode("utf-8")))
-        for row in rows:
-            word_streams(tokenize(row["tweet"]), stems)
+        data = importlib.resources.files("hatetriage.data")
+        memo = ChunkMemo()
+        tables = memo.tables  # kept by this call even if it empties the memo
+        extract_ingredients([row["tweet"] for row in rows],
+                            load_model(data.joinpath("pos_model.txt").read_bytes()),
+                            SentimentLexicon({"good": 1.0}), memo)
+        stems = {w: tables.stemmed.strings[k] for w, k in zip(tables.words.strings, tables.stem_of)
+                 if w not in (URL_PLACEHOLDER, MENTION_PLACEHOLDER)}
         assert len(stems) == 2872
         assert [w for w, stem in stems.items() if stem != reference_porter_stem(w)] == []
 
@@ -251,11 +259,4 @@ class TestWordStreams:
     @given(st.text(max_size=200))
     def test_streams_match_reference_bodies(self, text):
         expected = (reference_preprocess(text), reference_unstemmed_words(text))
-        assert word_streams(tokenize(text)) == expected
         assert (preprocess(text), unstemmed_words(text)) == expected
-
-    @given(st.lists(st.text(max_size=60), max_size=8))
-    def test_shared_stem_memo_changes_nothing(self, texts):
-        stems: dict[str, str] = {}
-        for text in texts:
-            assert word_streams(tokenize(text), stems) == word_streams(tokenize(text))

@@ -37,7 +37,8 @@ from hatetriage.lexfeat import (
     scalar_row,
 )
 from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
-from hatetriage.postag import load_model
+from hatetriage.postag import load_model, tag
+from hatetriage.textproc import preprocess, unstemmed_words
 from hatetriage.vectorize import FeatureMatrix, assemble_features
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -238,6 +239,21 @@ def test_extraction_spans_the_tracer_sees():
         "lexfeat.readability": 1,
         "lexfeat.surface_features": 1,
     }
+
+
+def test_one_tweet_streams_are_the_extracted_ones():
+    """The benchmark's input descriptors (word_tokens, distinct_words,
+    tagdict_hit_ratio) count textproc.unstemmed_words, and it traces
+    textproc.preprocess, but extraction calls neither. Tweet by tweet,
+    preprocess must give the word block's stems, and unstemmed_words the
+    words that the POS block tags, one tag each."""
+    tagger, lexicon, texts, _ = _toy_corpus()
+    ing = pipeline.extract_ingredients(texts, tagger, lexicon)
+    for i, text in enumerate(texts):
+        assert preprocess(text) == list(ing.word_docs[i])
+        words = unstemmed_words(text)
+        assert len(words) == len(ing.pos_docs[i])
+        assert tag(tagger, words) == list(ing.pos_docs[i])
 
 
 @pytest.mark.parametrize("kinds", [("logreg", "svm", "nb"), ("logreg", "svm")])

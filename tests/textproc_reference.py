@@ -1,8 +1,8 @@
 """Reference implementations of textproc, as they were written before the
 shipped code was sped up. Tests compare the shipped code against these.
 
-- the two word streams, as they were before word_streams() merged them:
-  each tokenizes on its own and walks the tokens once;
+- the two word streams, the stemmed and the unstemmed, each spelled out
+  on its own: each tokenizes and walks the tokens once;
 - the chunk classifier, which recursed once per chained hashtag or mention
   before it became a loop;
 - the Porter stemmer, which tried every suffix of each step in turn before

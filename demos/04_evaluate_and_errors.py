@@ -54,6 +54,6 @@ best = result.best
 fitted = fit_features(ingredients, y, settings)
 X = model_input_matrix(best.kind, fitted, ingredients)
 model = fit_config_model(best, X, y)
-names = [fitted.registry[c] for c in fitted.input_columns(best.kind)]
+names = fitted.input_names(best.kind)
 report = error_report(model, X, names, records, top_n=3)
 print(error_report_text(report))

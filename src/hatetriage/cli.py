@@ -144,10 +144,6 @@ def _write(path: Path, data: str | bytes) -> None:
         f.write(data)
 
 
-def _say(message: str) -> None:
-    print(message)
-
-
 def cmd_ingest(args) -> int:
     config = _read_config(args.config)
     records = _load_corpus(config)
@@ -155,8 +151,8 @@ def cmd_ingest(args) -> int:
     out = _out_dir(config)
     _write(out / "corpus_stats.txt", stats_report_text(stats))
     _write(out / "corpus_stats.csv", stats_report_csv(stats))
-    _say(stats_report_text(stats).rstrip())
-    _say(f"wrote {out / 'corpus_stats.txt'} and {out / 'corpus_stats.csv'}")
+    print(stats_report_text(stats).rstrip())
+    print(f"wrote {out / 'corpus_stats.txt'} and {out / 'corpus_stats.csv'}")
     return 0
 
 
@@ -167,7 +163,7 @@ def cmd_tagger_train(args) -> int:
     sentences = _stage("parse", parse_conll, conll.read_text(encoding="utf-8"))
     model = _stage("train", train_tagger, sentences, epochs=args.epochs, seed=args.seed)
     _write(Path(args.out), save_tag_model(model))
-    _say(f"trained on {len(sentences)} sentences; wrote {args.out}")
+    print(f"trained on {len(sentences)} sentences; wrote {args.out}")
     return 0
 
 
@@ -179,8 +175,8 @@ def _prepare(config: PipelineConfig):
     y = [int(r.label) for r in records]
     t0 = time.perf_counter()
     ingredients = _stage("features", extract_ingredients, texts, tagger, lexicon)
-    _say(f"extracted ingredients for {len(records)} tweets "
-         f"in {time.perf_counter() - t0:.1f}s")
+    print(f"extracted ingredients for {len(records)} tweets "
+          f"in {time.perf_counter() - t0:.1f}s")
     return records, tagger, lexicon, ingredients, y
 
 
@@ -198,7 +194,7 @@ def cmd_train(args) -> int:
     fitted = _stage("assemble", fit_features, ingredients, y, settings)
     fm = _stage("assemble", train_input_matrix, model_config.kind, fitted, ingredients)
     model = _stage("fit", fit_config_model, model_config, fm, y)
-    _say(f"fitted {model_config.describe()} in {time.perf_counter() - t0:.1f}s")
+    print(f"fitted {model_config.describe()} in {time.perf_counter() - t0:.1f}s")
     pm = PipelineModel(
         tagger=tagger, lexicon=lexicon, fitted=fitted, model=model, config=model_config
     )
@@ -208,12 +204,12 @@ def cmd_train(args) -> int:
     in_sample = model_predict(model, fm)
     cm = confusion(y, in_sample)
     # the registry columns the model reads: for naive Bayes only n-gram ones
-    columns = fitted.input_columns(model_config.kind)
+    names = fitted.input_names(model_config.kind)
     report = [
         f"model={model_config.describe()}",
         f"n_train={len(records)}",
         f"n_features_total={len(fitted.registry)}",
-        f"n_features_selected={len(columns)}",
+        f"n_features_selected={len(names)}",
         f"converged={model.converged}",
         f"iterations={_per_class(model.train_meta)}",
     ]
@@ -227,11 +223,10 @@ def cmd_train(args) -> int:
         confusion_report_text(cm).rstrip(),
     ]
     _write(out / "train_report.txt", "\n".join(report) + "\n")
-    names = [f"{i},{fitted.registry[c][0]},{fitted.registry[c][1]}"
-             for i, c in enumerate(columns)]
-    _write(out / "selected_features.csv", "index,block,name\n" + "\n".join(names) + "\n")
-    _say(f"wrote {out / 'model.bin'}, {out / 'train_report.txt'}, "
-         f"{out / 'selected_features.csv'}")
+    rows = [f"{i},{block},{name}" for i, (block, name) in enumerate(names)]
+    _write(out / "selected_features.csv", "index,block,name\n" + "\n".join(rows) + "\n")
+    print(f"wrote {out / 'model.bin'}, {out / 'train_report.txt'}, "
+          f"{out / 'selected_features.csv'}")
     return 0
 
 
@@ -274,10 +269,10 @@ def cmd_evaluate(args) -> int:
         features=settings,
         rows=tr_idx,
     )
-    _say(f"grid search over {len(grid_result.cells)} configurations "
-         f"in {time.perf_counter() - t0:.1f}s")
+    print(f"grid search over {len(grid_result.cells)} configurations "
+          f"in {time.perf_counter() - t0:.1f}s")
     best = grid_result.best
-    _say(f"best configuration: {best.describe()}")
+    print(f"best configuration: {best.describe()}")
     _write(out / "grid.txt", grid_report_text(grid_result))
     _write(out / "grid.csv", grid_report_csv(grid_result))
 
@@ -293,7 +288,7 @@ def cmd_evaluate(args) -> int:
     ho_cm = confusion(y_ho, pred_ho)
     _write(out / "holdout_confusion.txt", confusion_report_text(ho_cm))
     _write(out / "holdout_confusion.csv", confusion_report_csv(ho_cm))
-    _say(f"holdout weighted F1: {ho_report.weighted_f1:.6f}")
+    print(f"holdout weighted F1: {ho_report.weighted_f1:.6f}")
 
     # full-data in-sample view: fit on everything, predict everything
     fitted_all = _stage("assemble", fit_features, ingredients, y, settings)
@@ -308,8 +303,8 @@ def cmd_evaluate(args) -> int:
     _write(out / "insample_confusion.csv", confusion_report_csv(in_cm))
     deltas = _reference_delta_text(in_report)
     _write(out / "reference_deltas.txt", deltas)
-    _say(deltas.rstrip())
-    _say(f"wrote evaluation artifacts to {out}")
+    print(deltas.rstrip())
+    print(f"wrote evaluation artifacts to {out}")
     return 0
 
 
@@ -375,12 +370,12 @@ def cmd_report(args) -> int:
     texts = [r.text for r in records]
     ingredients = _stage("features", extract_ingredients, texts, pm.tagger, pm.lexicon)
     fm = _stage("assemble", model_input_matrix, pm.config.kind, pm.fitted, ingredients)
-    names = [pm.fitted.registry[c] for c in pm.fitted.input_columns(pm.config.kind)]
+    names = pm.fitted.input_names(pm.config.kind)
     report = _stage("report", error_report, pm.model, fm, names, records, config.report_top_n)
     out = _out_dir(config)
     _write(out / "error_report.txt", error_report_text(report))
     _write(out / "error_report.json", error_report_json(report))
-    _say(f"wrote {out / 'error_report.txt'} and {out / 'error_report.json'}")
+    print(f"wrote {out / 'error_report.txt'} and {out / 'error_report.json'}")
     return 0
 
 

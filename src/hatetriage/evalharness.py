@@ -367,7 +367,7 @@ def error_report(
     """Rank each confusion cell's examples by the predicted class's score
     and attach each example's strongest weight*value contributions. names
     holds the (block, name) of each column of features, as
-    FittedFeatures.input_columns picks them from the registry."""
+    FittedFeatures.input_names gives them."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     tweets = list(tweets)

@@ -15,7 +15,6 @@ import math
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -65,104 +64,20 @@ class SentimentLexicon:
         with open(path, encoding="utf-8") as f:
             return cls.from_text(f.read())
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.valences
 
-    def __getitem__(self, token: str) -> float:
-        return self.valences[token]
-
-
-@dataclass(frozen=True)
-class SentimentScores:
-    pos: float
-    neg: float
-    neu: float
-    compound: float
-
-    # the scalar column names, in as_tuple order
-    NAMES = ("pos", "neg", "neu", "compound")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return _SENTIMENT_VALUES(self)
-
-
-@dataclass(frozen=True)
-class ReadabilityScores:
-    fk_grade: float
-    reading_ease: float
-
-    NAMES = ("fk_grade", "reading_ease")
-
-    def as_tuple(self) -> tuple[float, float]:
-        return _READABILITY_VALUES(self)
-
-
-@dataclass(frozen=True)
-class SurfaceFeatures:
-    """Token-kind counts and size metrics, one array entry per document as
-    surface_features gives them; the has_* flags derive from the counts."""
-
-    count_hashtags: int
-    count_mentions: int
-    count_retweets: int
-    count_urls: int
-    num_chars: int
-    num_words: int
-    num_syllables: int
-
-    @property
-    def has_hashtag(self) -> int:
-        return (self.count_hashtags > 0) * 1
-
-    @property
-    def has_mention(self) -> int:
-        return (self.count_mentions > 0) * 1
-
-    @property
-    def has_retweet(self) -> int:
-        return (self.count_retweets > 0) * 1
-
-    @property
-    def has_url(self) -> int:
-        return (self.count_urls > 0) * 1
-
-    # counts, then binaries, then size metrics
-    NAMES = (
-        "count_hashtags",
-        "count_mentions",
-        "count_retweets",
-        "count_urls",
-        "has_hashtag",
-        "has_mention",
-        "has_retweet",
-        "has_url",
-        "num_chars",
-        "num_words",
-        "num_syllables",
-    )
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return _SURFACE_VALUES(self)
-
-
-_SENTIMENT_VALUES = attrgetter(*SentimentScores.NAMES)
-_READABILITY_VALUES = attrgetter(*ReadabilityScores.NAMES)
-_SURFACE_VALUES = attrgetter(*SurfaceFeatures.NAMES)
-
-# the name of each scalar column, (block, name), in scalar_row order: the
-# only definition of the scalar columns' order and names
+# the name of each scalar column, (block, name), in the order the scorers
+# return them and extraction stacks them: the only definition of the scalar
+# columns' order and names
 SCALAR_COLUMNS = (
-    tuple(("sentiment", n) for n in SentimentScores.NAMES)
-    + tuple(("readability", n) for n in ReadabilityScores.NAMES)
-    + tuple(("surface", n) for n in SurfaceFeatures.NAMES)
+    ("sentiment", "pos"), ("sentiment", "neg"), ("sentiment", "neu"), ("sentiment", "compound"),
+    ("readability", "fk_grade"), ("readability", "reading_ease"),
+    # counts, then binaries, then size metrics
+    ("surface", "count_hashtags"), ("surface", "count_mentions"),
+    ("surface", "count_retweets"), ("surface", "count_urls"),
+    ("surface", "has_hashtag"), ("surface", "has_mention"),
+    ("surface", "has_retweet"), ("surface", "has_url"),
+    ("surface", "num_chars"), ("surface", "num_words"), ("surface", "num_syllables"),
 )
-
-
-def scalar_row(sent: SentimentScores, read: ReadabilityScores, surf: SurfaceFeatures) -> tuple:
-    """One document's scalar columns, in SCALAR_COLUMNS order; a batch's
-    column arrays when the scores hold arrays."""
-    return sent.as_tuple() + read.as_tuple() + surf.as_tuple()
-
 
 # the flag bits of a token's codes
 NEGATION, BOOSTER, UPPER = 1, 2, 4
@@ -243,9 +158,10 @@ class TokenCodes:
     table: StringTable
 
 
-def sentiment_scores(codes: TokenCodes, lexicon: SentimentLexicon) -> SentimentScores:
-    """Score a batch of tweets' token codes against the lexicon: each field
-    an array with one value per tweet.
+def sentiment_scores(codes: TokenCodes, lexicon: SentimentLexicon) -> tuple[np.ndarray, ...]:
+    """Score a batch of tweets' token codes against the lexicon: the
+    sentiment columns of SCALAR_COLUMNS (pos, neg, neu, compound), each an
+    array with one value per tweet.
 
     Only Word tokens participate: they can match the lexicon, and unmatched
     ones carry the neutral mass. Negation looks back over the three preceding
@@ -300,13 +216,14 @@ def sentiment_scores(codes: TokenCodes, lexicon: SentimentLexicon) -> SentimentS
     mass = pos + neg + neu
     empty = mass == 0.0
     mass[empty] = 1.0
-    return SentimentScores(pos / mass, neg / mass, np.where(empty, 1.0, neu / mass), compound)
+    return pos / mass, neg / mass, np.where(empty, 1.0, neu / mass), compound
 
 
-def readability(num_words, num_syllables) -> ReadabilityScores:
-    """Reading-ease and grade formulas with the sentence count pinned at 1,
-    so words-per-sentence collapses to the word count. Counts may be
-    arrays, one per document; the scores are then arrays too."""
+def readability(num_words, num_syllables) -> tuple:
+    """The grade and reading-ease formulas, (fk_grade, reading_ease), with
+    the sentence count pinned at 1, so words-per-sentence collapses to the
+    word count. Counts may be arrays, one per document; the scores are then
+    arrays too."""
     if np.min(num_words, initial=1) < 1:
         raise ValueError("readability requires at least one word")
     if np.min(num_syllables, initial=1) < 1:
@@ -314,15 +231,18 @@ def readability(num_words, num_syllables) -> ReadabilityScores:
     spw = num_syllables / num_words
     reading_ease = 206.835 - 1.015 * num_words - 84.6 * spw
     fk_grade = 0.39 * num_words + 11.8 * spw - 15.59
-    return ReadabilityScores(fk_grade=fk_grade, reading_ease=reading_ease)
+    return fk_grade, reading_ease
 
 
-def surface_features(texts, counts, retweets) -> SurfaceFeatures:
-    """Token-kind counts plus size metrics of many texts, each field an
-    array with one value per text. `counts` holds each text's summed
-    WordTables.codes counts, one row each, and `retweets` its retweet
-    marker count; num_chars counts code points of the raw text, and words
-    are Word plus Hashtag tokens (hashtag bodies counted without the '#')."""
+def surface_features(texts, counts, retweets) -> tuple[np.ndarray, ...]:
+    """The surface columns of SCALAR_COLUMNS for many texts, each an array
+    with one value per text: token-kind counts, a flag per count that is
+    set when the count is positive, and size metrics. `counts` holds each
+    text's summed WordTables.codes counts, one row each, and `retweets` its
+    retweet marker count; num_chars counts code points of the raw text, and
+    words are Word plus Hashtag tokens (hashtag bodies counted without the
+    '#')."""
     hashtags, mentions, urls, words, syllables = np.asarray(counts).T[:5]
     chars = np.fromiter(map(len, texts), np.int64, len(texts))
-    return SurfaceFeatures(hashtags, mentions, retweets, urls, chars, words, syllables)
+    kinds = (hashtags, mentions, retweets, urls)
+    return (*kinds, *(count > 0 for count in kinds), chars, words, syllables)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ from .lexfeat import (
     TokenCodes,
     WordTables,
     readability,
-    scalar_row,
     sentiment_scores,
     surface_features,
 )
@@ -335,12 +334,13 @@ def extract_ingredients(
         TokenCodes(token_words, token_flags, token_at, counts[:, 5:], tables.words), lexicon
     )
     surf = surface_features(texts, counts, np.array(retweets, np.int64))
-    # tweets with no countable words are scored as one empty word so the
-    # readability formulas stay defined
-    read = readability(np.maximum(1, surf.num_words), np.maximum(1, surf.num_syllables))
+    # counts 3 and 4 are a tweet's words and syllables; tweets with no
+    # countable words are scored as one empty word so the readability
+    # formulas stay defined
+    read = readability(np.maximum(1, counts[:, 3]), np.maximum(1, counts[:, 4]))
     if len(memo) > MEMO_CHUNKS:
         memo.clear()
-    table = np.column_stack(scalar_row(sentiment, read, surf)).astype(np.float64)
+    table = np.column_stack((*sentiment, *read, *surf)).astype(np.float64)
     table.flags.writeable = False
     return Ingredients(word_docs=TokenDocs(stems, word_at, tables.stemmed), pos_docs=pos_docs,
                        scalars=table.reshape(len(texts), len(SCALAR_COLUMNS)))
@@ -354,10 +354,11 @@ class FittedFeatures:
     and selection are off. registry names every column of the assembled
     matrix as (block, name), the scalar ones by lexfeat.SCALAR_COLUMNS; it
     is derived from the vocabularies once, beside the fields, and each
-    matrix's input columns with their inverse map once, on first use. train_matrix is what
-    feature_matrix would return for the rows fit_features fitted on, and
-    selection_meta is the selection fit's per-class TrainMeta; neither is
-    compared or saved, so a loaded pipeline has None in both."""
+    matrix's input columns with their inverse map once, on first use
+    (projection; input_names names them). train_matrix is feature_matrix's
+    matrix of the rows fit_features fitted on, and selection_meta is the
+    selection fit's per-class TrainMeta; neither is compared or saved, so a
+    loaded pipeline has None in both."""
 
     word_vocab: Vocabulary
     pos_vocab: Vocabulary
@@ -391,9 +392,10 @@ class FittedFeatures:
         per matrix."""
         return self._projections[_MATRIX_READ[kind]]
 
-    def input_columns(self, kind: str) -> tuple[int, ...]:
-        """projection(kind)'s columns as a tuple of ints."""
-        return tuple(self.projection(kind)[0].tolist())
+    def input_names(self, kind: str) -> list[tuple[str, str]]:
+        """The registry name, (block, name), of each column a model of
+        `kind` reads (projection(kind)), in its order."""
+        return [self.registry[c] for c in self.projection(kind)[0].tolist()]
 
 
 def fit_features(
@@ -401,8 +403,10 @@ def fit_features(
 ) -> FittedFeatures:
     """Fit vocabularies, standardization, and L1 selection on the given
     rows only; rows outside `indices` never influence the result. The
-    matrix assembled for selection, projected onto the kept columns, is
-    returned as the result's train_matrix.
+    rows' matrix is built by feature_matrix, as for any other rows, from
+    the fitted vocabularies and standardizer; selection is fitted on it,
+    and it is returned, projected onto the kept columns, as the result's
+    train_matrix.
 
     The n-grams of every document are counted once per ingredients, so a
     refit on other rows (the next fold) fits its vocabularies from the same
@@ -418,29 +422,22 @@ def fit_features(
         "pos-ngram", settings.pos_ngram_lo, settings.pos_ngram_hi
     ).rows(indices)
     bounds = (settings.min_df, settings.max_df_ratio)
-    word_vocab = fit_vocab(wrows, settings.word_ngram_lo, settings.word_ngram_hi, *bounds)
-    pos_vocab = fit_vocab(prows, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds)
-    assembled, standardizer = assemble_features(
-        transform_tfidf(word_vocab, ingredients.word_docs.rows(indices)),
-        transform_tfidf(pos_vocab, ingredients.pos_docs.rows(indices)),
-        ingredients.scalars[indices],
-        standardize=settings.standardize,
+    fitted = FittedFeatures(
+        word_vocab=fit_vocab(wrows, settings.word_ngram_lo, settings.word_ngram_hi, *bounds),
+        pos_vocab=fit_vocab(prows, settings.pos_ngram_lo, settings.pos_ngram_hi, *bounds),
+        standardizer=Standardizer.fit(ingredients.scalars[indices]) if settings.standardize else None,
+        selected_columns=None,
     )
-    selected = None
-    selection_meta = None
-    if settings.select:
-        y_sub = [int(y[i]) for i in indices]
-        selection = select_l1(assembled, y_sub, C=settings.select_c, tol=settings.select_tol)
-        selected = tuple(selection)
-        selection_meta = selection.train_meta
-        assembled = assembled.project(selection)
-    return FittedFeatures(
-        word_vocab=word_vocab,
-        pos_vocab=pos_vocab,
-        standardizer=standardizer,
-        selected_columns=selected,
-        train_matrix=assembled,
-        selection_meta=selection_meta,
+    assembled = feature_matrix(fitted, ingredients, indices)
+    if not settings.select:
+        return replace(fitted, train_matrix=assembled)
+    y_sub = [int(y[i]) for i in indices]
+    selection = select_l1(assembled, y_sub, C=settings.select_c, tol=settings.select_tol)
+    return replace(
+        fitted,
+        selected_columns=tuple(selection),
+        train_matrix=assembled.project(selection),
+        selection_meta=selection.train_meta,
     )
 
 
@@ -460,8 +457,7 @@ def feature_matrix(
         transform_tfidf(fitted.word_vocab, wdocs),
         transform_tfidf(fitted.pos_vocab, pdocs),
         ingredients.scalars[indices],
-        standardizer=fitted.standardizer,
-        standardize=fitted.standardizer is not None,
+        fitted.standardizer,
     )
     if fitted.selected_columns is None:
         return assembled

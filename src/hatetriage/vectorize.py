@@ -583,14 +583,11 @@ def assemble_features(
     pos_block: FeatureMatrix,
     scalars,
     standardizer: Standardizer | None = None,
-    standardize: bool = True,
 ) -> tuple[FeatureMatrix, Standardizer | None]:
     """Concatenate [word | pos | scalars], the scalars one row per document
-    (lexfeat.SCALAR_COLUMNS names their columns).
-
-    With standardize on and no stored transform, fits one on these rows
-    (train mode); a provided transform is applied as-is (predict mode).
-    Returns the matrix and the transform used (None when off).
+    (lexfeat.SCALAR_COLUMNS names their columns), with `standardizer`
+    applied to the scalars when one is given. Returns the matrix and the
+    standardizer as given.
     """
     scalars = np.asarray(scalars, dtype=np.float64)
     n_rows = scalars.shape[0]
@@ -599,12 +596,8 @@ def assemble_features(
             f"row-count mismatch: word {word_block.n_rows}, pos {pos_block.n_rows}, "
             f"scalars {n_rows}"
         )
-    if standardize:
-        if standardizer is None:
-            standardizer = Standardizer.fit(scalars)
+    if standardizer is not None:
         scalars = standardizer.apply(scalars)
-    else:
-        standardizer = None
     matrix = CSRMatrix.hstack(
         [word_block.matrix, pos_block.matrix, CSRMatrix.from_dense(scalars)]
     )

@@ -1,6 +1,7 @@
 """Reference implementation of lexfeat's sentiment scorer, as it was
 written before the shipped one scored arrays: one walk over one tweet's
-Token list, adding each hit's adjusted valence in turn. Tests compare the
+Token list, adding each hit's adjusted valence in turn, giving (pos, neg,
+neu, compound) as the shipped scorer's sentiment columns. Tests compare the
 shipped scorer against it bit for bit.
 """
 
@@ -15,7 +16,6 @@ from hatetriage.lexfeat import (
     NEGATION_FACTOR,
     NEGATIONS,
     SentimentLexicon,
-    SentimentScores,
 )
 from hatetriage.textproc import Token, TokenKind
 
@@ -25,7 +25,9 @@ def _is_negation(surface: str) -> bool:
     return low in NEGATIONS or low.endswith("n't")
 
 
-def reference_sentiment_scores(tokens: list[Token], lexicon: SentimentLexicon) -> SentimentScores:
+def reference_sentiment_scores(
+    tokens: list[Token], lexicon: SentimentLexicon
+) -> tuple[float, float, float, float]:
     cased_words = [
         t.surface for t in tokens if t.kind is TokenKind.WORD and t.surface.upper() != t.surface.lower()
     ]
@@ -66,7 +68,5 @@ def reference_sentiment_scores(tokens: list[Token], lexicon: SentimentLexicon) -
 
     mass = pos_mass + neg_mass + neu_mass
     if mass == 0.0:
-        return SentimentScores(pos=0.0, neg=0.0, neu=1.0, compound=compound)
-    return SentimentScores(
-        pos=pos_mass / mass, neg=neg_mass / mass, neu=neu_mass / mass, compound=compound
-    )
+        return 0.0, 0.0, 1.0, compound
+    return pos_mass / mass, neg_mass / mass, neu_mass / mass, compound

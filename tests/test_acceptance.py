@@ -33,15 +33,7 @@ from hatetriage.evalharness import (
     metrics,
     prepare_folds,
 )
-from hatetriage.lexfeat import (
-    SCALAR_COLUMNS,
-    ReadabilityScores,
-    SentimentLexicon,
-    SentimentScores,
-    SurfaceFeatures,
-    readability,
-    scalar_row,
-)
+from hatetriage.lexfeat import SCALAR_COLUMNS, SentimentLexicon, readability
 from hatetriage.linmodel import fit_logreg, predict
 from hatetriage.pipeline import (
     FeatureSettings,
@@ -64,6 +56,16 @@ needs_dataset = pytest.mark.skipif(
 )
 
 _DATA = importlib.resources.files("hatetriage.data")
+
+# a neutral tweet's scalar columns that are not 0, by name
+NEUTRAL_SCALARS = {
+    ("sentiment", "neu"): 1.0,
+    ("readability", "fk_grade"): 1.0,
+    ("readability", "reading_ease"): 100.0,
+    ("surface", "num_chars"): 10,
+    ("surface", "num_words"): 2,
+    ("surface", "num_syllables"): 3,
+}
 
 # headline numbers published with the public dataset release
 REFERENCE_WEIGHTED = (0.91, 0.90, 0.90)
@@ -268,14 +270,14 @@ def test_a6_feature_oracles(golden_dir):
     assert tfidf_gap <= 1e-9
 
     # readability formulas on the two pinned (words, syllables) cases
-    r = readability(10, 14)
+    grade, ease = readability(10, 14)
     spw = 14 / 10
-    assert abs(r.reading_ease - (206.835 - 1.015 * 10 - 84.6 * spw)) <= 1e-9
-    assert abs(r.fk_grade - (0.39 * 10 + 11.8 * spw - 15.59)) <= 1e-9
-    assert abs(r.reading_ease - 78.245) <= 1e-9
-    r1 = readability(1, 1)
-    assert abs(r1.reading_ease - 121.22) <= 1e-9
-    assert abs(r1.fk_grade - (-3.40)) <= 1e-9
+    assert abs(ease - (206.835 - 1.015 * 10 - 84.6 * spw)) <= 1e-9
+    assert abs(grade - (0.39 * 10 + 11.8 * spw - 15.59)) <= 1e-9
+    assert abs(ease - 78.245) <= 1e-9
+    grade1, ease1 = readability(1, 1)
+    assert abs(ease1 - 121.22) <= 1e-9
+    assert abs(grade1 - (-3.40)) <= 1e-9
 
     # sentiment compound on the three pinned cases
     lex = SentimentLexicon({"good": 2.0})
@@ -337,11 +339,7 @@ def test_a7_harness_oracles():
         ing = Ingredients(
             word_docs=tuple(tuple(d) for d in docs),
             pos_docs=tuple(("NN", "VBP") for _ in docs),
-            scalars=np.array([scalar_row(
-                SentimentScores(0.0, 0.0, 1.0, 0.0),
-                ReadabilityScores(1.0, 100.0),
-                SurfaceFeatures(0, 0, 0, 0, 10, 2, 3),
-            )] * len(docs)),
+            scalars=np.array([[NEUTRAL_SCALARS.get(c, 0.0) for c in SCALAR_COLUMNS]] * len(docs)),
         )
         for pf in prepare_folds(ing, y, kfold_indices(y, 4, trial), settings):
             train_ngrams = set()

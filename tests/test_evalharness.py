@@ -23,7 +23,7 @@ from hatetriage.evalharness import (
     metrics_report_text,
     prepare_folds,
 )
-from hatetriage.lexfeat import ReadabilityScores, SentimentScores, SurfaceFeatures, scalar_row
+from hatetriage.lexfeat import SCALAR_COLUMNS
 from hatetriage.pipeline import (
     FeatureSettings,
     Ingredients,
@@ -37,10 +37,16 @@ from hatetriage.pipeline import (
 H, O, N = 0, 1, 2
 
 
+# fixed readability and surface columns, in SCALAR_COLUMNS order: grade
+# 1 and ease 100, no hashtag, mention, retweet or URL, 10 characters, 2
+# words and 3 syllables
+FIXED_SCALARS = (1.0, 100.0, 0, 0, 0, 0, 0, 0, 0, 0, 10, 2, 3)
+
+
 def scalars_of(sentiment):
-    """One scalar row per sentiment, with fixed readability and surface."""
-    read, surf = ReadabilityScores(1.0, 100.0), SurfaceFeatures(0, 0, 0, 0, 10, 2, 3)
-    return np.array([scalar_row(s, read, surf) for s in sentiment])
+    """One scalar row per (pos, neg, neu, compound), in SCALAR_COLUMNS
+    order, with FIXED_SCALARS after it."""
+    return np.array([(*s, *FIXED_SCALARS) for s in sentiment]).reshape(-1, len(SCALAR_COLUMNS))
 
 
 def neutral_ingredients(word_docs, sentiment=None):
@@ -49,7 +55,7 @@ def neutral_ingredients(word_docs, sentiment=None):
         word_docs=tuple(tuple(d) for d in word_docs),
         pos_docs=tuple(("NN", "VBP") for _ in range(n)),
         scalars=scalars_of(
-            [sentiment if sentiment is not None else SentimentScores(0.0, 0.0, 1.0, 0.0)] * n
+            [sentiment if sentiment is not None else (0.0, 0.0, 1.0, 0.0)] * n
         ),
     )
 
@@ -387,9 +393,9 @@ class TestGridSearch:
         docs = [["pad", "pad"] for _ in range(3 * n_per)]
         y = [H] * n_per + [O] * n_per + [N] * n_per
         sent = (
-            [SentimentScores(1.0, 0.0, 0.0, 0.9)] * n_per
-            + [SentimentScores(0.0, 1.0, 0.0, -0.9)] * n_per
-            + [SentimentScores(0.0, 0.0, 1.0, 0.0)] * n_per
+            [(1.0, 0.0, 0.0, 0.9)] * n_per
+            + [(0.0, 1.0, 0.0, -0.9)] * n_per
+            + [(0.0, 0.0, 1.0, 0.0)] * n_per
         )
         ing = Ingredients(
             word_docs=tuple(tuple(d) for d in docs),
@@ -455,7 +461,7 @@ def noisy_ingredients(rng, n_per):
     y = [cls for cls in (H, O, N) for _ in range(n_per)]
     docs = [[str(rng.choice(pools[cls])) for _ in range(int(rng.integers(1, 5)))] for cls in y]
     sent = [
-        SentimentScores(*(float(v) for v in rng.random(3)), float(rng.normal(cls - 1.0)))
+        (*(float(v) for v in rng.random(3)), float(rng.normal(cls - 1.0)))
         for cls in y
     ]
     ing = Ingredients(
@@ -508,10 +514,16 @@ class TestFoldMajorGrid:
             assert cell == alone
 
     def test_test_matrix_failure_fails_the_cells_that_read_it(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("no test matrix")
+        # the held-out TF-IDF matrix fails; fit_features builds the training
+        # rows' one by feature_matrix, which is left whole
+        original = pipeline.model_input_matrix
 
-        monkeypatch.setattr(pipeline, "feature_matrix", broken)
+        def broken(kind, *args, **kwargs):
+            if kind != "nb":
+                raise ValueError("no test matrix")
+            return original(kind, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "model_input_matrix", broken)
         docs, y = separable_corpus(n_per=10)
         grid = [ModelConfig("logreg", "l2", 1.0), ModelConfig("svm", "l2", 1.0),
                 ModelConfig("nb", "none", 1.0)]
@@ -542,11 +554,6 @@ def build_fitted(docs, y, settings=SMALL):
     return ing, fitted, feature_matrix(fitted, ing)
 
 
-def column_names(fitted, kind):
-    """The registry entry of each column a model of `kind` reads."""
-    return [fitted.registry[c] for c in fitted.input_columns(kind)]
-
-
 def make_tweets(docs, y):
     out = []
     for i, (doc, cls) in enumerate(zip(docs, y)):
@@ -569,7 +576,7 @@ class TestErrorReport:
         self.docs, self.y = separable_corpus(n_per=10, words_per_doc=4)
         self.tweets = make_tweets(self.docs, self.y)
         _, self.fitted, self.fm = build_fitted(self.docs, self.y)
-        self.names = column_names(self.fitted, "logreg")
+        self.names = self.fitted.input_names("logreg")
         self.model = fit_config_model(ModelConfig("logreg", "l2", 1.0), self.fm, self.y)
 
     def test_perfect_predictor_empty_off_diagonal(self):
@@ -673,7 +680,7 @@ class TestReportFormats:
         tweets = make_tweets(docs, y)
         _, fitted, fm = build_fitted(docs, y)
         model = fit_config_model(ModelConfig("logreg", "l2", 1.0), fm, y)
-        rep = error_report(model, fm, column_names(fitted, "logreg"), tweets, top_n=2)
+        rep = error_report(model, fm, fitted.input_names("logreg"), tweets, top_n=2)
         assert error_report_text(rep) == error_report_text(rep)
         blob = error_report_json(rep)
         assert blob == error_report_json(rep)

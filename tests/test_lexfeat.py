@@ -3,17 +3,12 @@ import math
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hatetriage.lexfeat import (
-    SCALAR_COLUMNS,
-    ReadabilityScores,
-    SentimentLexicon,
-    SentimentScores,
-    readability,
-)
+from hatetriage.lexfeat import SCALAR_COLUMNS, SentimentLexicon, readability
 from hatetriage.pipeline import ChunkMemo, extract_ingredients
 from hatetriage.postag import load_model
 from hatetriage.textproc import TokenKind, count_syllables, tokenize
@@ -31,7 +26,7 @@ def columns(text, block, lexicon=LEX):
 
 
 def scores(text, lexicon=LEX):
-    return SentimentScores(**columns(text, "sentiment", lexicon))
+    return SimpleNamespace(**columns(text, "sentiment", lexicon))
 
 
 def surface(text):
@@ -41,8 +36,7 @@ def surface(text):
 class TestSentimentLexicon:
     def test_from_text_parses_and_skips_comments(self):
         lex = SentimentLexicon.from_text("# comment\ngood\t2.0\n\nbad\t-1.5\n")
-        assert lex["good"] == 2.0
-        assert "bad" in lex
+        assert lex.valences == {"good": 2.0, "bad": -1.5}
 
     def test_rejects_uppercase_keys(self):
         with pytest.raises(ValueError):
@@ -165,8 +159,8 @@ class TestSentimentAgainstReference:
     def test_one_token_list(self, text):
         """One tweet, extracted alone, scores as the reference scores its
         token list."""
-        got = scores(text, VALENCES).as_tuple()
-        assert got == reference_sentiment_scores(tokenize(text), VALENCES).as_tuple()
+        got = tuple(vars(scores(text, VALENCES)).values())
+        assert got == reference_sentiment_scores(tokenize(text), VALENCES)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(TWEETS, max_size=8))
@@ -177,7 +171,7 @@ class TestSentimentAgainstReference:
         negation or booster in one chunk reaches a hit in the next; the
         sentiment columns of one extraction, and of a second one on the same
         memo, equal one reference call per tweet."""
-        want = [reference_sentiment_scores(tokenize(t), VALENCES).as_tuple() for t in texts]
+        want = [reference_sentiment_scores(tokenize(t), VALENCES) for t in texts]
         memo = ChunkMemo()
         for _ in range(2):
             scalars = extract_ingredients(texts, TAGGER, VALENCES, memo).scalars
@@ -186,14 +180,14 @@ class TestSentimentAgainstReference:
 
 class TestReadability:
     def test_ten_words_fourteen_syllables(self):
-        r = readability(10, 14)
-        assert r.reading_ease == pytest.approx(78.245, abs=1e-9)
-        assert r.fk_grade == pytest.approx(4.83, abs=1e-9)
+        grade, ease = readability(10, 14)
+        assert ease == pytest.approx(78.245, abs=1e-9)
+        assert grade == pytest.approx(4.83, abs=1e-9)
 
     def test_one_word_one_syllable(self):
-        r = readability(1, 1)
-        assert r.reading_ease == pytest.approx(121.22, abs=1e-9)
-        assert r.fk_grade == pytest.approx(-3.40, abs=1e-9)
+        grade, ease = readability(1, 1)
+        assert ease == pytest.approx(121.22, abs=1e-9)
+        assert grade == pytest.approx(-3.40, abs=1e-9)
 
     def test_pure_function(self):
         assert readability(7, 11) == readability(7, 11)
@@ -208,13 +202,19 @@ class TestReadability:
 
     @given(st.integers(1, 40), st.integers(1, 120))
     def test_more_syllables_harder(self, words, syllables):
-        a = readability(words, syllables)
-        b = readability(words, syllables + 1)
-        assert b.reading_ease < a.reading_ease
-        assert b.fk_grade > a.fk_grade
+        grade_a, ease_a = readability(words, syllables)
+        grade_b, ease_b = readability(words, syllables + 1)
+        assert ease_b < ease_a
+        assert grade_b > grade_a
 
-    def test_returns_dataclass(self):
-        assert isinstance(readability(2, 3), ReadabilityScores)
+    def test_returns_its_columns_in_order(self):
+        """(fk_grade, reading_ease), the order SCALAR_COLUMNS names the
+        block in; array counts give one array per column."""
+        assert [n for b, n in SCALAR_COLUMNS if b == "readability"] == ["fk_grade", "reading_ease"]
+        assert readability(10, 14) == pytest.approx((4.83, 78.245), abs=1e-9)
+        grade, ease = readability(np.array([10, 1]), np.array([14, 1]))
+        assert grade.tolist() == pytest.approx([4.83, -3.40], abs=1e-9)
+        assert ease.tolist() == pytest.approx([78.245, 121.22], abs=1e-9)
 
 
 class TestSurfaceFeatures:
@@ -240,7 +240,7 @@ class TestSurfaceFeatures:
         assert f.num_words == 2
         assert f.num_syllables == 3
 
-    def test_as_tuple_order(self):
+    def test_column_order(self):
         f = surface("RT @u http://x.y #tag word")
         t = tuple(vars(f).values())
         assert t[:4] == (1, 1, 1, 1)

@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 
 from hatetriage import pipeline
 from hatetriage._serialize import ArtifactFormatError, dump_artifact, load_artifact
-from hatetriage.lexfeat import (
-    SCALAR_COLUMNS,
-    ReadabilityScores,
-    SentimentLexicon,
-    SentimentScores,
-    SurfaceFeatures,
-    readability,
-    scalar_row,
-)
+from hatetriage.lexfeat import SCALAR_COLUMNS, SentimentLexicon, readability
 from hatetriage.linmodel import LinearModel
 from hatetriage.pipeline import (
     PIPELINE_FORMAT_VERSION,
@@ -70,10 +62,16 @@ CORPUS = importlib.resources.files("hatetriage.data").joinpath("toy_corpus.csv")
 LEX = SentimentLexicon(valences={"good": 2.0, "love": 3.0, "bad": -2.5, "hate": -2.7})
 
 
+# fixed readability and surface columns, in SCALAR_COLUMNS order: grade
+# 1 and ease 100, no hashtag, mention, retweet or URL, 10 characters, 2
+# words and 3 syllables
+FIXED_SCALARS = (1.0, 100.0, 0, 0, 0, 0, 0, 0, 0, 0, 10, 2, 3)
+
+
 def scalars_of(sentiment):
-    """One scalar row per sentiment, with fixed readability and surface."""
-    read, surf = ReadabilityScores(1.0, 100.0), SurfaceFeatures(0, 0, 0, 0, 10, 2, 3)
-    rows = [scalar_row(s, read, surf) for s in sentiment]
+    """One scalar row per (pos, neg, neu, compound), in SCALAR_COLUMNS
+    order, with FIXED_SCALARS after it."""
+    rows = [(*s, *FIXED_SCALARS) for s in sentiment]
     return np.array(rows).reshape(-1, len(SCALAR_COLUMNS))
 
 
@@ -82,7 +80,7 @@ def neutral_ingredients(word_docs):
     return Ingredients(
         word_docs=tuple(tuple(d) for d in word_docs),
         pos_docs=tuple(("NN", "VBP") for _ in range(n)),
-        scalars=scalars_of([SentimentScores(0.0, 0.0, 1.0, 0.0)] * n),
+        scalars=scalars_of([(0.0, 0.0, 1.0, 0.0)] * n),
     )
 
 
@@ -126,16 +124,23 @@ CHUNKS = st.lists(CHUNK_PIECES, min_size=1, max_size=4).map("".join) | st.text(
 
 
 def reference_scores(text, lexicon):
-    """One tweet's sentiment, readability and surface scores, by block,
-    from the references: the per-token sentiment loop and a walk over its
-    tokens for the surface counts."""
+    """One tweet's sentiment, readability and surface scores, each block a
+    name -> value dict, from the references: the per-token sentiment loop
+    and a walk over its tokens for the surface counts."""
     tokens = tokenize(text)
     hashtags, mentions, urls, words, syllables = reference_surface_counts(tokens)
     retweets = sum(t.kind is TokenKind.RETWEET for t in tokens)
+    kinds = {"hashtag": hashtags, "mention": mentions, "retweet": retweets, "url": urls}
     return {
-        "sentiment": reference_sentiment_scores(tokens, lexicon),
-        "readability": readability(max(1, words), max(1, syllables)),
-        "surface": SurfaceFeatures(hashtags, mentions, retweets, urls, len(text), words, syllables),
+        "sentiment": dict(zip(("pos", "neg", "neu", "compound"),
+                              reference_sentiment_scores(tokens, lexicon), strict=True)),
+        "readability": dict(zip(("fk_grade", "reading_ease"),
+                                readability(max(1, words), max(1, syllables)), strict=True)),
+        "surface": {
+            **{f"count_{kind}s": n for kind, n in kinds.items()},
+            **{f"has_{kind}": int(n > 0) for kind, n in kinds.items()},
+            "num_chars": len(text), "num_words": words, "num_syllables": syllables,
+        },
     }
 
 
@@ -147,7 +152,7 @@ def per_tweet_ingredients(texts, tagger, lexicon):
         word_docs.append(tuple(reference_preprocess(text)))
         pos_docs.append(tuple(reference_tag(tagger, reference_unstemmed_words(text))))
         scored = reference_scores(text, lexicon)
-        scalars.append(scalar_row(scored["sentiment"], scored["readability"], scored["surface"]))
+        scalars.append([scored[block][name] for block, name in SCALAR_COLUMNS])
     return Ingredients(
         word_docs=tuple(word_docs),
         pos_docs=tuple(pos_docs),
@@ -232,9 +237,7 @@ class TestIngredients:
             Ingredients(
                 word_docs=(("a",),),
                 pos_docs=(),
-                scalars=np.array([scalar_row(SentimentScores(0, 0, 1, 0),
-                                             ReadabilityScores(1.0, 100.0),
-                                             SurfaceFeatures(0, 0, 0, 0, 1, 1, 1))]),
+                scalars=scalars_of([(0, 0, 1, 0)]),
             )
 
     def test_extract_on_real_texts(self, tagger):
@@ -269,13 +272,10 @@ class TestIngredients:
         """Each scalar column, found by its name alone, holds that value of
         the tweet as the references score it from its token list."""
         scored = reference_scores(text, LEX)
-        surface_names = {n for b, n in SCALAR_COLUMNS if b == "surface"}
-        assert surface_names == {f.name for f in dataclasses.fields(SurfaceFeatures)} | {
-            "has_hashtag", "has_mention", "has_retweet", "has_url"
-        }
+        assert {(b, n) for b in scored for n in scored[b]} == set(SCALAR_COLUMNS)
         (row,) = extract_ingredients([text], tagger, LEX).scalars
         for (block, name), value in zip(SCALAR_COLUMNS, row.tolist(), strict=True):
-            assert value == getattr(scored[block], name), (block, name)
+            assert value == scored[block][name], (block, name)
         if text.startswith("RT"):
             for name in ("has_retweet", "has_mention", "has_url", "has_hashtag"):
                 assert row[column("surface", name)] == 1
@@ -568,17 +568,18 @@ class TestFitFeatures:
         )
         fitted = fit_features(ing, y, fs)
         cm = count_matrix(fitted, ing)
-        kept = fitted.input_columns("nb")
+        kept = tuple(fitted.projection("nb")[0].tolist())
         n_ngrams = len(fitted.word_vocab) + len(fitted.pos_vocab)
         assert kept == tuple(c for c in fitted.selected_columns if c < n_ngrams)
+        assert fitted.input_names("nb") == [fitted.registry[c] for c in kept]
         # held as int64 columns with their inverse map, built once
         cols, inverse = fitted.projection("nb")
         assert fitted.projection("nb")[1] is inverse and cols.dtype == np.int64
-        assert tuple(cols.tolist()) == kept and len(inverse) == n_ngrams
+        assert len(inverse) == n_ngrams
         assert inverse[cols].tolist() == list(range(len(kept)))
         assert (inverse >= 0).sum() == len(kept)
         assert cm.n_cols == len(kept) <= n_ngrams
-        assert all(fitted.registry[c][0] in ("word-ngram", "pos-ngram") for c in kept)
+        assert all(block in ("word-ngram", "pos-ngram") for block, _ in fitted.input_names("nb"))
         dense = cm.matrix.toarray()
         assert (dense >= 0).all()
         assert (dense == dense.astype(int)).all()
@@ -625,7 +626,7 @@ def scalar_only_fit():
     """Selection that keeps sentiment columns only, so no count matrix can
     be built."""
     y = [0] * 12 + [1] * 12
-    sent = [SentimentScores(1.0, 0.0, 0.0, 0.9)] * 12 + [SentimentScores(0.0, 1.0, 0.0, -0.9)] * 12
+    sent = [(1.0, 0.0, 0.0, 0.9)] * 12 + [(0.0, 1.0, 0.0, -0.9)] * 12
     ing = Ingredients(
         word_docs=tuple(("pad", "pad") for _ in y),
         pos_docs=tuple(("NN",) for _ in y),
@@ -672,7 +673,7 @@ class TestModelInputs:
 
     def test_split_inputs_count_failure_fails_count_kinds_only(self, monkeypatch):
         ing, y, fitted = scalar_only_fit()
-        assert fitted.input_columns("nb") == ()
+        assert fitted.input_names("nb") == []
         calls = []
         original = pipeline.count_matrix
         monkeypatch.setattr(

@@ -29,21 +29,25 @@ import pytest
 
 from hatetriage import evalharness, pipeline
 from hatetriage.evalharness import GridCell, GridSearchResult, grid_report_csv
-from hatetriage.lexfeat import (
-    ReadabilityScores,
-    SentimentLexicon,
-    SentimentScores,
-    SurfaceFeatures,
-    scalar_row,
-)
+from hatetriage.lexfeat import SCALAR_COLUMNS, SentimentLexicon
 from hatetriage.pipeline import FeatureSettings, ModelConfig, PipelineModel
 from hatetriage.postag import load_model, tag
 from hatetriage.textproc import preprocess, unstemmed_words
-from hatetriage.vectorize import FeatureMatrix, assemble_features
+from hatetriage.vectorize import FeatureMatrix, Standardizer, assemble_features
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKER = ROOT / "perfbench" / "worker.py"
+
+# a neutral tweet's scalar columns that are not 0, by name
+NEUTRAL_SCALARS = {
+    ("sentiment", "neu"): 1.0,
+    ("readability", "fk_grade"): 1.0,
+    ("readability", "reading_ease"): 100.0,
+    ("surface", "num_chars"): 10,
+    ("surface", "num_words"): 2,
+    ("surface", "num_syllables"): 3,
+}
 
 
 def _tracing_module():
@@ -115,18 +119,22 @@ def test_grid_csv_layout_the_benchmark_parses():
 def test_assembled_matrix_has_what_the_tracer_reads():
     """perfbench/tracing.py _observe_assemble records `.nnz` and
     `.shape[1]` of the matrix in assemble_features' result as
-    vectorize.matrix_nnz and matrix_cols."""
+    vectorize.matrix_nnz and matrix_cols, with raw scalars and with a
+    fitted Standardizer, the path every call with standardization on
+    takes."""
     tracing = _tracing_module()
     word = FeatureMatrix(np.eye(2))
     pos = FeatureMatrix(np.zeros((2, 1)))
     scalars = [[0.5, 0.0, 0.5, 0.1, 1.0, 80.0] + [0.0] * 11,
                [0.0, 0.5, 0.5, -0.1, 2.0, 60.0] + [1.0] * 11]
-    result = assemble_features(word, pos, scalars)
-    tracer = tracing.Tracer()
-    tracing._observe_assemble(tracer, None, (), {}, result)
-    dense = result[0].matrix.toarray()
-    assert tracer.counts["matrix_nnz"] == np.count_nonzero(dense) > 0
-    assert tracer.counts["matrix_cols"] == dense.shape[1] == 3 + 17
+    for standardizer in (None, Standardizer.fit(np.array(scalars))):
+        result = assemble_features(word, pos, scalars, standardizer)
+        assert result[1] is standardizer
+        tracer = tracing.Tracer()
+        tracing._observe_assemble(tracer, None, (), {}, result)
+        dense = result[0].matrix.toarray()
+        assert tracer.counts["matrix_nnz"] == np.count_nonzero(dense) > 0
+        assert tracer.counts["matrix_cols"] == dense.shape[1] == 3 + 17
 
 
 def test_fitted_state_has_what_the_tracer_reads():
@@ -209,7 +217,8 @@ def test_pipeline_calls_traced_vectorize_functions():
     )
     fits = _calls_below(spans, "pipeline.fit_features")
     assert [(c[fit_vocab], c[tfidf]) for c in fits] == [(2, 2)]
-    assert [c[tfidf] for c in _calls_below(spans, "pipeline.feature_matrix")] == [2, 2]
+    # fit_features builds its rows' matrix by feature_matrix too
+    assert [c[tfidf] for c in _calls_below(spans, "pipeline.feature_matrix")] == [2, 2, 2]
     assert [c[counts] for c in _calls_below(spans, "pipeline.count_matrix")] == [2, 2]
     predicts = _calls_below(spans, "pipeline.pipeline_predict")
     assert [(c[tfidf], c[counts]) for c in predicts] == [(2, 0), (0, 2)]
@@ -269,11 +278,7 @@ def test_grid_search_builds_each_fold_input_once(kinds):
     ingredients = pipeline.Ingredients(
         word_docs=tuple(tuple(d) for d in docs),
         pos_docs=tuple(("N", "V") for _ in docs),
-        scalars=np.array([scalar_row(
-            SentimentScores(0.0, 0.0, 1.0, 0.0),
-            ReadabilityScores(1.0, 100.0),
-            SurfaceFeatures(0, 0, 0, 0, 10, 2, 3),
-        )] * len(docs)),
+        scalars=np.array([[NEUTRAL_SCALARS.get(c, 0.0) for c in SCALAR_COLUMNS]] * len(docs)),
     )
     settings = FeatureSettings(min_df=1, max_df_ratio=1.0, select=False)
     grid = pipeline.build_grid(kinds, ["l1", "l2"], [1.0], ["uniform"])

@@ -494,7 +494,8 @@ class TestCSRMatrixAgainstScipy:
     ), st.lists(st.lists(value, min_size=17, max_size=17), min_size=n, max_size=n))))
     def test_assembly(self, blocks):
         word, pos, scalars = blocks
-        fm, std = assemble_features(FeatureMatrix(word), FeatureMatrix(pos), scalars)
+        std = Standardizer.fit(np.array(scalars))
+        fm, _ = assemble_features(FeatureMatrix(word), FeatureMatrix(pos), scalars, std)
         scalars = std.apply(np.array(scalars))
         want = reference_assemble(sparse.csr_matrix(word), sparse.csr_matrix(pos), scalars)
         assert_same_csr(fm.matrix, want)
@@ -529,14 +530,14 @@ class TestAssembleFeatures:
         sent = rng.random((30, 4))
         read = rng.random((30, 2)) * 50
         surf = rng.integers(0, 9, (30, 11)).astype(float)
-        fm, std = assemble_features(word, pos, np.hstack([sent, read, surf]))
+        scalars = np.hstack([sent, read, surf])
+        fm, _ = assemble_features(word, pos, scalars, Standardizer.fit(scalars))
         scalars = fm.matrix.toarray()[:, 5:]
         assert np.abs(scalars.mean(axis=0)).max() < 1e-9
-        assert std is not None
 
     def test_zero_variance_column_passes_as_zeros(self):
         word, pos, scalars = tiny_blocks(5)  # all rows identical
-        fm, _ = assemble_features(word, pos, scalars)
+        fm, _ = assemble_features(word, pos, scalars, Standardizer.fit(scalars))
         scalars = fm.matrix.toarray()[:, 5:]
         assert np.all(scalars == 0.0)
 
@@ -544,7 +545,7 @@ class TestAssembleFeatures:
         rng = np.random.default_rng(2)
         word, pos, _ = tiny_blocks(10)
         scalars = rng.random((10, 17))
-        _, std = assemble_features(word, pos, scalars)
+        std = Standardizer.fit(scalars)
         word2, pos2, _ = tiny_blocks(3)
         fm2, std2 = assemble_features(word2, pos2, scalars[:3], standardizer=std)
         assert std2 is std
@@ -553,7 +554,7 @@ class TestAssembleFeatures:
 
     def test_standardize_off_keeps_raw(self):
         word, pos, scalars = tiny_blocks(4)
-        fm, std = assemble_features(word, pos, scalars, standardize=False)
+        fm, std = assemble_features(word, pos, scalars)
         assert std is None
         assert np.allclose(fm.matrix.toarray()[:, 5:9], scalars[:, :4])
 
